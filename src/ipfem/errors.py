@@ -3,8 +3,11 @@
 Reports the L2 error, the broken weighted H1 seminorm, the energy norm
 (broken H1 plus both penalty terms) and the augmented energy norm that adds
 the scaled flux-average term; the two penalty magnitudes are kept separately.
-All integrals use quadrature objects built here, independent of the ones the
-assembly used, so a shared quadrature bug cannot cancel itself out.
+All integrals use the assembly's integration plan, built with the same rule
+generators (tensor Gauss, cut-cell and segment rules) at a higher order,
+p + 4 by default against the assembly's p + 2.  The higher order keeps the
+quadrature error below the discretisation error; it does not make the error
+quadrature independent of the assembly's.
 """
 
 from __future__ import annotations
@@ -14,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import PenaltyParams, Problem, segment_trace_operators
+from .assembly import IntegrationPlan, PenaltyParams, Problem, _evaluate, _shaped, build_plan
 from .fe_space import DoubledSpace
 from .geometry import CutTopology
-from .mesh import element_geometry
-from .quadrature import cut_cell_rule, segment_rule, tensor_gauss
 
 
 class MissingExact(Exception):
@@ -45,29 +46,68 @@ class ErrorReport:
     beta: int
 
 
-def _volume_rules(space, topology, quad_order):
-    mesh = space.mesh
-    basis = space.basis
-    rule = tensor_gauss(quad_order)
-    ref_vals = basis.values(rule.points[:, 0], rule.points[:, 1])
-    ref_grads = basis.gradients(rule.points[:, 0], rule.points[:, 1])
-    half = np.array([mesh.dx / 2.0, mesh.dy / 2.0])
-    pure_grads = ref_grads / half[None, None, :]
-    pure_w = rule.weights * (half[0] * half[1])
-    for e in range(mesh.n_elements):
-        geo = element_geometry(mesh, e)
-        for side in (1, 2):
-            if topology.fractions[e, side - 1] <= 0.0:
-                continue
-            if topology.labels[e] != 0:
-                x, y = geo.to_physical(rule.points[:, 0], rule.points[:, 1])
-                yield e, side, x, y, pure_w, ref_vals, pure_grads
-            else:
-                crule = cut_cell_rule(topology, e, side, order=quad_order)
-                xi, eta = geo.to_reference(crule.points[:, 0], crule.points[:, 1])
-                vals = basis.values(xi, eta)
-                grads = basis.gradients(xi, eta) / half[None, None, :]
-                yield e, side, crule.points[:, 0], crule.points[:, 1], crule.weights, vals, grads
+def _gather(coeffs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Local coefficients at unknown ids ``idx``; zero where constrained or inactive."""
+    local = np.zeros(idx.shape)
+    ok = idx >= 0
+    local[ok] = coeffs[idx[ok]]
+    return local
+
+
+def _squared_parts(plan: IntegrationPlan, problem: Problem, params: PenaltyParams, coeffs, exact: bool) -> dict:
+    """Squared norms of u - u_h by part, where u_h has the coefficients
+    ``coeffs`` and u is the problem's exact pair, or zero without ``exact``:
+    L2, broken weighted H1, both penalty terms and the flux-average term."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    p = params.p
+
+    def exact_at(side, x, y):
+        if not exact:
+            zero = np.zeros(x.shape)
+            return zero, zero, zero
+        gx, gy = problem.exact_grad[side - 1](x.ravel(), y.ravel())
+        return (
+            _evaluate(problem.exact[side - 1], x, y),
+            _shaped(gx, x.shape),
+            _shaped(gy, x.shape),
+        )
+
+    l2_parts, h1_parts = [], []
+    for g in plan.groups:
+        local = _gather(coeffs, g.idx)
+        ue, gx, gy = exact_at(g.side, g.x, g.y)
+        aq = _evaluate(problem.a[g.side - 1], g.x, g.y)
+        err = ue - local @ g.vals.T
+        gerr_sq = (gx - local @ g.grads[:, :, 0].T) ** 2 + (gy - local @ g.grads[:, :, 1].T) ** 2
+        l2_parts.append(err**2 @ g.w)
+        h1_parts.append((aq * gerr_sq) @ g.w)
+
+    tr = plan.segment_traces(problem)
+    x, y = plan.rule.points[..., 0], plan.rule.points[..., 1]
+    nrm = plan.rule.normals
+    c1 = _gather(coeffs, tr.idx1)[..., None, :]
+    c2 = _gather(coeffs, tr.idx2)[..., None, :]
+    f1_h = np.sum(tr.flux1 * c1, axis=-1)
+    f2_h = np.sum(tr.flux2 * c2, axis=-1)
+    jump_h = np.sum(tr.vals1 * c1, axis=-1) - np.sum(tr.vals2 * c2, axis=-1)
+    u1, g1x, g1y = exact_at(1, x, y)
+    u2, g2x, g2y = exact_at(2, x, y)
+    a1 = _evaluate(problem.a[0], x, y)
+    a2 = _evaluate(problem.a[1], x, y)
+    f1 = a1 * (g1x * nrm[..., 0] + g1y * nrm[..., 1])
+    f2 = a2 * (g2x * nrm[..., 0] + g2y * nrm[..., 1])
+    w = plan.rule.weights
+    out = {
+        "l2": float(np.sum(np.concatenate(l2_parts))),
+        "h1": float(np.sum(np.concatenate(h1_parts))),
+        "j0": params.gamma0 * p**2 / plan.h * float(np.sum(w * ((u1 - u2) - jump_h) ** 2)),
+        "j1": params.gamma1 * plan.h / p**2 * float(np.sum(w * ((f1 - f2) - (f1_h - f2_h)) ** 2)),
+        "avg": 0.0,
+    }
+    if params.gamma0 > 0.0:
+        favg_err = 0.5 * (f1 + f2) - 0.5 * (f1_h + f2_h)
+        out["avg"] = plan.h / (params.gamma0 * p**2) * float(np.sum(w * favg_err**2))
+    return out
 
 
 def compute_errors(
@@ -84,72 +124,16 @@ def compute_errors(
     p = params.p
     if quad_order is None:
         quad_order = p + 4
-    solution = np.asarray(solution, dtype=float)
-
-    l2_parts, h1_parts = [], []
-    for e, side, x, y, w, vals, grads in _volume_rules(space, topology, quad_order):
-        local = space.gather(solution, e, side)
-        uh = vals @ local
-        guh = np.einsum("qld,l->qd", grads, local)
-        ue = np.asarray(problem.exact[side - 1](x, y), dtype=float)
-        gx, gy = problem.exact_grad[side - 1](x, y)
-        aq = np.asarray(problem.a[side - 1](x, y), dtype=float)
-        err = ue - uh
-        gerr = np.stack([gx - guh[:, 0], gy - guh[:, 1]], axis=-1)
-        l2_parts.append(float(w @ err**2))
-        h1_parts.append(float((w * aq) @ np.sum(gerr**2, axis=-1)))
-    l2_sq = float(np.sum(l2_parts))
-    h1_sq = float(np.sum(h1_parts))
-
-    j0_parts, j1_parts, avg_parts = [], [], []
-    npts = max(quad_order + p + 2, 4)
-    for seg in topology.segments:
-        rule = segment_rule(seg, topology.curve, npts)
-        tr = segment_trace_operators(space, problem, seg, rule)
-        x, y = rule.points[:, 0], rule.points[:, 1]
-        c1 = space.gather(solution, seg.element, 1)
-        c2 = space.gather(
-            solution, seg.neighbor if seg.on_edge else seg.element, 2
-        )
-        jump_h = tr.vals1 @ c1 - tr.vals2 @ c2
-        fjump_h = tr.flux1 @ c1 - tr.flux2 @ c2
-        favg_h = 0.5 * (tr.flux1 @ c1 + tr.flux2 @ c2)
-
-        u1 = np.asarray(problem.exact[0](x, y), dtype=float)
-        u2 = np.asarray(problem.exact[1](x, y), dtype=float)
-        g1x, g1y = problem.exact_grad[0](x, y)
-        g2x, g2y = problem.exact_grad[1](x, y)
-        a1 = np.asarray(problem.a[0](x, y), dtype=float)
-        a2 = np.asarray(problem.a[1](x, y), dtype=float)
-        f1 = a1 * (g1x * rule.normals[:, 0] + g1y * rule.normals[:, 1])
-        f2 = a2 * (g2x * rule.normals[:, 0] + g2y * rule.normals[:, 1])
-
-        jump_err = (u1 - u2) - jump_h
-        fjump_err = (f1 - f2) - fjump_h
-        favg_err = 0.5 * (f1 + f2) - favg_h
-
-        h_e = element_geometry(space.mesh, seg.element).h_k
-        w = rule.weights
-        j0_parts.append(params.gamma0 * p**2 / h_e * float(w @ jump_err**2))
-        j1_parts.append(params.gamma1 * h_e / p**2 * float(w @ fjump_err**2))
-        if params.gamma0 > 0.0:
-            avg_parts.append(h_e / (params.gamma0 * p**2) * float(w @ favg_err**2))
-
-    j0 = float(np.sum(j0_parts)) if j0_parts else 0.0
-    j1 = float(np.sum(j1_parts)) if j1_parts else 0.0
-    norm_a = math.sqrt(h1_sq + j0 + j1)
-    if params.gamma0 > 0.0:
-        avg_sq = float(np.sum(avg_parts)) if avg_parts else 0.0
-        norm_b = math.sqrt(norm_a**2 + avg_sq)
-    else:
-        norm_b = float("nan")
+    parts = _squared_parts(build_plan(space, topology, quad_order, p), problem, params, solution, exact=True)
+    norm_a = math.sqrt(parts["h1"] + parts["j0"] + parts["j1"])
+    norm_b = math.sqrt(norm_a**2 + parts["avg"]) if params.gamma0 > 0.0 else float("nan")
     return ErrorReport(
-        l2=math.sqrt(l2_sq),
-        h1_broken=math.sqrt(h1_sq),
+        l2=math.sqrt(parts["l2"]),
+        h1_broken=math.sqrt(parts["h1"]),
         norm_a=norm_a,
         norm_b=norm_b,
-        j0_value=j0,
-        j1_value=j1,
+        j0_value=parts["j0"],
+        j1_value=parts["j1"],
         dofs=space.n_unknowns,
         h=space.mesh.h,
         p=p,
@@ -167,31 +151,13 @@ def energy_norm_squared(
     coeffs: np.ndarray,
     quad_order: int | None = None,
 ) -> float:
-    """Energy norm squared of a discrete function by independent quadrature:
-    broken weighted gradient energy plus both penalty terms."""
-    p = params.p
+    """Energy norm squared of a discrete function, measured like the error of
+    ``compute_errors`` against a zero exact pair: broken weighted gradient
+    energy plus both penalty terms."""
     if quad_order is None:
-        quad_order = p + 4
-    coeffs = np.asarray(coeffs, dtype=float)
-    parts = []
-    for e, side, x, y, w, _vals, grads in _volume_rules(space, topology, quad_order):
-        local = space.gather(coeffs, e, side)
-        guh = np.einsum("qld,l->qd", grads, local)
-        aq = np.asarray(problem.a[side - 1](x, y), dtype=float)
-        parts.append(float((w * aq) @ np.sum(guh**2, axis=-1)))
-    npts = max(quad_order + p + 2, 4)
-    for seg in topology.segments:
-        rule = segment_rule(seg, topology.curve, npts)
-        tr = segment_trace_operators(space, problem, seg, rule)
-        c1 = space.gather(coeffs, seg.element, 1)
-        c2 = space.gather(coeffs, seg.neighbor if seg.on_edge else seg.element, 2)
-        jump_h = tr.vals1 @ c1 - tr.vals2 @ c2
-        fjump_h = tr.flux1 @ c1 - tr.flux2 @ c2
-        h_e = element_geometry(space.mesh, seg.element).h_k
-        w = rule.weights
-        parts.append(params.gamma0 * p**2 / h_e * float(w @ jump_h**2))
-        parts.append(params.gamma1 * h_e / p**2 * float(w @ fjump_h**2))
-    return float(np.sum(parts))
+        quad_order = params.p + 4
+    parts = _squared_parts(build_plan(space, topology, quad_order, params.p), problem, params, coeffs, exact=False)
+    return parts["h1"] + parts["j0"] + parts["j1"]
 
 
 @dataclass

@@ -26,6 +26,10 @@ class ProbeError(Exception):
     pass
 
 
+# relative diagonal shift of both matrices in the Rayleigh-quotient solve
+REGULARIZATION = 1e-14
+
+
 @dataclass
 class ProbeReport:
     name: str
@@ -214,8 +218,9 @@ def probe_coercivity(
     Gram matrix (volume + both penalties) on a (gamma0, gamma1) grid.
 
     Returns {(gamma0, gamma1): quotient}; nonpositive quotients are reported,
-    not raised.  The Gram matrix is regularized by a tiny diagonal shift when
-    a zero penalty weight makes it singular.
+    not raised.  Both matrices carry a tiny relative diagonal shift, which
+    keeps the Gram matrix definite when a sliver or a zero penalty weight
+    makes it singular (see ``_min_rayleigh``).
     """
     out = {}
     for g1 in gamma1_values:
@@ -235,32 +240,32 @@ def _min_rayleigh(a, gram, iters=30, tol=1e-8, seed=0, dense_cutoff=1500):
     Small systems use a dense symmetric eigensolve; larger ones run Krylov
     inverse iteration (shift-invert Lanczos) with a shift placed below the
     spectrum by a power-iteration bound, so the nearest eigenvalue to the
-    shift is the leftmost one.  A singular Gram matrix (zero penalty weights)
-    is regularized by a tiny diagonal shift and the quotient still reported.
+    shift is the leftmost one.
+
+    Both matrices get the same shift REGULARIZATION * diag(gram).  A sliver
+    cut or a zero penalty weight leaves the Gram matrix singular to round-off
+    (its Jacobi-scaled smallest eigenvalue near +-1e-15), and a shift on the
+    Gram matrix alone then turns its near-null vectors into spurious large
+    negative quotients; shifting both maps them to quotients near 1 and moves
+    the others by a relative amount of order REGULARIZATION.
     """
     import scipy.sparse as sp
 
     n = a.shape[0]
     rng = np.random.default_rng(seed)
-    dscale = float(np.max(np.abs(gram.diagonal()))) if n else 1.0
+    shift = REGULARIZATION * sp.diags(gram.diagonal())
+    a = (a + shift).tocsc()
+    gram = (gram + shift).tocsc()
 
     if n <= dense_cutoff:
         ad = a.toarray()
         gd = gram.toarray()
         ad = 0.5 * (ad + ad.T)
         gd = 0.5 * (gd + gd.T)
-        try:
-            vals = la.eigh(ad, gd, eigvals_only=True, subset_by_index=[0, 0])
-        except la.LinAlgError:
-            gd = gd + 1e-10 * dscale * np.eye(n)
-            vals = la.eigh(ad, gd, eigvals_only=True, subset_by_index=[0, 0])
+        vals = la.eigh(ad, gd, eigvals_only=True, subset_by_index=[0, 0])
         return float(vals[0])
 
-    try:
-        glu = spla.splu(gram)
-    except RuntimeError:
-        gram = (gram + 1e-10 * dscale * sp.eye(n, format="csc")).tocsc()
-        glu = spla.splu(gram)
+    glu = spla.splu(gram)
 
     # crude spectral bound of gram^{-1} a to place a shift below the spectrum
     x = rng.standard_normal(n)

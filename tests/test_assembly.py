@@ -10,14 +10,15 @@ from ipfem.assembly import (
     assemble_J1,
     assemble_load,
     assemble_volume,
+    build_plan,
     segment_trace_operators,
 )
 from ipfem.cases import catalog
-from ipfem.errors import energy_norm_squared
+from ipfem.errors import compute_errors, energy_norm_squared
 from ipfem.fe_space import build_dof_map, build_doubled_space
 from ipfem.geometry import Circle, VerticalLine, classify_elements
-from ipfem.mesh import Rectangle, build_mesh
-from ipfem.quadrature import segment_rule
+from ipfem.mesh import Rectangle, build_mesh, element_geometry
+from ipfem.quadrature import cut_cell_rule, segment_rule, tensor_gauss
 
 from helpers import build_pipeline
 
@@ -63,7 +64,7 @@ def test_empty_system_on_single_cell():
     space, top = _one_sided_space(mesh, 1)
     assert space.n_unknowns == 0
     problem = Problem(a=(_const(1.0), _const(1.0)), f=(_const(1.0), _const(1.0)))
-    mat = assemble_volume(space, top, problem, 3)
+    mat = assemble_volume(build_plan(space, top, 3, 1), problem)
     assert mat.shape == (0, 0)
 
 
@@ -72,9 +73,10 @@ def test_center_stiffness_diagonal():
     space, top = _one_sided_space(mesh, 1)
     assert space.n_unknowns == 1
     problem = Problem(a=(_const(1.0), _const(1.0)), f=(_const(0.0), _const(0.0)))
-    mat = assemble_volume(space, top, problem, 3)
+    plan = build_plan(space, top, 3, 1)
+    mat = assemble_volume(plan, problem)
     assert mat[0, 0] == pytest.approx(8.0 / 3.0, rel=1e-13)
-    mat2 = assemble_volume(space, top, Problem(a=(_const(2.0), _const(2.0)), f=problem.f), 3)
+    mat2 = assemble_volume(plan, Problem(a=(_const(2.0), _const(2.0)), f=problem.f))
     assert np.allclose(mat2.toarray(), 2.0 * mat.toarray(), rtol=1e-13)
 
 
@@ -84,7 +86,7 @@ def test_center_load_entry():
     space, top = _one_sided_space(mesh, 1)
     problem = Problem(a=(_const(1.0), _const(1.0)), f=(_const(1.0), _const(1.0)))
     params = PenaltyParams(beta=1, gamma0=1.0, gamma1=1.0, p=1)
-    load, terms = assemble_load(space, top, problem, params, 3)
+    load, terms = assemble_load(build_plan(space, top, 3, params.p), problem, params)
     assert load[0] == pytest.approx(0.25, rel=1e-13)
     assert np.allclose(terms["gn_avg"], 0.0)
 
@@ -96,7 +98,7 @@ def test_zero_data_zero_load():
     space = build_doubled_space(build_dof_map(mesh, 1), top)
     problem = Problem(a=case.problem.a, f=(_const(0.0), _const(0.0)))
     params = PenaltyParams(beta=1, gamma0=5.0, gamma1=1.0, p=1)
-    load, _ = assemble_load(space, top, problem, params, 3)
+    load, _ = assemble_load(build_plan(space, top, 3, params.p), problem, params)
     assert np.all(load == 0.0)
 
 
@@ -149,12 +151,9 @@ def test_nip_sip_difference_is_adjoint_term():
     top = classify_elements(mesh, case.curve)
     space = build_doubled_space(build_dof_map(mesh, 2), top)
     quad_order = 4
-    sip = assemble_interface(
-        space, top, case.problem, PenaltyParams(beta=1, gamma0=1, gamma1=1, p=2), quad_order
-    )
-    nip = assemble_interface(
-        space, top, case.problem, PenaltyParams(beta=-1, gamma0=1, gamma1=1, p=2), quad_order
-    )
+    plan = build_plan(space, top, quad_order, 2)
+    sip = assemble_interface(plan, case.problem, PenaltyParams(beta=1, gamma0=1, gamma1=1, p=2))
+    nip = assemble_interface(plan, case.problem, PenaltyParams(beta=-1, gamma0=1, gamma1=1, p=2))
     from ipfem.assembly import _segment_npoints
 
     adj = np.zeros((space.n_unknowns, space.n_unknowns))
@@ -175,9 +174,10 @@ def test_continuous_function_annihilated():
     space = build_doubled_space(build_dof_map(mesh, 2), top)
     params = PenaltyParams(beta=1, gamma0=4.0, gamma1=2.0, p=2)
     quad_order = 4
-    ifc = assemble_interface(space, top, case.problem, params, quad_order)
-    j0 = assemble_J0(space, top, params, quad_order)
-    j1 = assemble_J1(space, top, case.problem, params, quad_order)
+    plan = build_plan(space, top, quad_order, params.p)
+    ifc = assemble_interface(plan, case.problem, params)
+    j0 = assemble_J0(plan, params)
+    j1 = assemble_J1(plan, case.problem, params)
     rng = np.random.default_rng(3)
 
     def continuous_vector():
@@ -206,12 +206,13 @@ def test_j0_scaling_and_independence():
     top = classify_elements(mesh, case.curve)
     space = build_doubled_space(build_dof_map(mesh, 2), top)
     p0 = PenaltyParams(beta=1, gamma0=0.0, gamma1=0.0, p=2)
-    assert abs(assemble_J0(space, top, p0, 4)).max() == 0.0
-    assert abs(assemble_J1(space, top, case.problem, p0, 4)).max() == 0.0
+    plan = build_plan(space, top, 4, 2)
+    assert abs(assemble_J0(plan, p0)).max() == 0.0
+    assert abs(assemble_J1(plan, case.problem, p0)).max() == 0.0
     p1 = PenaltyParams(beta=1, gamma0=2.0, gamma1=1.0, p=2)
     p2 = PenaltyParams(beta=1, gamma0=4.0, gamma1=1.0, p=2)
-    j0a = assemble_J0(space, top, p1, 4)
-    j0b = assemble_J0(space, top, p2, 4)
+    j0a = assemble_J0(plan, p1)
+    j0b = assemble_J0(plan, p2)
     assert np.allclose(j0b.toarray(), 2.0 * j0a.toarray(), rtol=1e-13)
     # quadratic form against an independently quadratured value
     rng = np.random.default_rng(9)
@@ -294,3 +295,112 @@ def test_consistency_residual_decreases():
     slope = np.polyfit(np.log(hs), np.log(resid), 1)[0]
     assert resid[0] > resid[1] > resid[2]
     assert slope >= p - 0.25
+
+
+def _element_sides(space, top, quad_order):
+    """Reference iteration, one element side at a time: physical points,
+    weights and basis tables of every element side with positive area."""
+    mesh, basis = space.mesh, space.basis
+    rule = tensor_gauss(quad_order)
+    for e in range(mesh.n_elements):
+        geo = element_geometry(mesh, e)
+        for side in (1, 2):
+            if top.fractions[e, side - 1] <= 0.0:
+                continue
+            if top.labels[e] != 0:
+                x, y = geo.to_physical(rule.points[:, 0], rule.points[:, 1])
+                w = rule.weights * geo.jacobian_det
+            else:
+                crule = cut_cell_rule(top, e, side, order=quad_order)
+                x, y = crule.points[:, 0], crule.points[:, 1]
+                w = crule.weights
+            xi, eta = geo.to_reference(x, y)
+            grads = basis.gradients(xi, eta) / geo.half[None, None, :]
+            yield e, side, x, y, w, basis.values(xi, eta), grads
+
+
+def _rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("name", ["circle-jump", "aligned-edge"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_batched_volume_and_load_match_element_loop(name, p):
+    case = catalog()[name]
+    problem = case.problem
+    mesh, top, space, params, system = build_pipeline(case, p, 8)
+    n = space.n_unknowns
+    stiffness = np.zeros((n, n))
+    source = np.zeros(n)
+    for e, side, x, y, w, vals, grads in _element_sides(space, top, p + 2):
+        aw = np.asarray(problem.a[side - 1](x, y), dtype=float) * w
+        fw = np.asarray(problem.f[side - 1](x, y), dtype=float) * w
+        idx = space.element_unknowns(e, side)
+        ok = idx >= 0
+        local = np.einsum("q,qld,qmd->lm", aw, grads, grads)
+        stiffness[np.ix_(idx[ok], idx[ok])] += local[np.ix_(ok, ok)]
+        source[idx[ok]] += (vals.T @ fw)[ok]
+    assert _rel(system.blocks["volume"].toarray(), stiffness) <= 1e-13
+    _, terms = assemble_load(build_plan(space, top, p + 2, p), problem, params)
+    assert _rel(terms["volume"], source) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["circle-jump", "aligned-edge"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_batched_error_norms_match_element_loop(name, p):
+    case = catalog()[name]
+    problem = case.problem
+    mesh, top, space, params, system = build_pipeline(case, p, 8)
+    coeffs = np.random.default_rng(p).standard_normal(space.n_unknowns)
+    l2_sq = h1_sq = 0.0
+    for e, side, x, y, w, vals, grads in _element_sides(space, top, p + 4):
+        local = space.gather(coeffs, e, side)
+        gx, gy = problem.exact_grad[side - 1](x, y)
+        guh = np.einsum("qld,l->qd", grads, local)
+        aq = np.asarray(problem.a[side - 1](x, y), dtype=float)
+        l2_sq += float(w @ (problem.exact[side - 1](x, y) - vals @ local) ** 2)
+        h1_sq += float((w * aq) @ ((gx - guh[:, 0]) ** 2 + (gy - guh[:, 1]) ** 2))
+    report = compute_errors(space, top, problem, coeffs, params)
+    assert report.l2 == pytest.approx(np.sqrt(l2_sq), rel=1e-13)
+    assert report.h1_broken == pytest.approx(np.sqrt(h1_sq), rel=1e-13)
+
+
+@pytest.mark.parametrize("name", ["circle-jump", "aligned-edge"])
+def test_each_rule_is_built_once_per_pass(name, monkeypatch):
+    import sys
+
+    import ipfem.quadrature as quadrature
+
+    cut_calls, segment_calls = [], []
+    real_cut, real_segment = quadrature.cut_cell_rule, quadrature.segment_rule
+
+    def counted_cut(topology, element, side, order):
+        cut_calls.append((int(element), side, order))
+        return real_cut(topology, element, side, order=order)
+
+    def counted_segment(segment, curve, npoints):
+        segment_calls.append(id(segment))
+        return real_segment(segment, curve, npoints)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "ipfem":
+            if getattr(module, "cut_cell_rule", None) is real_cut:
+                monkeypatch.setattr(module, "cut_cell_rule", counted_cut)
+            if getattr(module, "segment_rule", None) is real_segment:
+                monkeypatch.setattr(module, "segment_rule", counted_segment)
+
+    case = catalog()[name]
+    p = 2
+    mesh, top, space, params, system = build_pipeline(case, p, 8)
+    sides = sorted(
+        (int(e), side) for e in top.cut_elements for side in (1, 2) if top.fractions[e, side - 1] > 0.0
+    )
+    segments = sorted(id(seg) for seg in top.segments)
+    assert sorted(cut_calls) == [(e, side, p + 2) for e, side in sides]
+    assert sorted(segment_calls) == segments
+
+    cut_calls.clear()
+    segment_calls.clear()
+    compute_errors(space, top, case.problem, np.zeros(space.n_unknowns), params)
+    assert sorted(cut_calls) == [(e, side, p + 4) for e, side in sides]
+    assert sorted(segment_calls) == segments

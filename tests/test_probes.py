@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ipfem.assembly import PenaltyParams, assemble
+from ipfem.assembly import PenaltyParams, Problem, assemble
 from ipfem.cases import DOMAIN, catalog
 from ipfem.fe_space import build_dof_map, build_doubled_space
 from ipfem.geometry import Circle, VerticalLine, classify_elements
@@ -163,3 +163,24 @@ def test_coercivity_matches_dense_eigensolve():
     dense = la.eigh(system.matrix.toarray(), gram, eigvals_only=True)[0]
     grid = probe_coercivity(builder, [50.0], [1.0], seed=0)
     assert grid[(50.0, 1.0)] == pytest.approx(float(dense), rel=1e-6)
+
+
+def test_coercivity_positive_on_a_sliver_sparse_path():
+    # An ellipse whose smallest cut fraction at nx = 24 is 9.8e-8: the energy
+    # Gram matrix is singular to round-off, and the shift-invert path must
+    # still find the positive leftmost quotient at a large jump penalty.
+    from ipfem.geometry import Ellipse
+    from ipfem.probes import _min_rayleigh
+
+    curve = Ellipse(-0.012423625375440242, -0.025450219382129394, 0.4820860789418323, 0.7179139210581676)
+    mesh, top = _topology(curve, 24)
+    assert top.fractions[top.cut_elements].min() < 1e-6
+    space = build_doubled_space(build_dof_map(mesh, 2), top)
+    one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
+    ten = lambda x, y: 10.0 * np.ones_like(np.asarray(x, dtype=float))
+    zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
+    problem = Problem(a=(one, ten), f=(zero, zero))
+    system = assemble(space, top, problem, PenaltyParams(beta=1, gamma0=1000.0, gamma1=1.0, p=2))
+    gram = (system.blocks["volume"] + system.blocks["j0"] + system.blocks["j1"]).tocsc()
+    quotient = _min_rayleigh(system.matrix.tocsc(), gram, dense_cutoff=0)
+    assert quotient > 0.0
