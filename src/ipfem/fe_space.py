@@ -5,7 +5,7 @@ The 1D basis is hierarchical: two nodal hat ends plus integrated-Legendre
 bubbles, so spaces are nested in p and edge traces depend only on the edge's
 own 1D factors.  On an axis-aligned structured mesh every shared edge is
 parameterized identically from both sides, hence all edge orientation signs
-are +1; the sign array is kept so the gluing convention stays explicit.
+are +1 and no sign array is needed.
 """
 
 from __future__ import annotations
@@ -113,36 +113,29 @@ class DofMap:
         nbub = p - 1
         self.n_dofs = nv + nbub * (nhe + nve) + nbub**2 * mesh.n_elements
 
-        nloc = (p + 1) ** 2
-        self.element_dofs = np.empty((mesh.n_elements, nloc), dtype=np.int64)
+        # every (element e, local l = a*(p+1) + b) pair at once; factors a, b
+        # <= 1 are the vertex hats, so (i + a, j + b) is a lattice vertex,
+        # horizontal edge row or vertical edge column
+        e = np.arange(mesh.n_elements)[:, None]
+        i, j = e % nx, e // nx
+        a = np.repeat(np.arange(p + 1), p + 1)[None, :]
+        b = np.tile(np.arange(p + 1), p + 1)[None, :]
+        vertex = (a <= 1) & (b <= 1)
+        h_edge = (a >= 2) & (b <= 1)
+        v_edge = (a <= 1) & (b >= 2)
+        on_x = (i + a == 0) | (i + a == nx)
+        on_y = (j + b == 0) | (j + b == ny)
+        self.element_dofs = np.select(
+            [vertex, h_edge, v_edge],
+            [
+                (j + b) * (nx + 1) + (i + a),
+                nv + ((j + b) * nx + i) * nbub + (a - 2),
+                nv + nbub * nhe + (j * (nx + 1) + (i + a)) * nbub + (b - 2),
+            ],
+            nv + nbub * (nhe + nve) + e * nbub**2 + (a - 2) * nbub + (b - 2),
+        )
         self.boundary = np.zeros(self.n_dofs, dtype=bool)
-        self.edge_signs = np.ones((mesh.n_elements, nloc))
-
-        he_base = nv
-        ve_base = nv + nbub * nhe
-        in_base = nv + nbub * (nhe + nve)
-        for e in range(mesh.n_elements):
-            i, j = mesh.element_cell(e)
-            for a in range(p + 1):
-                for b in range(p + 1):
-                    l = a * (p + 1) + b
-                    if a <= 1 and b <= 1:
-                        gid = (j + b) * (nx + 1) + (i + a)
-                        if i + a in (0, nx) or j + b in (0, ny):
-                            self.boundary[gid] = True
-                    elif a >= 2 and b <= 1:
-                        edge = (j + b) * nx + i
-                        gid = he_base + edge * nbub + (a - 2)
-                        if j + b in (0, ny):
-                            self.boundary[gid] = True
-                    elif a <= 1 and b >= 2:
-                        edge = j * (nx + 1) + (i + a)
-                        gid = ve_base + edge * nbub + (b - 2)
-                        if i + a in (0, nx):
-                            self.boundary[gid] = True
-                    else:
-                        gid = in_base + e * nbub**2 + (a - 2) * nbub + (b - 2)
-                    self.element_dofs[e, l] = gid
+        self.boundary[self.element_dofs[(vertex & (on_x | on_y)) | (h_edge & on_y) | (v_edge & on_x)]] = True
         self.element_dofs.setflags(write=False)
         self.boundary.setflags(write=False)
 

@@ -12,6 +12,7 @@ intervals tile the whole curve.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -40,6 +41,16 @@ class OnInterface(GeometryError):
 
 
 _ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])  # tangent -> outward normal of side 1
+
+
+@cache
+def _gauss_legendre(n: int):
+    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1], built
+    once per n (``quadrature.gauss_1d`` cannot be used: it imports this module)."""
+    x, w = leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 class InterfaceCurve:
@@ -76,7 +87,7 @@ class InterfaceCurve:
         return tv @ _ROT.T
 
     def arclength(self, t0: float, t1: float, npts: int = 32) -> float:
-        xg, wg = leggauss(npts)
+        xg, wg = _gauss_legendre(npts)
         tm = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * xg
         speed = np.linalg.norm(self.tangent(tm), axis=-1)
         return float(0.5 * (t1 - t0) * np.dot(wg, speed))
@@ -268,71 +279,114 @@ class CutTopology:
 
 # ---------------------------------------------------------------------------
 # crossing detection
+#
+# Every grid line of both families is searched in one array pass.  The lines
+# a sample interval [t_k, t_k+1] brackets follow from two binary searches of
+# its end coordinates among the sorted line values, so work and memory grow
+# with samples + crossings, never with lines x samples.  All brackets are then
+# refined together by one masked bisection and up to three masked Newton
+# steps; each bracket takes exactly the steps, in the same arithmetic, that a
+# bisection of it alone would take, so the roots do not depend on batching.
 
 
-def _refine_crossing(f, df, lo, hi, flo, fhi, xtol):
-    """Bisection to xtol followed by a short Newton polish inside the bracket."""
-    a, b, fa, fb = lo, hi, flo, fhi
+def _coord(fn, t, axis):
+    """Component ``axis[i]`` of the curve map ``fn`` (point or tangent) at t[i]."""
+    return fn(t)[np.arange(t.size), axis]
+
+
+def _line_hits(c, values, closed, tol_edge):
+    """Grid lines ``values`` (ascending) met by the coordinate samples ``c``.
+
+    Returns (line, k, on) in (line, k) order.  ``on`` marks sample k lying
+    exactly on the line; otherwise the sample interval [k, k+1] changes sign
+    across it: (c_k < v) != (c_k+1 < v), i.e. min < v <= max.  A line the
+    whole curve lies on (max |c - v| < tol_edge) yields nothing.
+    """
+    n = len(c)
+    k = np.arange(n if closed else n - 1)
+    c0 = c[k]
+    c1 = c[(k + 1) % n]
+
+    first = np.searchsorted(values, np.minimum(c0, c1), side="right")
+    count = np.searchsorted(values, np.maximum(c0, c1), side="right") - first
+    # lines first, first + 1, ..., first + count - 1 of every interval
+    offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    line_b = np.repeat(first, count) + offset
+    k_b = np.repeat(k, count)
+    keep = values[line_b] != c[k_b]  # sample k on the line is an exact zero
+
+    line_z = np.minimum(np.searchsorted(values, c0), len(values) - 1)
+    zero = values[line_z] == c0
+
+    line = np.concatenate([line_b[keep], line_z[zero]])
+    k = np.concatenate([k_b[keep], k[zero]])
+    on = np.arange(line.size) >= int(keep.sum())  # the exact zeros come last
+    # fl(c - v) is monotone in c, so max |c - v| is taken at c.max() or c.min()
+    on_line = np.maximum(np.abs(c.max() - values), np.abs(c.min() - values)) < tol_edge
+    sel = np.flatnonzero(~on_line[line])
+    sel = sel[np.lexsort((k[sel], line[sel]))]
+    return line[sel], k[sel], on[sel]
+
+
+def _refine_brackets(curve, axis, value, lo, hi, flo, xtol):
+    """Roots of r(t)[axis] = value in the brackets [lo, hi], f(lo) = flo.
+
+    Bisection to ``xtol`` (at most 80 halvings, stopping early on an exact
+    zero), then up to three Newton steps, each kept only inside the bracket.
+    """
+    a, b, fa = lo.copy(), hi.copy(), flo.copy()
+    live = np.ones(lo.size, dtype=bool)
     for _ in range(80):
-        if b - a <= xtol:
+        live &= ~(b - a <= xtol)
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
             break
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            a = b = m
-            break
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
+        m = 0.5 * (a[idx] + b[idx])
+        fm = _coord(curve.point, m, axis[idx]) - value[idx]
+        zero = fm == 0.0
+        upper = ~zero & ((fa[idx] < 0.0) != (fm < 0.0))
+        lower = ~zero & ~upper
+        a[idx[zero]] = b[idx[zero]] = m[zero]
+        live[idx[zero]] = False
+        b[idx[upper]] = m[upper]
+        a[idx[lower]] = m[lower]
+        fa[idx[lower]] = fm[lower]
     t = 0.5 * (a + b)
+    idx = np.arange(t.size)
     for _ in range(3):
-        d = df(t)
-        if d == 0.0:
-            break
-        step = f(t) / d
-        tn = t - step
-        if not (lo <= tn <= hi):
-            break
-        t = tn
+        d = _coord(curve.tangent, t[idx], axis[idx])
+        idx, d = idx[d != 0.0], d[d != 0.0]
+        tn = t[idx] - (_coord(curve.point, t[idx], axis[idx]) - value[idx]) / d
+        inside = (lo[idx] <= tn) & (tn <= hi[idx])
+        idx = idx[inside]
+        t[idx] = tn[inside]
     return t
 
 
-def _grid_crossings(curve, ts, pts, value, axis, xtol, tol_edge):
-    """Parameters where coordinate ``axis`` of r(t) crosses ``value``, paired
-    with the transversality strength |d coord / dt| at the crossing.
+def _grid_line_crossings(curve, ts, pts, xs, ys, xtol, tol_edge):
+    """Parameters where r(t) crosses a grid line x = xs[i] or y = ys[j], in
+    (family, line, sample) order, and the transversality strength
+    |d coord / dt| at each.
 
     Crossings beyond the grid line's physical extent are kept anyway; they are
     legitimate breakpoints when the curve leaves the domain and the caller
     filters intervals by their midpoints.  Tangential touches produce weak
     near-duplicate roots that the caller collapses by strength.
     """
-    g = pts[:, axis] - value
-    if np.max(np.abs(g)) < tol_edge:
-        return []  # the whole curve lies on this grid line
-    roots = []
-
-    def f(t):
-        return float(curve.point(t)[axis] - value)
-
-    def df(t):
-        return float(curve.tangent(t)[axis])
+    parts = []
+    for ax, lines in ((0, xs), (1, ys)):
+        line, k, on = _line_hits(pts[:, ax], lines, curve.closed, tol_edge)
+        parts.append((np.full(line.size, ax), lines[line], k, on))
+    axis, value, k, on = (np.concatenate(p) for p in zip(*parts))
 
     n = len(ts)
-    last = n - 1 if curve.closed else n - 2
-    for k in range(last + 1):
-        k2 = (k + 1) % n
-        a, b = ts[k], ts[k2]
-        if k2 == 0:
-            b = ts[0] + curve.period
-        ga, gb = g[k], g[k2]
-        if ga == 0.0:
-            roots.append((a, abs(df(a))))
-            continue
-        if (ga < 0.0) != (gb < 0.0):
-            t = _refine_crossing(f, df, a, b, ga, gb, xtol)
-            roots.append((t, abs(df(t))))
-    return roots
+    t = ts[k]
+    br = np.flatnonzero(~on)
+    k2 = k[br] + 1
+    hi = np.where(k2 == n, ts[0] + curve.period, ts[k2 % n])
+    flo = pts[k[br], axis[br]] - value[br]
+    t[br] = _refine_brackets(curve, axis[br], value[br], t[br], hi, flo, xtol)
+    return t, np.abs(_coord(curve.tangent, t, axis))
 
 
 def _perimeter_coord(box, p, tol):
@@ -380,7 +434,7 @@ def _side1_fraction(mesh, curve, seg: InterfaceSegment, npts: int = 32) -> float
     """Area fraction of the side-1 part of the host element via Green's theorem."""
     box = mesh.element_box(seg.element)
     tol = 1e-9 * mesh.h
-    xg, wg = leggauss(npts)
+    xg, wg = _gauss_legendre(npts)
     tq = seg.t_mid + 0.5 * (seg.t_hi - seg.t_lo) * xg
     r = curve.point(tq)
     dr = curve.tangent(tq)
@@ -415,18 +469,39 @@ def select_analysis_side(segment: InterfaceSegment, mesh: Mesh, curve: Interface
     raise GeometryError("all host-element corners lie on the interface")
 
 
+def _label_by_centre(mesh, curve):
+    """Labels (1 or 2) and full-side fractions of every element from the side
+    of its centre, from one signed-distance evaluation on all centres."""
+    dom = mesh.domain
+    cx = dom.x0 + mesh.dx * (np.arange(mesh.nx) + 0.5)
+    cy = dom.y0 + mesh.dy * (np.arange(mesh.ny) + 0.5)
+    gx, gy = np.meshgrid(cx, cy, indexing="xy")  # row-major, like the elements
+    labels = np.where(curve.signed_distance(gx.ravel(), gy.ravel()) < 0.0, 1, 2).astype(np.int8)
+    fractions = np.zeros((labels.size, 2))
+    fractions[labels == 1, 0] = 1.0
+    fractions[labels == 2, 1] = 1.0
+    return labels, fractions
+
+
 def classify_elements(mesh: Mesh, curve: InterfaceCurve, cut_threshold: float = 1e-12) -> CutTopology:
     """Classify every element against the curve and extract interface segments.
 
+    The curve is sampled densely in t; the crossings with all grid lines are
+    found in one batched pass (binary searches of the sample coordinates among
+    the line values, then one masked bisection + Newton polish of every
+    bracket).  The crossings split the parameter range into intervals, each
+    hosted by one element or lying on a mesh edge; the side-1 area fraction
+    of each host follows from Green's theorem.  Every other element is pure,
+    labelled by the side of its centre from one signed-distance evaluation on
+    all element centres.
+
     Raises MultiIntersection when the curve meets one element's boundary in
     more than two points, TangencyUnresolved when a crossing cannot be
-    bracketed, and UnresolvedTopology for interior loops or curves leaving
-    the domain; all three indicate the mesh is too coarse for the curve.
+    bracketed, and UnresolvedTopology for interior loops (also one touching
+    its element's boundary) or curves leaving the domain; all three indicate
+    the mesh is too coarse for the curve.
     """
     dom = mesh.domain
-    n_elem = mesh.n_elements
-    labels = np.empty(n_elem, dtype=np.int8)
-    fractions = np.zeros((n_elem, 2))
 
     smin, smax = curve.speed_range()
     if smin <= 0.0:
@@ -441,22 +516,18 @@ def classify_elements(mesh: Mesh, curve: InterfaceCurve, cut_threshold: float = 
     tol_edge = 1e-10 * mesh.h
     tol_geo = 1e-12 * mesh.h
 
-    roots = []
     xs = dom.x0 + mesh.dx * np.arange(mesh.nx + 1)
     ys = dom.y0 + mesh.dy * np.arange(mesh.ny + 1)
-    for value in xs:
-        roots += _grid_crossings(curve, ts, pts, value, 0, xtol, tol_edge)
-    for value in ys:
-        roots += _grid_crossings(curve, ts, pts, value, 1, xtol, tol_edge)
+    t_root, strength = _grid_line_crossings(curve, ts, pts, xs, ys, xtol, tol_edge)
 
     # Collapse clusters of near-coincident breakpoints (tangential touches of a
     # grid line leave weak duplicate roots a few 1e-9 apart); keep the most
     # transversal root of each cluster so true crossings stay machine-accurate.
     t_micro = max(2e-7 * curve.period, 4 * xtol)
     t_dedupe = max(1e-13 * curve.period, 2 * xtol)
-    roots = sorted(
-        ((r % curve.period if curve.closed else r), s) for r, s in roots
-    )
+    if curve.closed:
+        t_root = t_root % curve.period
+    roots = sorted(zip(t_root.tolist(), strength.tolist()))
     merged = []
     cluster = []
     for r, s in roots:
@@ -532,14 +603,7 @@ def classify_elements(mesh: Mesh, curve: InterfaceCurve, cut_threshold: float = 
         raise UnresolvedTopology("curve crosses the domain boundary; unsupported")
     if not any_inside:
         # curve entirely outside: all elements pure
-        centers_x = dom.x0 + mesh.dx * (np.arange(mesh.nx) + 0.5)
-        centers_y = dom.y0 + mesh.dy * (np.arange(mesh.ny) + 0.5)
-        cx, cy = np.meshgrid(centers_x, centers_y, indexing="xy")
-        d = curve.signed_distance(cx.ravel(), cy.ravel())
-        labels[:] = np.where(d < 0.0, 1, 2)
-        fractions[labels == 1, 0] = 1.0
-        fractions[labels == 2, 1] = 1.0
-        return CutTopology(mesh, curve, labels, fractions, ())
+        return CutTopology(mesh, curve, *_label_by_centre(mesh, curve), ())
 
     if curve.closed and not merged:
         raise UnresolvedTopology(
@@ -561,6 +625,13 @@ def classify_elements(mesh: Mesh, curve: InterfaceCurve, cut_threshold: float = 
         if first[2] == last[2] and first[3] == last[3] and abs((last[1] % curve.period) - first[0]) <= t_dedupe:
             mergedrec = mergedrec[1:-1] + [(last[0], last[1] + (first[1] - first[0]), last[2], last[3], last[4])]
 
+    if curve.closed and len(mergedrec) == 1:
+        # the loop only touches grid lines tangentially: one host holds it all
+        raise UnresolvedTopology(
+            f"closed curve lies inside element {mergedrec[0][2]}, touching its "
+            "boundary only; refine the mesh"
+        )
+
     hosts_seen = {}
     for rec in mergedrec:
         key = rec[2]
@@ -572,6 +643,7 @@ def classify_elements(mesh: Mesh, curve: InterfaceCurve, cut_threshold: float = 
             "refine the mesh"
         )
 
+    labels, fractions = _label_by_centre(mesh, curve)
     segments = []
     dropped = 0.0
     cut_hosts = set()
@@ -584,6 +656,7 @@ def classify_elements(mesh: Mesh, curve: InterfaceCurve, cut_threshold: float = 
         if f1 < cut_threshold or (1.0 - f1) < cut_threshold:
             dropped += curve.arclength(a, b)
             continue
+        labels[host] = 0
         fractions[host] = (f1, 1.0 - f1)
         cut_hosts.add(host)
         segments.append(seg)
@@ -595,16 +668,6 @@ def classify_elements(mesh: Mesh, curve: InterfaceCurve, cut_threshold: float = 
             "segment and a cut; refine the mesh"
         )
 
-    for k in range(n_elem):
-        if k in cut_hosts:
-            labels[k] = 0
-        else:
-            i, j = mesh.element_cell(k)
-            cx = dom.x0 + mesh.dx * (i + 0.5)
-            cy = dom.y0 + mesh.dy * (j + 0.5)
-            side = 1 if float(curve.signed_distance(cx, cy)) < 0.0 else 2
-            labels[k] = side
-            fractions[k, side - 1] = 1.0
 
     segments.sort(key=lambda s: s.t_lo)
     segments = tuple(

@@ -88,6 +88,47 @@ def test_dof_counts(nx, ny, p, total, free):
     assert dm.n_free == free == (nx * p - 1) * (ny * p - 1)
 
 
+def _loop_dof_map(nx, ny, p):
+    """Reference numbering, one (element, a, b) triple at a time: vertices,
+    horizontal-edge bubbles, vertical-edge bubbles, interiors."""
+    nv = (nx + 1) * (ny + 1)
+    nhe = nx * (ny + 1)
+    nve = (nx + 1) * ny
+    nbub = p - 1
+    element_dofs = np.empty((nx * ny, (p + 1) ** 2), dtype=np.int64)
+    boundary = np.zeros(nv + nbub * (nhe + nve) + nbub**2 * nx * ny, dtype=bool)
+    for e in range(nx * ny):
+        i, j = e % nx, e // nx
+        for a in range(p + 1):
+            for b in range(p + 1):
+                if a <= 1 and b <= 1:
+                    gid = (j + b) * (nx + 1) + (i + a)
+                    on_boundary = i + a in (0, nx) or j + b in (0, ny)
+                elif b <= 1:
+                    gid = nv + ((j + b) * nx + i) * nbub + (a - 2)
+                    on_boundary = j + b in (0, ny)
+                elif a <= 1:
+                    gid = nv + nbub * nhe + (j * (nx + 1) + (i + a)) * nbub + (b - 2)
+                    on_boundary = i + a in (0, nx)
+                else:
+                    gid = nv + nbub * (nhe + nve) + e * nbub**2 + (a - 2) * nbub + (b - 2)
+                    on_boundary = False
+                element_dofs[e, a * (p + 1) + b] = gid
+                boundary[gid] |= on_boundary
+    return element_dofs, boundary
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (5, 7)])
+def test_dof_map_matches_loop_numbering(nx, ny, p):
+    dm = build_dof_map(build_mesh(BIUNIT, nx, ny), p)
+    element_dofs, boundary = _loop_dof_map(nx, ny, p)
+    assert dm.element_dofs.dtype == element_dofs.dtype
+    assert np.array_equal(dm.element_dofs, element_dofs)
+    assert np.array_equal(dm.boundary, boundary)
+    assert dm.n_dofs == boundary.size
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_global_continuity_across_edges(p):
     mesh = build_mesh(BIUNIT, 3, 3)

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ipfem import geometry
+from ipfem.cases import catalog
 from ipfem.geometry import (
     Circle,
     Ellipse,
     MultiIntersection,
     OnInterface,
+    TangencyUnresolved,
     UnresolvedTopology,
     VerticalLine,
     classify_elements,
@@ -205,3 +210,176 @@ def test_parse_curve():
     assert isinstance(v, VerticalLine)
     with pytest.raises(ValueError):
         parse_curve("astroid:1,2")
+
+
+# ---------------------------------------------------------------------------
+# Reference for the batched crossing search: the scalar search, one grid line
+# at a time, one bisection + Newton polish per bracket.
+
+
+def _scalar_refine(f, df, lo, hi, flo, xtol):
+    a, b, fa = lo, hi, flo
+    for _ in range(80):
+        if b - a <= xtol:
+            break
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fm == 0.0:
+            a = b = m
+            break
+        if (fa < 0.0) != (fm < 0.0):
+            b = m
+        else:
+            a, fa = m, fm
+    t = 0.5 * (a + b)
+    for _ in range(3):
+        d = df(t)
+        if d == 0.0:
+            break
+        tn = t - f(t) / d
+        if not (lo <= tn <= hi):
+            break
+        t = tn
+    return t
+
+
+def _scalar_line_crossings(curve, ts, pts, value, axis, xtol, tol_edge):
+    g = pts[:, axis] - value
+    if np.max(np.abs(g)) < tol_edge:
+        return []
+
+    def f(t):
+        return float(curve.point(t)[axis] - value)
+
+    def df(t):
+        return float(curve.tangent(t)[axis])
+
+    roots = []
+    n = len(ts)
+    for k in range(n if curve.closed else n - 1):
+        k2 = (k + 1) % n
+        a = ts[k]
+        b = ts[0] + curve.period if k2 == 0 else ts[k2]
+        if g[k] == 0.0:
+            roots.append((a, abs(df(a))))
+        elif (g[k] < 0.0) != (g[k2] < 0.0):
+            t = _scalar_refine(f, df, a, b, g[k], xtol)
+            roots.append((t, abs(df(t))))
+    return roots
+
+
+def _scalar_crossings(curve, ts, pts, xs, ys, xtol, tol_edge):
+    roots = [r for v in xs for r in _scalar_line_crossings(curve, ts, pts, v, 0, xtol, tol_edge)]
+    roots += [r for v in ys for r in _scalar_line_crossings(curve, ts, pts, v, 1, xtol, tol_edge)]
+    return np.array([t for t, _ in roots]), np.array([s for _, s in roots])
+
+
+def _topology_bits(top):
+    segments = [
+        (s.element, s.t_lo.hex(), s.t_hi.hex(), s.on_edge, s.neighbor, s.analysis_side)
+        for s in top.segments
+    ]
+    return (top.labels.tobytes(), top.fractions.tobytes(), segments, float(top.dropped_arclength).hex())
+
+
+# perfbench's h-sweep seed-1 ellipse
+SEED1_ELLIPSE = Ellipse(0.0023643249400513433, 0.09009273926518707, 0.49324788381589013, 0.7067521161841098)
+CROSSING_CASES = (
+    [(c.name, c.curve, nx) for c in catalog().values() for nx in (8, 16, 32)]
+    + [("vertex-tangent-circle", Circle(0.0, 0.0, 0.5), 8)]
+    + [("perfbench-seed1-ellipse", SEED1_ELLIPSE, nx) for nx in (24, 64, 128)]
+)
+
+
+@pytest.mark.parametrize(
+    "curve,nx", [(c, nx) for _, c, nx in CROSSING_CASES], ids=[f"{n}-{nx}" for n, _, nx in CROSSING_CASES]
+)
+def test_batched_crossings_match_scalar_search(monkeypatch, curve, nx):
+    mesh = build_mesh(BIUNIT, nx, nx)
+    top = classify_elements(mesh, curve)
+
+    batched = geometry._grid_line_crossings
+    calls = []
+
+    def scalar(*args):
+        t, s = batched(*args)
+        t_ref, s_ref = _scalar_crossings(*args)
+        calls.append((t.tobytes() == t_ref.tobytes(), s.tobytes() == s_ref.tobytes(), t.size))
+        return t_ref, s_ref
+
+    monkeypatch.setattr(geometry, "_grid_line_crossings", scalar)
+    ref = classify_elements(mesh, curve)
+    assert len(calls) == 1
+    roots_equal, strengths_equal, n_roots = calls[0]
+    assert n_roots > 0
+    assert roots_equal and strengths_equal
+    assert _topology_bits(top) == _topology_bits(ref)
+    # pure labels: one scalar signed-distance call per element centre
+    dom = mesh.domain
+    for k in np.flatnonzero(top.labels != 0):
+        i, j = mesh.element_cell(k)
+        d = float(curve.signed_distance(dom.x0 + mesh.dx * (i + 0.5), dom.y0 + mesh.dy * (j + 0.5)))
+        assert top.labels[k] == (1 if d < 0.0 else 2)
+        assert top.fractions[k, top.labels[k] - 1] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Properties of every accepted classification of random circles and ellipses.
+
+
+@st.composite
+def conic_on_mesh(draw):
+    """A circle or an axis-aligned ellipse and a mesh size; the centre range
+    lets some curves leave the domain, and small axes or coarse meshes give
+    cells that the curve meets more than twice."""
+    a = draw(st.floats(0.08, 0.7))
+    b = a if draw(st.booleans()) else draw(st.floats(0.08, 0.7))
+    cx = draw(st.floats(-0.45, 0.45))
+    cy = draw(st.floats(-0.45, 0.45))
+    nx = draw(st.integers(2, 48))
+    curve = Circle(cx, cy, a) if a == b else Ellipse(cx, cy, a, b)
+    return curve, (a, b), nx
+
+
+def _perimeter(curve):
+    # trapezoidal rule: spectrally accurate for a smooth periodic integrand
+    ts = np.linspace(0.0, curve.period, 4096, endpoint=False)
+    return curve.period * float(np.mean(np.linalg.norm(curve.tangent(ts), axis=-1)))
+
+
+def _arc(curve, t0, t1):
+    # composite rule: one 32-point Gauss rule over a coarse-mesh segment of an
+    # eccentric ellipse (several radians) is accurate to ~1e-7 only
+    knots = np.linspace(t0, t1, int(np.ceil((t1 - t0) / 0.1)) + 1)
+    return sum(curve.arclength(a, b, npts=16) for a, b in zip(knots[:-1], knots[1:]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(conic_on_mesh())
+def test_classification_invariants_on_random_conics(draw):
+    curve, (a, b), nx = draw
+    mesh = build_mesh(BIUNIT, nx, nx)
+    try:
+        top = classify_elements(mesh, curve)
+    except (MultiIntersection, TangencyUnresolved, UnresolvedTopology):
+        return
+    segments = top.segments
+    assert all(not s.on_edge for s in segments)
+    # one segment per cut element
+    assert sorted(s.element for s in segments) == top.cut_elements.tolist()
+    assert np.all(top.fractions[top.cut_elements].min(axis=1) > 0.0)
+    # the segment intervals tile [0, period), up to the dropped slivers
+    P = curve.period
+    assert segments[0].t_lo >= 0.0 and segments[-1].t_lo < P
+    ends = [s.t_hi for s in segments]
+    starts = [s.t_lo for s in segments[1:]] + [segments[0].t_lo + P]
+    gaps = list(zip(ends, starts))
+    assert all(s - e >= -1e-12 * P for e, s in gaps)
+    gap_length = sum(curve.arclength(e, s) for e, s in gaps if s - e > 1e-12 * P)
+    assert gap_length == pytest.approx(top.dropped_arclength, abs=1e-12)
+    # side-1 area is the enclosed area
+    area = float(top.fractions[:, 0].sum()) * mesh.dx * mesh.dy
+    assert area == pytest.approx(np.pi * a * b, abs=1e-10)
+    # segment arclengths and the dropped slivers add up to the perimeter
+    length = sum(_arc(curve, s.t_lo, s.t_hi) for s in segments) + top.dropped_arclength
+    assert length == pytest.approx(_perimeter(curve), rel=1e-10)
