@@ -204,8 +204,6 @@ class SegmentTraces:
     idx2: np.ndarray
     vals1: np.ndarray  # (nq, nloc)
     vals2: np.ndarray
-    grads1: np.ndarray  # (nq, nloc, 2) physical gradients
-    grads2: np.ndarray
     flux1: np.ndarray  # (nq, nloc) a * grad(phi) . n
     flux2: np.ndarray
 
@@ -249,16 +247,14 @@ def _unit_traces(space: DoubledSpace, hosts, points, normals) -> SegmentTraces:
             xi.shape + (basis.n_local, 2)
         )
         flux = np.einsum("...qld,...qd->...ql", grads, normals)
-        out[side] = (space.element_unknowns(elems, side), vals, grads, flux)
+        out[side] = (space.element_unknowns(elems, side), vals, flux)
     return SegmentTraces(
         idx1=out[1][0],
         idx2=out[2][0],
         vals1=out[1][1],
         vals2=out[2][1],
-        grads1=out[1][2],
-        grads2=out[2][2],
-        flux1=out[1][3],
-        flux2=out[2][3],
+        flux1=out[1][2],
+        flux2=out[2][2],
     )
 
 
@@ -493,8 +489,8 @@ def assemble(
         "j0": assemble_J0(plan, params),
         "j1": assemble_J1(plan, problem, params),
     }
-    matrix = (blocks["volume"] + blocks["interface"] + blocks["j0"] + blocks["j1"]).tocsr()
-    matrix.sum_duplicates()
+    # a sum of canonical CSR matrices is canonical CSR: no conversion needed
+    matrix = blocks["volume"] + blocks["interface"] + blocks["j0"] + blocks["j1"]
     load, _terms = assemble_load(plan, problem, params)
     return AssembledSystem(
         matrix=matrix,

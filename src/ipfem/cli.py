@@ -69,6 +69,7 @@ def _fmt(x) -> str:
 @dataclass
 class StudyResult:
     rows: list = field(default_factory=list)
+    condition_estimates: list = field(default_factory=list)  # per row; None unless estimate_cond
     rates: dict = field(default_factory=dict)  # p -> RateSummary
     failures: list = field(default_factory=list)
 
@@ -84,7 +85,7 @@ def run_single(case: ManufacturedCase, method: str, p: int, nx: int,
                            gamma0=gamma0, gamma1=gamma1, p=p)
     system = assemble(space, topology, case.problem, params,
                       quad_order=p + 2 + quad_extra)
-    report = solve(system, method="direct", estimate_cond=estimate_cond)
+    report = solve(system, estimate_cond=estimate_cond)
     err = compute_errors(space, topology, case.problem, report.solution, params,
                          quad_order=p + 4 + quad_extra)
     return mesh, topology, space, system, report, err
@@ -143,6 +144,7 @@ def run_study(config: StudyConfig) -> StudyResult:
                 ]
             )
             result.rows.append(row)
+            result.condition_estimates.append(rep.condition_estimate)
             reports_by_p[p].append(err)
             if config.dump_matrix:
                 _dump_matrix(out, config, p, nx, system)
@@ -203,6 +205,7 @@ def _write_summary(path: Path, config: StudyConfig, gamma0, gamma1, result: Stud
             "cut_threshold": config.cut_threshold,
         },
         "rows": result.rows,
+        "condition_estimate": result.condition_estimates,
         "rates": {
             str(p): {
                 "slopes": result.rates[p].slopes,

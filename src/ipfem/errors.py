@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import IntegrationPlan, PenaltyParams, Problem, _evaluate, _shaped, build_plan
-from .fe_space import DoubledSpace
+from .fe_space import DoubledSpace, gather
 from .geometry import CutTopology
 
 
@@ -46,14 +46,6 @@ class ErrorReport:
     beta: int
 
 
-def _gather(coeffs: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Local coefficients at unknown ids ``idx``; zero where constrained or inactive."""
-    local = np.zeros(idx.shape)
-    ok = idx >= 0
-    local[ok] = coeffs[idx[ok]]
-    return local
-
-
 def _squared_parts(plan: IntegrationPlan, problem: Problem, params: PenaltyParams, coeffs, exact: bool) -> dict:
     """Squared norms of u - u_h by part, where u_h has the coefficients
     ``coeffs`` and u is the problem's exact pair, or zero without ``exact``:
@@ -74,7 +66,7 @@ def _squared_parts(plan: IntegrationPlan, problem: Problem, params: PenaltyParam
 
     l2_parts, h1_parts = [], []
     for g in plan.groups:
-        local = _gather(coeffs, g.idx)
+        local = gather(coeffs, g.idx)
         ue, gx, gy = exact_at(g.side, g.x, g.y)
         aq = _evaluate(problem.a[g.side - 1], g.x, g.y)
         err = ue - local @ g.vals.T
@@ -85,8 +77,8 @@ def _squared_parts(plan: IntegrationPlan, problem: Problem, params: PenaltyParam
     tr = plan.segment_traces(problem)
     x, y = plan.rule.points[..., 0], plan.rule.points[..., 1]
     nrm = plan.rule.normals
-    c1 = _gather(coeffs, tr.idx1)[..., None, :]
-    c2 = _gather(coeffs, tr.idx2)[..., None, :]
+    c1 = gather(coeffs, tr.idx1)[..., None, :]
+    c2 = gather(coeffs, tr.idx2)[..., None, :]
     f1_h = np.sum(tr.flux1 * c1, axis=-1)
     f2_h = np.sum(tr.flux2 * c2, axis=-1)
     jump_h = np.sum(tr.vals1 * c1, axis=-1) - np.sum(tr.vals2 * c2, axis=-1)

@@ -149,6 +149,15 @@ def build_dof_map(mesh: Mesh, p: int) -> DofMap:
     return DofMap(mesh, p)
 
 
+def gather(coeffs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Coefficients at unknown ids ``idx`` (any shape); zero where an id is -1
+    (constrained or inactive)."""
+    local = np.zeros(idx.shape)
+    ok = idx >= 0
+    local[ok] = coeffs[idx[ok]]
+    return local
+
+
 class DoubledSpace:
     """Two copies of the conforming space, each restricted to one side.
 
@@ -187,11 +196,7 @@ class DoubledSpace:
     def gather(self, coeffs: np.ndarray, element: int, side: int) -> np.ndarray:
         """Local coefficient vector of copy ``side`` on one element; entries
         for constrained or inactive DOFs are zero."""
-        idx = self.element_unknowns(element, side)
-        local = np.zeros(idx.shape)
-        ok = idx >= 0
-        local[ok] = coeffs[idx[ok]]
-        return local
+        return gather(coeffs, self.element_unknowns(element, side))
 
 
 def build_doubled_space(dofmap: DofMap, topology: CutTopology) -> DoubledSpace:

@@ -87,10 +87,16 @@ class InterfaceCurve:
         return tv @ _ROT.T
 
     def arclength(self, t0: float, t1: float, npts: int = 32) -> float:
+        """Length of r([t0, t1]) by the ``npts``-point Gauss rule on each of
+        ceil(|t1 - t0| / (period / 64)) equal pieces: one rule over several
+        radians of an eccentric ellipse is off by ~1e-7 relative."""
         xg, wg = _gauss_legendre(npts)
-        tm = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * xg
+        pieces = max(1, int(np.ceil(abs(t1 - t0) / (self.period / 64))))
+        knots = np.linspace(t0, t1, pieces + 1)
+        half = 0.5 * (knots[1:] - knots[:-1])
+        tm = 0.5 * (knots[:-1] + knots[1:])[:, None] + half[:, None] * xg
         speed = np.linalg.norm(self.tangent(tm), axis=-1)
-        return float(0.5 * (t1 - t0) * np.dot(wg, speed))
+        return float(np.dot(half, speed @ wg))
 
     def speed_range(self, nsamples: int = 512):
         ts = np.linspace(0.0, self.period, nsamples, endpoint=not self.closed)
@@ -449,9 +455,10 @@ def _side1_fraction(mesh, curve, seg: InterfaceSegment, npts: int = 32) -> float
     return min(max(area / elem_area, 0.0), 1.0)
 
 
-def select_analysis_side(segment: InterfaceSegment, mesh: Mesh, curve: InterfaceCurve) -> int:
-    """Side of the host element containing the corner farthest from the tangent
-    line at the segment midpoint (ties broken by smallest corner index)."""
+def corners_farthest_first(segment: InterfaceSegment, mesh: Mesh, curve: InterfaceCurve) -> np.ndarray:
+    """Host-element corners ordered by distance from the tangent line at the
+    segment midpoint, farthest first, ties by smallest corner index; the first
+    is the far point P of the fan construction."""
     tm = segment.t_mid
     p0 = curve.point(tm)
     d = curve.tangent(tm)
@@ -459,11 +466,16 @@ def select_analysis_side(segment: InterfaceSegment, mesh: Mesh, curve: Interface
     corners = mesh.vertices[mesh.elements[segment.element]]
     rel = corners - p0
     dist = np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0])
-    order = np.argsort(-dist, kind="stable")  # farthest first, smallest index on ties
+    return corners[np.argsort(-dist, kind="stable")]
+
+
+def select_analysis_side(segment: InterfaceSegment, mesh: Mesh, curve: InterfaceCurve) -> int:
+    """Side of the host element containing the corner farthest from the tangent
+    line at the segment midpoint (ties broken by smallest corner index)."""
     tol = 1e-12 * mesh.h
-    for idx in order:
+    for corner in corners_farthest_first(segment, mesh, curve):
         try:
-            return signed_side(corners[idx], curve, tol=tol)
+            return signed_side(corner, curve, tol=tol)
         except OnInterface:
             continue
     raise GeometryError("all host-element corners lie on the interface")

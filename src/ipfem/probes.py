@@ -17,7 +17,7 @@ import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
 from .fe_space import build_basis
-from .geometry import CutTopology, select_analysis_side
+from .geometry import CutTopology, corners_farthest_first
 from .mesh import element_geometry
 from .quadrature import cut_cell_rule, segment_rule, tensor_gauss
 
@@ -41,34 +41,36 @@ class ProbeReport:
     extra: dict = field(default_factory=dict)
 
 
+def _analysis_region_rule(topology, seg, geo, order):
+    """Quadrature over the analysis side of the segment's host element: the
+    whole element for a segment on a mesh edge, else the cut-cell rule of
+    side ``seg.analysis_side``.  Returns the physical nodes x, y, the weights
+    and the reference nodes xi, eta."""
+    if seg.on_edge:
+        rule = tensor_gauss(order)
+        xi, eta = rule.points[:, 0], rule.points[:, 1]
+        x, y = geo.to_physical(xi, eta)
+        return x, y, rule.weights * geo.jacobian_det, xi, eta
+    crule = cut_cell_rule(topology, seg.element, seg.analysis_side, order=order)
+    x, y = crule.points[:, 0], crule.points[:, 1]
+    return (x, y, crule.weights, *geo.to_reference(x, y))
+
+
 def _side_norm_matrices(topology, seg, p, quad_order):
     """Edge and region Gram matrices of the local degree-p tensor basis on the
     host element, the edge over the segment, the region over the analysis side."""
-    mesh = topology.mesh
     basis = build_basis(p)
-    geo = element_geometry(mesh, seg.element)
-    side = seg.analysis_side or select_analysis_side(seg, mesh, topology.curve)
+    geo = element_geometry(topology.mesh, seg.element)
 
     srule = segment_rule(seg, topology.curve, max(quad_order, 8))
     xi, eta = geo.to_reference(srule.points[:, 0], srule.points[:, 1])
     vals_e = basis.values(xi, eta)
     m_edge = vals_e.T @ (srule.weights[:, None] * vals_e)
 
-    if seg.on_edge:
-        rule = tensor_gauss(quad_order)
-        x, y = geo.to_physical(rule.points[:, 0], rule.points[:, 1])
-        w = rule.weights * geo.jacobian_det
-        xi_k, eta_k = rule.points[:, 0], rule.points[:, 1]
-    else:
-        crule = cut_cell_rule(topology, seg.element, side, order=quad_order)
-        x, y = crule.points[:, 0], crule.points[:, 1]
-        w = crule.weights
-        xi_k, eta_k = geo.to_reference(x, y)
+    _, _, w, xi_k, eta_k = _analysis_region_rule(topology, seg, geo, quad_order)
     vals_k = basis.values(xi_k, eta_k)
-    grads_k = basis.gradients(xi_k, eta_k) / geo.half[None, None, :]
     m_region = vals_k.T @ (w[:, None] * vals_k)
-    k_region = np.einsum("qld,q,qmd->lm", grads_k, w, grads_k)
-    return side, m_edge, m_region, k_region, geo
+    return m_edge, m_region, geo
 
 
 def _gen_max_eig_power(m_num, m_den, iters=50, seed=0):
@@ -102,7 +104,7 @@ def probe_inverse_trace(mesh, curve, topology: CutTopology, p: int, samples: int
     sampled = {}
     refined = {}
     for seg in topology.segments:
-        _, m_edge, m_region, _, geo = _side_norm_matrices(topology, seg, p, quad_order)
+        m_edge, m_region, geo = _side_norm_matrices(topology, seg, p, quad_order)
         best = 0.0
         for _ in range(samples):
             c = rng.standard_normal(m_edge.shape[0])
@@ -171,17 +173,9 @@ def probe_trace(mesh, curve, topology: CutTopology, samples: int = 20, seed: int
     quad_order = 8
     per_element = {}
     for seg in topology.segments:
-        side = seg.analysis_side or select_analysis_side(seg, mesh, topology.curve)
         geo = element_geometry(mesh, seg.element)
         srule = segment_rule(seg, topology.curve, 12)
-        if seg.on_edge:
-            rule = tensor_gauss(quad_order)
-            x, y = geo.to_physical(rule.points[:, 0], rule.points[:, 1])
-            w = rule.weights * geo.jacobian_det
-        else:
-            crule = cut_cell_rule(topology, seg.element, side, order=quad_order)
-            x, y = crule.points[:, 0], crule.points[:, 1]
-            w = crule.weights
+        x, y, w, _, _ = _analysis_region_rule(topology, seg, geo, quad_order)
         best = 0.0
         for val, grad in _random_smooth_fields(rng, samples, mesh.h):
             ve = np.sqrt(np.sum(srule.weights * val(srule.points[:, 0], srule.points[:, 1]) ** 2))
@@ -296,26 +290,13 @@ def _min_rayleigh(a, gram, iters=30, tol=1e-8, seed=0, dense_cutoff=1500):
     return float(vals[0])
 
 
-def far_corner(segment, mesh, curve):
-    """Host-element corner farthest from the tangent line at the segment
-    midpoint (the far point P of the fan construction)."""
-    tm = segment.t_mid
-    p0 = curve.point(tm)
-    d = curve.tangent(tm)
-    d = d / np.linalg.norm(d)
-    corners = mesh.vertices[mesh.elements[segment.element]]
-    rel = corners - p0
-    dist = np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0])
-    return corners[int(np.argmax(dist))]
-
-
 def probe_G(topology: CutTopology, curve, samples_per_segment: int = 64) -> ProbeReport:
     """min over segments and parameters of G(t)/h_K, where G is the distance
     function |(r-P) x r'|/|r'| with origin at the far corner P."""
     mesh = topology.mesh
     per_element = {}
     for seg in topology.segments:
-        p_far = far_corner(seg, mesh, curve)
+        p_far = corners_farthest_first(seg, mesh, curve)[0]
         ts = np.linspace(seg.t_lo, seg.t_hi, samples_per_segment)
         r = curve.point(ts) - p_far[None, :]
         dr = curve.tangent(ts)

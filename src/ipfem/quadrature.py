@@ -315,11 +315,3 @@ def _verify_side(points, curve, side, h):
     wrong = int(np.sum(d >= 0.0)) if side == 1 else int(np.sum(d <= 0.0))
     return points, wrong
 
-
-def rule_to_csv(points, weights) -> str:
-    """Debug dump of any physical rule as 'x,y,w' lines."""
-    pts = np.atleast_2d(points)
-    lines = ["x,y,w"]
-    for (x, y), w in zip(pts, weights):
-        lines.append(f"{x:.17g},{y:.17g},{w:.17g}")
-    return "\n".join(lines) + "\n"

@@ -1,10 +1,11 @@
 """Sparse solves and conditioning diagnostics.
 
-The default path is a direct factorization with a couple of iterative
-refinement steps; it is robust under the ill-conditioning that small cut
-fractions induce (the method has no stabilization for those by design, so the
-solver measures the consequences instead of patching them).  Conjugate
-gradients is offered for symmetric systems as a positivity smoke test.
+Every system is solved by a sparse LU factorization of the Jacobi-scaled
+matrix followed by up to three steps of iterative refinement; this is robust
+under the ill-conditioning that small cut fractions induce (the method has no
+stabilization for those by design, so the solver measures the consequences
+instead of patching them).  ``condition_estimate`` reports how ill-conditioned
+the scaled matrix is.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class SolverError(Exception):
 
 
 class ConvergenceFailure(SolverError):
-    pass
+    """Iterative refinement stalled above the residual target."""
 
 
 class SingularMatrix(SolverError):
@@ -38,8 +39,7 @@ class ZeroDiagonal(SolverError):
 class SolveReport:
     solution: np.ndarray
     rel_residual: float
-    method: str
-    iterations: int = 0
+    iterations: int = 0  # refinement steps taken after the first LU solve
     condition_estimate: float | None = None
 
 
@@ -48,12 +48,11 @@ class ScaledSystem:
     matrix: sp.csr_matrix
     load: np.ndarray
     scale: np.ndarray  # x = scale * y recovers the unscaled solution
-    symmetric: bool
 
 
 def jacobi_scale(system) -> ScaledSystem:
     """Symmetric diagonal scaling to unit absolute diagonal."""
-    matrix, load, symmetric = _unpack(system)
+    matrix, load = _unpack(system)
     d = matrix.diagonal()
     if np.any(d == 0.0):
         dead = np.flatnonzero(d == 0.0)[:10]
@@ -61,96 +60,48 @@ def jacobi_scale(system) -> ScaledSystem:
     s = 1.0 / np.sqrt(np.abs(d))
     ds = sp.diags(s)
     scaled = (ds @ matrix @ ds).tocsr()
-    return ScaledSystem(matrix=scaled, load=s * load, scale=s, symmetric=symmetric)
+    return ScaledSystem(matrix=scaled, load=s * load, scale=s)
 
 
 def _unpack(system):
+    """(matrix, load) of an AssembledSystem or of a (matrix, load) pair."""
     if isinstance(system, AssembledSystem):
-        return system.matrix, system.load, system.symmetric
-    if isinstance(system, ScaledSystem):
-        return system.matrix, system.load, system.symmetric
+        return system.matrix, system.load
     matrix, load = system
-    return matrix, load, False
+    return matrix, load
 
 
-def solve(
-    system,
-    method: str = "direct",
-    tol: float = 1e-10,
-    maxit: int = 2000,
-    estimate_cond: bool = False,
-) -> SolveReport:
-    """Solve the assembled system to a relative residual of ``tol``.
-
-    Methods: "direct" (sparse LU on the Jacobi-scaled matrix plus iterative
-    refinement), "cg" (symmetric systems only), "gmres".
-    """
-    matrix, load, symmetric = _unpack(system)
+def solve(system, tol: float = 1e-10, estimate_cond: bool = False) -> SolveReport:
+    """Solve the assembled system to a relative residual of ``tol``: sparse LU
+    of the Jacobi-scaled matrix, then up to three refinement steps."""
+    matrix, load = _unpack(system)
     if matrix.shape[0] == 0:
         raise SolverError("empty system")
     bnorm = float(np.linalg.norm(load))
     if bnorm == 0.0:
-        return SolveReport(solution=np.zeros(matrix.shape[0]), rel_residual=0.0, method=method)
+        return SolveReport(solution=np.zeros(matrix.shape[0]), rel_residual=0.0)
 
     scaled = jacobi_scale((matrix, load))
+    try:
+        lu = spla.splu(scaled.matrix.tocsc())
+    except RuntimeError as exc:
+        raise SingularMatrix(str(exc)) from exc
+    x = scaled.scale * lu.solve(scaled.load)
     iterations = 0
-    if method == "direct":
-        try:
-            lu = spla.splu(scaled.matrix.tocsc())
-        except RuntimeError as exc:
-            raise SingularMatrix(str(exc)) from exc
-        y = lu.solve(scaled.load)
-        x = scaled.scale * y
-        for _ in range(3):
-            r = load - matrix @ x
-            if np.linalg.norm(r) <= tol * bnorm:
-                break
-            x = x + scaled.scale * lu.solve(scaled.scale * r)
-            iterations += 1
-    elif method == "cg":
-        if isinstance(system, (AssembledSystem, ScaledSystem)) and not symmetric:
-            raise SolverError("cg requires a symmetric system")
-        counter = _Counter()
-        y, info = spla.cg(
-            scaled.matrix, scaled.load, rtol=tol * 1e-2, atol=0.0, maxiter=maxit, callback=counter
-        )
-        if info != 0:
-            raise ConvergenceFailure(f"cg failed to converge (info={info}) after {counter.n} iterations")
-        x = scaled.scale * y
-        iterations = counter.n
-    elif method in ("gmres", "gmres-like"):
-        counter = _Counter()
-        y, info = spla.lgmres(
-            scaled.matrix, scaled.load, rtol=tol * 1e-2, atol=0.0, maxiter=maxit, callback=counter
-        )
-        if info != 0:
-            raise ConvergenceFailure(f"gmres-like solve failed (info={info})")
-        x = scaled.scale * y
-        iterations = counter.n
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    for _ in range(3):
+        r = load - matrix @ x
+        if np.linalg.norm(r) <= tol * bnorm:
+            break
+        x = x + scaled.scale * lu.solve(scaled.scale * r)
+        iterations += 1
 
     rel = float(np.linalg.norm(load - matrix @ x) / bnorm)
     if rel > tol:
         raise ConvergenceFailure(
-            f"{method} solve stalled at relative residual {rel:.3e} (target {tol:.1e})"
+            f"direct solve stalled at relative residual {rel:.3e} (target {tol:.1e})"
         )
     cond = condition_estimate(scaled.matrix) if estimate_cond else None
-    return SolveReport(
-        solution=x,
-        rel_residual=rel,
-        method=method,
-        iterations=iterations,
-        condition_estimate=cond,
-    )
-
-
-class _Counter:
-    def __init__(self):
-        self.n = 0
-
-    def __call__(self, *_args):
-        self.n += 1
+    return SolveReport(solution=x, rel_residual=rel, iterations=iterations, condition_estimate=cond)
 
 
 def condition_estimate(matrix: sp.spmatrix, iters: int = 50, seed: int = 0) -> float:
@@ -181,36 +132,3 @@ def condition_estimate(matrix: sp.spmatrix, iters: int = 50, seed: int = 0) -> f
         y /= ny
     smin = 1.0 / np.sqrt(np.linalg.norm(lu.solve(lu.solve(y, trans="N"), trans="T")))
     return float(smax / smin)
-
-
-def min_eigenvalue_estimate(matrix: sp.spmatrix, iters: int = 60, seed: int = 0) -> float:
-    """Leftmost eigenvalue estimate of a symmetric matrix by shifted inverse
-    iteration; a positive value is the run-time positive definiteness check."""
-    rng = np.random.default_rng(seed)
-    n = matrix.shape[0]
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    bound = 1.0
-    for _ in range(20):
-        y = matrix @ x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        bound = ny
-        x = y / ny
-    sigma = -1.1 * bound - 1.0
-    try:
-        lu = spla.splu((matrix - sigma * sp.eye(n, format="csc")).tocsc())
-    except RuntimeError as exc:
-        raise SingularMatrix(str(exc)) from exc
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(iters):
-        y = lu.solve(x)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            raise SingularMatrix("inverse iteration produced the zero vector")
-        x = y / ny
-        lam = float(x @ (matrix @ x))
-    return lam

@@ -77,6 +77,28 @@ def test_run_study_writes_artifacts(tmp_path):
     )
 
 
+def test_summary_records_condition_estimates(tmp_path):
+    for flag in (False, True):
+        out = tmp_path / str(flag)
+        cfg = StudyConfig(
+            case="circle-jump",
+            method="sip",
+            p_list=[1],
+            nx_list=[8, 12],
+            out_dir=str(out),
+            estimate_cond=flag,
+        )
+        run_study(cfg)
+        summary = json.loads((out / "summary.json").read_text())
+        conds = summary["condition_estimate"]
+        assert len(conds) == len(summary["rows"]) == 2
+        if flag:
+            assert all(c > 1.0 for c in conds)
+        else:
+            assert conds == [None, None]
+        assert (out / "results.csv").read_text().split("\n")[0] == CSV_HEADER
+
+
 def test_byte_reproducibility(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

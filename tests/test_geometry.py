@@ -347,13 +347,6 @@ def _perimeter(curve):
     return curve.period * float(np.mean(np.linalg.norm(curve.tangent(ts), axis=-1)))
 
 
-def _arc(curve, t0, t1):
-    # composite rule: one 32-point Gauss rule over a coarse-mesh segment of an
-    # eccentric ellipse (several radians) is accurate to ~1e-7 only
-    knots = np.linspace(t0, t1, int(np.ceil((t1 - t0) / 0.1)) + 1)
-    return sum(curve.arclength(a, b, npts=16) for a, b in zip(knots[:-1], knots[1:]))
-
-
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(conic_on_mesh())
 def test_classification_invariants_on_random_conics(draw):
@@ -381,5 +374,15 @@ def test_classification_invariants_on_random_conics(draw):
     area = float(top.fractions[:, 0].sum()) * mesh.dx * mesh.dy
     assert area == pytest.approx(np.pi * a * b, abs=1e-10)
     # segment arclengths and the dropped slivers add up to the perimeter
-    length = sum(_arc(curve, s.t_lo, s.t_hi) for s in segments) + top.dropped_arclength
+    length = sum(curve.arclength(s.t_lo, s.t_hi) for s in segments) + top.dropped_arclength
     assert length == pytest.approx(_perimeter(curve), rel=1e-10)
+
+
+def test_arclength_over_long_segments_of_an_eccentric_ellipse():
+    # at nx = 3 the two segments span 2.6 and 3.7 rad, where one Gauss rule
+    # over the whole interval is off by ~6e-7 relative
+    curve = Ellipse(-0.2, 0.0, 0.5, 0.125)
+    top = classify_elements(build_mesh(BIUNIT, 3, 3), curve)
+    assert max(s.t_hi - s.t_lo for s in top.segments) > 3.0
+    length = sum(curve.arclength(s.t_lo, s.t_hi) for s in top.segments) + top.dropped_arclength
+    assert length == pytest.approx(_perimeter(curve), rel=1e-12)

@@ -9,7 +9,6 @@ from ipfem.quadrature import (
     DegenerateSliver,
     cut_cell_rule,
     gauss_1d,
-    rule_to_csv,
     segment_rule,
     tensor_gauss,
 )
@@ -154,12 +153,3 @@ def test_oracle_depth_stability():
     deep = oracle_side_monomials(curve, box, 1, 2, depth=2)
     for key in shallow:
         assert abs(shallow[key] - deep[key]) <= 1e-12 * max(1.0, abs(deep[key]))
-
-
-def test_rule_csv_dump():
-    g = gauss_1d(2)
-    pts = np.column_stack([g.points, np.zeros_like(g.points)])
-    text = rule_to_csv(pts, g.weights)
-    lines = text.strip().split("\n")
-    assert lines[0] == "x,y,w"
-    assert len(lines) == 3

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 
 from ipfem.cases import catalog
@@ -9,7 +10,6 @@ from ipfem.solver import (
     ZeroDiagonal,
     condition_estimate,
     jacobi_scale,
-    min_eigenvalue_estimate,
     solve,
 )
 
@@ -25,49 +25,39 @@ def test_identity_solve():
     assert rep.rel_residual <= 1e-10
 
 
+def _min_eigenvalue(matrix):
+    return float(la.eigvalsh(matrix.toarray(), subset_by_index=[0, 0])[0])
+
+
 def test_sip_is_positive_definite_with_good_penalties():
     case = catalog()["circle-jump"]
     _, _, _, _, system = build_pipeline(case, 1, 8, beta=1, gamma0=220.0, gamma1=1.0)
-    rep_cg = solve(system, method="cg", tol=1e-10, maxit=5000)
-    rep_direct = solve(system, method="direct")
-    assert rep_cg.rel_residual <= 1e-10
-    assert rep_cg.iterations > 0
-    lam = min_eigenvalue_estimate(system.matrix)
-    assert lam > 0.0
-    diff = np.linalg.norm(rep_cg.solution - rep_direct.solution)
-    assert diff <= 1e-8 * np.linalg.norm(rep_direct.solution)
+    assert _min_eigenvalue(system.matrix) > 0.0
 
 
 def test_sip_without_penalties_reported_indefinite():
     case = catalog()["circle-jump"]
     _, _, _, _, system = build_pipeline(case, 1, 8, beta=1, gamma0=0.0, gamma1=0.0)
-    lam = min_eigenvalue_estimate(system.matrix)
-    assert lam <= 0.0
+    assert _min_eigenvalue(system.matrix) <= 0.0
 
 
-def test_gmres_path():
+@pytest.mark.parametrize("beta, gamma0, gamma1", [(1, 220.0, 1.0), (-1, 1.0, 1.0)])
+def test_direct_solve_matches_dense_solve(beta, gamma0, gamma1):
     case = catalog()["circle-jump"]
-    _, _, _, _, system = build_pipeline(case, 1, 8, beta=-1, gamma0=1.0, gamma1=1.0)
-    rep = solve(system, method="gmres", maxit=4000)
-    assert rep.rel_residual <= 1e-10
-    direct = solve(system, method="direct")
-    assert np.linalg.norm(rep.solution - direct.solution) <= 1e-7 * np.linalg.norm(
-        direct.solution
-    )
+    _, _, _, _, system = build_pipeline(case, 1, 8, beta=beta, gamma0=gamma0, gamma1=gamma1)
+    rep = solve(system)
+    dense = np.linalg.solve(system.matrix.toarray(), system.load)
+    assert np.linalg.norm(rep.solution - dense) <= 1e-10 * np.linalg.norm(dense)
+    pair = solve((system.matrix, system.load))
+    assert np.array_equal(pair.solution, rep.solution)
 
 
-def test_cg_requires_symmetry():
+def test_refinement_stall_raises():
+    # round-off keeps the residual near 1e-16, far above this target
     case = catalog()["circle-jump"]
-    _, _, _, _, system = build_pipeline(case, 1, 8, beta=-1, gamma0=1.0, gamma1=1.0)
-    with pytest.raises(SolverError):
-        solve(system, method="cg")
-
-
-def test_cg_failure_raises():
-    case = catalog()["circle-jump"]
-    _, _, _, _, system = build_pipeline(case, 2, 8, beta=1)
+    _, _, _, _, system = build_pipeline(case, 1, 8, beta=1)
     with pytest.raises(ConvergenceFailure):
-        solve(system, method="cg", maxit=2)
+        solve(system, tol=1e-30)
 
 
 def test_jacobi_scale_basics():
