@@ -12,10 +12,12 @@ side-1 element and copy-2 traces from the side-2 neighbor; on a cut element
 both copies are evaluated on the host element itself.
 
 Each pass first builds one integration plan (``build_plan``) holding the
-geometry-only data: every cut-cell rule and every segment rule with its trace
-operators is built once, and all uncut elements share the reference tensor
-tables, so the volume block and the load treat them in batched numpy.  The
-five block functions then read the plan.
+geometry-only data: every cut-cell rule (in one batched call) and every
+segment rule with its trace operators is built once, all uncut elements share
+the reference tensor tables, and the cut sides are stacked into a few groups
+of equal node count, so the volume block, the load and the error norms loop
+over groups, never over elements.  The five block functions then read the
+plan; the cut sides' local blocks reach the scatter in (element, side) order.
 
 Scatter uses coordinate triplets merged by a deterministic lexicographic sort,
 so assembled matrices are bitwise reproducible.
@@ -31,7 +33,6 @@ import scipy.sparse as sp
 
 from .fe_space import DoubledSpace
 from .geometry import CutTopology, InterfaceSegment
-from .mesh import element_geometry
 from .quadrature import SegmentRule, cut_cell_rule, segment_rule, tensor_gauss
 
 
@@ -294,32 +295,45 @@ def _segment_npoints(quad_order: int, p: int) -> int:
 
 @dataclass(eq=False)
 class ElementGroup:
-    """Elements of one side integrated with one shared set of tables: all
-    uncut elements of the side (reference tensor rule), or one side of one
-    cut element (its own cut-cell rule)."""
+    """Elements of one side integrated together: all uncut elements of the
+    side, sharing the reference tensor rule's tables, or the cut elements'
+    sides with one node count, each with its own cut-cell rule."""
 
     side: int
     x: np.ndarray  # (E, q) physical quadrature points
     y: np.ndarray
-    w: np.ndarray  # (q,) physical weights
-    vals: np.ndarray  # (q, n_loc) basis values
-    grads: np.ndarray  # (q, n_loc, 2) physical basis gradients
+    w: np.ndarray  # physical weights: (q,) shared, or (E, q)
+    vals: np.ndarray  # basis values: (q, n_loc) shared, or (E, q, n_loc)
+    grads: np.ndarray  # physical basis gradients: (q, n_loc, 2) shared, or (E, q, n_loc, 2)
     idx: np.ndarray  # (E, n_loc) unknown ids, -1 where constrained or inactive
+
+
+def _contract(rows, table):
+    """sum_q rows[e, q] table[.., q, k] for every element e: one GEMM with
+    the shared (q, k) table of an uncut group, one vector-matrix product per
+    element with the (E, q, k) tables of a cut group (the products a group
+    of one element would take)."""
+    if table.ndim == rows.ndim:
+        return rows @ table
+    return np.matmul(rows[:, None, :], table)[:, 0]
 
 
 @dataclass(eq=False)
 class IntegrationPlan:
     """Geometry-only quadrature data of one assembly or error pass.
 
-    ``groups`` are the uncut elements of side 1 and of side 2, then one group
-    per positive side of each cut element.  ``rule`` and ``traces`` hold the
-    rule and the unit-coefficient trace operators of every segment, stacked
-    along a leading segment axis.  Every rule is built exactly once.
+    ``groups`` are the uncut elements of side 1 and of side 2, then the cut
+    sides stacked by (side, node count).  ``cut_order`` puts the rows of the
+    cut groups, concatenated, in (element, side) order.  ``rule`` and
+    ``traces`` hold the rule and the unit-coefficient trace operators of
+    every segment, stacked along a leading segment axis.  Every rule is built
+    exactly once.
     """
 
     space: DoubledSpace
     h: float  # element diagonal h_K, the same for every element
     groups: tuple
+    cut_order: np.ndarray
     rule: SegmentRule
     traces: SegmentTraces
 
@@ -330,6 +344,63 @@ class IntegrationPlan:
     def segment_traces(self, problem: Problem) -> SegmentTraces:
         """Segment traces with the normal fluxes a grad(phi) . n of ``problem``."""
         return _with_coefficient(self.traces, problem, self.rule.points)
+
+    def blocks(self, per_group) -> list:
+        """Per-group arrays (leading element axis) as the blocks of an
+        element-by-element pass: uncut side 1, uncut side 2, then every cut
+        (element, side) ascending, so sums and scatters see that sequence."""
+        uncut, cut = list(per_group[:2]), per_group[2:]
+        return uncut + [np.concatenate(cut)[self.cut_order]] if cut else uncut
+
+
+def _cut_groups(space: DoubledSpace, topology: CutTopology, quad_order: int):
+    """Stacked groups of every positive cut side, from one batched
+    ``cut_cell_rule`` call, and the permutation back to (element, side) order."""
+    mesh, basis = space.mesh, space.basis
+    cut = topology.cut_elements
+    elems = np.repeat(cut, 2)
+    sides = np.tile([1, 2], len(cut))
+    positive = topology.fractions[elems, sides - 1] > 0.0
+    elems, sides = elems[positive], sides[positive]
+    if not len(elems):
+        return [], np.zeros(0, dtype=np.int64)
+    rules = cut_cell_rule(topology, elems, sides, quad_order)
+    counts = np.array([len(r.weights) for r in rules])
+    keys = sides * (counts.max() + 1) + counts
+    members = [np.flatnonzero(keys == key) for key in np.unique(keys)]
+    # all cut sides in group order, so each group's tables are one slice
+    order = np.concatenate(members)
+    points = np.concatenate([rules[k].points for k in order])
+    weights = np.concatenate([rules[k].weights for k in order])
+    del rules
+    half = np.array([mesh.dx / 2.0, mesh.dy / 2.0])
+    c = _element_centers(mesh, np.repeat(elems[order], counts[order]))
+    xi = (points[:, 0] - c[:, 0]) / half[0]
+    eta = (points[:, 1] - c[:, 1]) / half[1]
+    del c
+    vals = basis.values(xi, eta)
+    grads = basis.gradients(xi, eta)
+    grads /= half[None, None, :]
+    del xi, eta
+
+    groups = []
+    start = 0
+    for sel in members:
+        side, q = int(sides[sel[0]]), int(counts[sel[0]])
+        at = slice(start, start + len(sel) * q)
+        start = at.stop
+        groups.append(
+            ElementGroup(
+                side=side,
+                x=points[at, 0].reshape(-1, q),
+                y=points[at, 1].reshape(-1, q),
+                w=weights[at].reshape(-1, q),
+                vals=vals[at].reshape(len(sel), q, -1),
+                grads=grads[at].reshape(len(sel), q, -1, 2),
+                idx=space.element_unknowns(elems[sel], side),
+            )
+        )
+    return groups, np.argsort(order)
 
 
 def build_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: int) -> IntegrationPlan:
@@ -359,24 +430,7 @@ def build_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: i
                 idx=space.element_unknowns(elems, side),
             )
         )
-    for e in topology.cut_elements:
-        geo = element_geometry(mesh, e)
-        for side in (1, 2):
-            if topology.fractions[e, side - 1] <= 0.0:
-                continue
-            crule = cut_cell_rule(topology, e, side, order=quad_order)
-            xi, eta = geo.to_reference(crule.points[:, 0], crule.points[:, 1])
-            groups.append(
-                ElementGroup(
-                    side=side,
-                    x=crule.points[None, :, 0],
-                    y=crule.points[None, :, 1],
-                    w=crule.weights,
-                    vals=basis.values(xi, eta),
-                    grads=basis.gradients(xi, eta) / half[None, None, :],
-                    idx=space.element_unknowns(e, side)[None, :],
-                )
-            )
+    cut_groups, cut_order = _cut_groups(space, topology, quad_order)
 
     npts = _segment_npoints(quad_order, p)
     rules = [segment_rule(seg, topology.curve, npts) for seg in topology.segments]
@@ -391,17 +445,27 @@ def build_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: i
         normals=stack("normals", (npts, 2)),
     )
     traces = _unit_traces(space, _segment_hosts(topology.segments), rule.points, rule.normals)
-    return IntegrationPlan(space=space, h=mesh.h, groups=tuple(groups), rule=rule, traces=traces)
+    return IntegrationPlan(
+        space=space,
+        h=mesh.h,
+        groups=tuple(groups + cut_groups),
+        cut_order=cut_order,
+        rule=rule,
+        traces=traces,
+    )
 
 
 def assemble_volume(plan: IntegrationPlan, problem: Problem) -> sp.csr_matrix:
     """Side-wise stiffness: sum_i int_{Omega_i} a grad u . grad v."""
-    trip = _Triplets()
+    local = []
     for g in plan.groups:
         aw = _evaluate(problem.a[g.side - 1], g.x, g.y) * g.w
-        # B[q, (l, m)] = sum_d G[q, l, d] G[q, m, d]: one GEMM per group
-        table = np.einsum("qld,qmd->qlm", g.grads, g.grads).reshape(len(g.w), -1)
-        trip.add(g.idx, aw @ table)
+        # B[q, (l, m)] = sum_d G[q, l, d] G[q, m, d]
+        table = np.einsum("...qld,...qmd->...qlm", g.grads, g.grads)
+        local.append(_contract(aw, table.reshape(table.shape[:-2] + (-1,))))
+    trip = _Triplets()
+    for idx, block in zip(plan.blocks([g.idx for g in plan.groups]), plan.blocks(local)):
+        trip.add(idx, block)
     return trip.to_csr(plan.n)
 
 
@@ -449,9 +513,9 @@ def assemble_load(plan: IntegrationPlan, problem: Problem, params: PenaltyParams
         "j_d": np.zeros(n),
         "j_n": np.zeros(n),
     }
-    for g in plan.groups:
-        fw = _evaluate(problem.f[g.side - 1], g.x, g.y) * g.w
-        _scatter_add(terms["volume"], g.idx, fw @ g.vals)
+    local = [_contract(_evaluate(problem.f[g.side - 1], g.x, g.y) * g.w, g.vals) for g in plan.groups]
+    for idx, block in zip(plan.blocks([g.idx for g in plan.groups]), plan.blocks(local)):
+        _scatter_add(terms["volume"], idx, block)
 
     tr = plan.segment_traces(problem)
     t = plan.rule.params

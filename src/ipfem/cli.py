@@ -15,6 +15,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .assembly import PenaltyParams, assemble
 from .cases import DOMAIN, ManufacturedCase, catalog
 from .errors import InsufficientData, compute_errors, estimate_rates
@@ -70,6 +72,7 @@ def _fmt(x) -> str:
 class StudyResult:
     rows: list = field(default_factory=list)
     condition_estimates: list = field(default_factory=list)  # per row; None unless estimate_cond
+    stats: list = field(default_factory=list)  # per row, see _run_stats
     rates: dict = field(default_factory=dict)  # p -> RateSummary
     failures: list = field(default_factory=list)
 
@@ -89,6 +92,22 @@ def run_single(case: ManufacturedCase, method: str, p: int, nx: int,
     err = compute_errors(space, topology, case.problem, report.solution, params,
                          quad_order=p + 4 + quad_extra)
     return mesh, topology, space, system, report, err
+
+
+def _run_stats(topology, space, system, report) -> dict:
+    """Deterministic size and health figures of one run: unknowns, matrix
+    nonzeros, cut elements, segments, the smallest cut-side area fraction
+    (None when nothing is cut), dropped arclength and refinement steps."""
+    cut = topology.cut_elements
+    return {
+        "unknowns": int(space.n_unknowns),
+        "nnz": int(system.matrix.nnz),
+        "cut_elements": int(len(cut)),
+        "segments": len(topology.segments),
+        "min_cut_fraction": float(topology.fractions[cut].min()) if len(cut) else None,
+        "dropped_arclength": float(topology.dropped_arclength),
+        "refine_steps": int(report.iterations),
+    }
 
 
 def run_study(config: StudyConfig) -> StudyResult:
@@ -145,6 +164,7 @@ def run_study(config: StudyConfig) -> StudyResult:
             )
             result.rows.append(row)
             result.condition_estimates.append(rep.condition_estimate)
+            result.stats.append(_run_stats(topology, space, system, rep))
             reports_by_p[p].append(err)
             if config.dump_matrix:
                 _dump_matrix(out, config, p, nx, system)
@@ -170,11 +190,12 @@ def _dump_matrix(out: Path, config: StudyConfig, p: int, nx: int, system):
 
 def _dump_quadrature(out: Path, config: StudyConfig, p: int, nx: int, topology):
     lines = ["element,side,x,y,w"]
-    for e in topology.cut_elements:
-        for side in (1, 2):
-            rule = cut_cell_rule(topology, int(e), side, order=p + 2 + config.quad_extra)
+    cut = topology.cut_elements
+    if len(cut):
+        rules = cut_cell_rule(topology, np.repeat(cut, 2), np.tile([1, 2], len(cut)), p + 2 + config.quad_extra)
+        for rule in rules:
             for (x, y), w in zip(rule.points, rule.weights):
-                lines.append(f"{e},{side},{x:.17g},{y:.17g},{w:.17g}")
+                lines.append(f"{rule.element},{rule.side},{x:.17g},{y:.17g},{w:.17g}")
     name = f"quadrature_{config.case}_{config.method}_p{p}_nx{nx}.csv"
     (out / name).write_text("\n".join(lines) + "\n")
 
@@ -206,6 +227,7 @@ def _write_summary(path: Path, config: StudyConfig, gamma0, gamma1, result: Stud
         },
         "rows": result.rows,
         "condition_estimate": result.condition_estimates,
+        "stats": result.stats,
         "rates": {
             str(p): {
                 "slopes": result.rates[p].slopes,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import IntegrationPlan, PenaltyParams, Problem, _evaluate, _shaped, build_plan
+from .assembly import IntegrationPlan, PenaltyParams, Problem, _contract, _evaluate, _shaped, _T, build_plan
 from .fe_space import DoubledSpace, gather
 from .geometry import CutTopology
 
@@ -64,15 +64,19 @@ def _squared_parts(plan: IntegrationPlan, problem: Problem, params: PenaltyParam
             _shaped(gy, x.shape),
         )
 
+    def integrate(values, w):
+        # (E, q) values against shared (q,) or per-element (E, q) weights
+        return _contract(values, w[..., None])[:, 0]
+
     l2_parts, h1_parts = [], []
     for g in plan.groups:
         local = gather(coeffs, g.idx)
         ue, gx, gy = exact_at(g.side, g.x, g.y)
         aq = _evaluate(problem.a[g.side - 1], g.x, g.y)
-        err = ue - local @ g.vals.T
-        gerr_sq = (gx - local @ g.grads[:, :, 0].T) ** 2 + (gy - local @ g.grads[:, :, 1].T) ** 2
-        l2_parts.append(err**2 @ g.w)
-        h1_parts.append((aq * gerr_sq) @ g.w)
+        err = ue - _contract(local, _T(g.vals))
+        gerr_sq = (gx - _contract(local, _T(g.grads[..., 0]))) ** 2 + (gy - _contract(local, _T(g.grads[..., 1]))) ** 2
+        l2_parts.append(integrate(err**2, g.w))
+        h1_parts.append(integrate(aq * gerr_sq, g.w))
 
     tr = plan.segment_traces(problem)
     x, y = plan.rule.points[..., 0], plan.rule.points[..., 1]
@@ -90,8 +94,8 @@ def _squared_parts(plan: IntegrationPlan, problem: Problem, params: PenaltyParam
     f2 = a2 * (g2x * nrm[..., 0] + g2y * nrm[..., 1])
     w = plan.rule.weights
     out = {
-        "l2": float(np.sum(np.concatenate(l2_parts))),
-        "h1": float(np.sum(np.concatenate(h1_parts))),
+        "l2": float(np.sum(np.concatenate(plan.blocks(l2_parts)))),
+        "h1": float(np.sum(np.concatenate(plan.blocks(h1_parts)))),
         "j0": params.gamma0 * p**2 / plan.h * float(np.sum(w * ((u1 - u2) - jump_h) ** 2)),
         "j1": params.gamma1 * plan.h / p**2 * float(np.sum(w * ((f1 - f2) - (f1_h - f2_h)) ** 2)),
         "avg": 0.0,

@@ -84,9 +84,12 @@ class BasisSet:
         sy = shape_1d(eta, self.p)
         dx = shape_1d_deriv(xi, self.p)
         dy = shape_1d_deriv(eta, self.p)
-        gx = np.einsum("qa,qb->qab", dx, sy).reshape(len(sx), self.n_local)
-        gy = np.einsum("qa,qb->qab", sx, dy).reshape(len(sx), self.n_local)
-        return np.stack([gx, gy], axis=-1)
+        out = np.empty((len(sx), self.n_local, 2))
+        # written in place: no per-component copies of a table over many points
+        tensor = out.reshape(len(sx), self.p + 1, self.p + 1, 2)
+        np.einsum("qa,qb->qab", dx, sy, out=tensor[..., 0])
+        np.einsum("qa,qb->qab", sx, dy, out=tensor[..., 1])
+        return out
 
 
 def build_basis(p: int) -> BasisSet:

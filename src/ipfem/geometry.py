@@ -12,7 +12,7 @@ intervals tile the whole curve.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -272,11 +272,21 @@ class CutTopology:
     segments: tuple
     dropped_arclength: float = 0.0
 
+    @cached_property
+    def element_segment(self) -> np.ndarray:
+        """(n_elements,) index into ``segments`` of the cut segment each
+        element hosts, -1 where it hosts none (on-edge segments excluded)."""
+        index = np.full(self.mesh.n_elements, -1, dtype=np.int64)
+        for k in reversed(range(len(self.segments))):
+            if not self.segments[k].on_edge:
+                index[self.segments[k].element] = k
+        index.setflags(write=False)
+        return index
+
     def segment_for(self, element: int) -> InterfaceSegment | None:
-        for seg in self.segments:
-            if not seg.on_edge and seg.element == element:
-                return seg
-        return None
+        """The cut segment hosted by ``element``, or None."""
+        k = self.element_segment[element]
+        return None if k < 0 else self.segments[k]
 
     @property
     def cut_elements(self) -> np.ndarray:
@@ -395,64 +405,76 @@ def _grid_line_crossings(curve, ts, pts, xs, ys, xtol, tol_edge):
     return t, np.abs(_coord(curve.tangent, t, axis))
 
 
-def _perimeter_coord(box, p, tol):
-    x0, y0, x1, y1 = box
+def _clamp(v, hi):
+    """min(max(v, 0.0), hi) elementwise, with Python's tie rules."""
+    v = np.where(0.0 > v, 0.0, v)
+    return np.where(hi < v, hi, v)
+
+
+def _perimeter_coords(x0, y0, x1, y1, p, tol):
+    """Counterclockwise arclength from (x0, y0) of the points p (n, 2) on the
+    boundaries of the boxes, and whether each point lies on its boundary."""
     w, h = x1 - x0, y1 - y0
-    x, y = p
-    if abs(y - y0) <= tol:
-        return min(max(x - x0, 0.0), w)
-    if abs(x - x1) <= tol:
-        return w + min(max(y - y0, 0.0), h)
-    if abs(y - y1) <= tol:
-        return w + h + min(max(x1 - x, 0.0), w)
-    if abs(x - x0) <= tol:
-        return 2 * w + h + min(max(y1 - y, 0.0), h)
-    raise GeometryError(f"point {p} not on the element boundary")
+    x, y = p[:, 0], p[:, 1]
+    bottom, right = np.abs(y - y0) <= tol, np.abs(x - x1) <= tol
+    top, left = np.abs(y - y1) <= tol, np.abs(x - x0) <= tol
+    s = np.where(top, w + h + _clamp(x1 - x, w), 2 * w + h + _clamp(y1 - y, h))
+    s = np.where(right, w + _clamp(y - y0, h), s)
+    s = np.where(bottom, _clamp(x - x0, w), s)
+    return s, bottom | right | top | left
 
 
-def boundary_chain_ccw(box, p_from, p_to, tol):
-    """Element corners passed when walking the boundary counterclockwise
-    from p_from to p_to, in walk order (endpoints excluded)."""
-    x0, y0, x1, y1 = box
+def boundary_chains_ccw(boxes, p_from, p_to, tol):
+    """Element corners passed when walking each box's boundary
+    counterclockwise from p_from to p_to (endpoints excluded).
+
+    ``boxes`` is (n, 4) as (x_lo, y_lo, x_hi, y_hi), the points (n, 2).
+    Returns the corners (n, 4, 2), the first m of each row in walk order,
+    and m (n,).  Raises GeometryError for the first point off its boundary.
+    """
+    x0, y0, x1, y1 = boxes.T
     w, h = x1 - x0, y1 - y0
     perim = 2 * (w + h)
-    s_a = _perimeter_coord(box, p_from, tol)
-    s_b = _perimeter_coord(box, p_to, tol)
+    s_a, on_a = _perimeter_coords(x0, y0, x1, y1, p_from, tol)
+    s_b, on_b = _perimeter_coords(x0, y0, x1, y1, p_to, tol)
+    if not (on_a.all() and on_b.all()):
+        k = int(np.argmin(on_a & on_b))
+        p = p_from[k] if not on_a[k] else p_to[k]
+        raise GeometryError(f"point {p} not on the element boundary")
     span = (s_b - s_a) % perim
-    if span <= tol:
-        span = perim if span == 0.0 else span
-    corners = [
-        (0.0, (x0, y0)),
-        (w, (x1, y0)),
-        (w + h, (x1, y1)),
-        (2 * w + h, (x0, y1)),
-    ]
-    chain = []
-    for s_c, c in corners:
-        d = (s_c - s_a) % perim
-        if tol < d < span - tol:
-            chain.append((d, np.array(c)))
-    chain.sort(key=lambda item: item[0])
-    return [c for _, c in chain]
+    span = np.where(span == 0.0, perim, span)
+    s_c = np.stack([np.zeros_like(w), w, w + h, 2 * w + h], axis=1)
+    d = (s_c - s_a[:, None]) % perim[:, None]
+    passed = (tol < d) & (d < (span - tol)[:, None])
+    walk = np.argsort(np.where(passed, d, np.inf), axis=1, kind="stable")
+    corners = boxes[:, [[0, 1], [2, 1], [2, 3], [0, 3]]]  # ccw from (x_lo, y_lo)
+    return np.take_along_axis(corners, walk[:, :, None], axis=1), passed.sum(axis=1)
 
 
-def _side1_fraction(mesh, curve, seg: InterfaceSegment, npts: int = 32) -> float:
-    """Area fraction of the side-1 part of the host element via Green's theorem."""
-    box = mesh.element_box(seg.element)
+def _side1_fractions(mesh, curve, t_lo, t_hi, hosts, npts: int = 32) -> np.ndarray:
+    """Area fraction of the side-1 part of each host element, cut by the
+    curve over [t_lo, t_hi], via Green's theorem: the curve part by an
+    ``npts``-point Gauss rule, the boundary walk back as a polygon."""
+    boxes = np.stack(mesh.element_box(hosts), axis=-1)
     tol = 1e-9 * mesh.h
     xg, wg = _gauss_legendre(npts)
-    tq = seg.t_mid + 0.5 * (seg.t_hi - seg.t_lo) * xg
+    tq = (0.5 * (t_lo + t_hi))[:, None] + (0.5 * (t_hi - t_lo))[:, None] * xg
     r = curve.point(tq)
     dr = curve.tangent(tq)
-    cross = r[:, 0] * dr[:, 1] - r[:, 1] * dr[:, 0]
-    area = 0.25 * (seg.t_hi - seg.t_lo) * float(np.dot(wg, cross))
-    a_pt = curve.point(seg.t_lo)
-    b_pt = curve.point(seg.t_hi)
-    loop = [b_pt] + boundary_chain_ccw(box, b_pt, a_pt, tol) + [a_pt]
-    for p, q in zip(loop[:-1], loop[1:]):
-        area += 0.5 * (p[0] * q[1] - q[0] * p[1])
-    elem_area = (box[2] - box[0]) * (box[3] - box[1])
-    return min(max(area / elem_area, 0.0), 1.0)
+    cross = r[..., 0] * dr[..., 1] - r[..., 1] * dr[..., 0]
+    # one dot product per segment, as np.dot(wg, cross_k) takes it
+    area = 0.25 * (t_hi - t_lo) * np.matmul(cross[:, None, :], wg[:, None])[:, 0, 0]
+    ends = curve.point(np.concatenate([t_lo, t_hi]))
+    a_pt, b_pt = ends[: len(hosts)], ends[len(hosts) :]
+    corners, m = boundary_chains_ccw(boxes, b_pt, a_pt, tol)
+    # the walk b_pt -> chain -> a_pt, edge k for k <= m
+    loop = np.concatenate([b_pt[:, None], corners, corners[:, :1]], axis=1)
+    loop[np.arange(len(hosts)), m + 1] = a_pt
+    for k in range(5):
+        p, q = loop[:, k], loop[:, k + 1]
+        area = np.where(k <= m, area + 0.5 * (p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]), area)
+    elem_area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    return _clamp(area / elem_area, 1.0)
 
 
 def corners_farthest_first(segment: InterfaceSegment, mesh: Mesh, curve: InterfaceCurve) -> np.ndarray:
@@ -656,6 +678,16 @@ def classify_elements(mesh: Mesh, curve: InterfaceCurve, cut_threshold: float = 
         )
 
     labels, fractions = _label_by_centre(mesh, curve)
+    inner = [rec for rec in mergedrec if not rec[3]]
+    f_side1 = iter(
+        _side1_fractions(
+            mesh,
+            curve,
+            np.array([rec[0] for rec in inner]),
+            np.array([rec[1] for rec in inner]),
+            np.array([rec[2] for rec in inner], dtype=np.int64),
+        ).tolist()
+    )
     segments = []
     dropped = 0.0
     cut_hosts = set()
@@ -664,7 +696,7 @@ def classify_elements(mesh: Mesh, curve: InterfaceCurve, cut_threshold: float = 
         if on_edge:
             segments.append(seg)
             continue
-        f1 = _side1_fraction(mesh, curve, seg)
+        f1 = next(f_side1)
         if f1 < cut_threshold or (1.0 - f1) < cut_threshold:
             dropped += curve.arclength(a, b)
             continue

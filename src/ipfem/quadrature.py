@@ -7,6 +7,15 @@ when both crossings sit on the same element edge) plus up to two straight
 triangles/quadrilaterals.  Each sub-cell carries a blended (transfinite) map
 pulling back a tensor Gauss rule, so geometric accuracy does not cap the hp
 convergence the way straight sub-triangles would.
+
+``cut_cell_rule`` builds all requested sides of one order together, in
+rounds: round k tries candidate decomposition k of every side no earlier
+round resolved (the compact ones by boundary-chain length, then the strip
+fallback, whose geometry is built only for the sides that reach it).  A
+round evaluates all its sub-cells as (cell, node) arrays and checks all its
+nodes with one signed-distance call.  Each node and weight takes the same
+float operations in the same order as a one-side-at-a-time build, so a rule
+does not depend on what else is in its batch.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .geometry import CutTopology, boundary_chain_ccw
+from .geometry import CutTopology, boundary_chains_ccw
 
 
 class QuadratureError(Exception):
@@ -122,146 +131,220 @@ class CutCellRule:
     weights: np.ndarray
 
 
-class _Loft:
-    """Blended map on [0,1]^2 between a (possibly curved) bottom edge and a
-    straight top edge; top may degenerate to a point (fan apex)."""
-
-    def __init__(self, bottom, bottom_d, top0, top1):
-        self.bottom = bottom
-        self.bottom_d = bottom_d
-        self.top0 = np.asarray(top0, dtype=float)
-        self.top1 = np.asarray(top1, dtype=float)
-
-    def map(self, s, u):
-        b = self.bottom(s)
-        top = np.outer(1.0 - s, self.top0) + np.outer(s, self.top1)
-        return (1.0 - u)[:, None] * b + u[:, None] * top
-
-    def jacobian_det(self, s, u):
-        b = self.bottom(s)
-        db = self.bottom_d(s)
-        top = np.outer(1.0 - s, self.top0) + np.outer(s, self.top1)
-        dxds = (1.0 - u)[:, None] * db + u[:, None] * (self.top1 - self.top0)[None, :]
-        dxdu = top - b
-        return dxds[:, 0] * dxdu[:, 1] - dxds[:, 1] * dxdu[:, 0]
+# Vertex slots of a cut side: where the curve starts and ends on the element
+# boundary, then the corners that the boundary walk from end to start passes.
+_START, _END, _CHAIN = 0, 1, 2
 
 
-def _straight(p0, p1):
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-
-    def bottom(s):
-        return np.outer(1.0 - s, p0) + np.outer(s, p1)
-
-    def bottom_d(s):
-        return np.broadcast_to(p1 - p0, (len(np.atleast_1d(s)), 2)).copy()
-
-    return bottom, bottom_d
-
-
-def _polygon_cells(vertices):
-    """Straight cells for a small ccw polygon (3 or 4 vertices)."""
-    v = [np.asarray(p, dtype=float) for p in vertices]
-    if len(v) < 3:
+def _polygon_cells(slots):
+    """Straight cells (bottom, top0, top1) of a small ccw polygon (3 or 4
+    vertex slots): a triangle lofts its first edge onto the apex, a
+    quadrilateral onto the opposite edge."""
+    if len(slots) < 3:
         return []
-    if len(v) == 3:
-        b, bd = _straight(v[0], v[1])
-        return [_Loft(b, bd, v[2], v[2])]
-    if len(v) == 4:
-        b, bd = _straight(v[0], v[1])
-        return [_Loft(b, bd, v[3], v[2])]
-    raise QuadratureError(f"unexpected polygon with {len(v)} vertices")
+    if len(slots) == 3:
+        return [((slots[0], slots[1]), slots[2], slots[2])]
+    if len(slots) == 4:
+        return [((slots[0], slots[1]), slots[3], slots[2])]
+    raise QuadratureError(f"unexpected polygon with {len(slots)} vertices")
 
 
-def _sub_curve(gamma, gamma_d, s0, s1):
-    def g(s):
-        return gamma(s0 + np.asarray(s) * (s1 - s0))
+@functools.cache
+def _compact_candidates(m: int) -> tuple:
+    """Compact decompositions of a side whose boundary chain passes m
+    corners, in the order they are tried: one cell with the curve as its
+    bottom edge (bottom None), lofted onto a corner or onto the straight
+    closing edge, plus at most two straight cells (bottom = two slots)."""
+    if m == 0:
+        return (((None, _START, _END),),)
+    if m == 2:
+        return (((None, _CHAIN + 1, _CHAIN),),)
+    chain = [_CHAIN + k for k in range(m)]
+    candidates = []
+    for shift in range(m):
+        idx = ((m - 1) // 2 + shift) % m
+        anchor = chain[idx]
+        cells = [(None, anchor, anchor)]
+        cells += _polygon_cells([_END, *chain[:idx], anchor])
+        cells += _polygon_cells([anchor, *chain[idx + 1 :], _START])
+        candidates.append(tuple(cells))
+    return tuple(candidates)
 
-    def gd(s):
-        return gamma_d(s0 + np.asarray(s) * (s1 - s0)) * (s1 - s0)
 
-    return g, gd
-
-
-def _strip_cells(gamma, gamma_d, start, end, chain):
+def _strip_cells(start, end, chain):
     """Fallback decomposition: loft each curve sub-piece onto the matching
     edge of the straight boundary polyline (robust for thin regions hugging a
-    strongly curved arc, where fans from a corner fold over)."""
-    nodes = [np.asarray(start, float)] + [np.asarray(c, float) for c in reversed(chain)]
-    nodes.append(np.asarray(end, float))
+    strongly curved arc, where fans from a corner fold over).  Returns the
+    cells as (s0, s1, top0, top1): the curve sub-range [s0, s1] and the edge."""
+    nodes = [start, *chain[::-1], end]
     lengths = np.array([np.linalg.norm(b - a) for a, b in zip(nodes[:-1], nodes[1:])])
     cum = np.concatenate([[0.0], np.cumsum(lengths)])
     total = cum[-1]
-    cells = []
-    for k in range(len(nodes) - 1):
-        if lengths[k] == 0.0:
+    return [
+        (cum[k] / total, cum[k + 1] / total, nodes[k], nodes[k + 1])
+        for k in range(len(nodes) - 1)
+        if lengths[k] != 0.0
+    ]
+
+
+@dataclass
+class _Cells:
+    """One round's sub-cells of many rules, each a blended (transfinite) map
+    of [0, 1]^2 between a bottom edge and a straight top edge top0 -> top1
+    (a point for a fan apex).  A curved bottom is the curve's sub-range
+    [s0, s1] of its rule's side; a straight one runs p0 -> p1."""
+
+    rule: np.ndarray  # (C,)
+    curved: np.ndarray  # (C,) bool
+    s0: np.ndarray  # (C,)
+    s1: np.ndarray
+    p0: np.ndarray  # (C, 2)
+    p1: np.ndarray
+    top0: np.ndarray
+    top1: np.ndarray
+
+    def evaluate(self, curve, t0, t1, s, u):
+        """Mapped nodes (C, q, 2) and Jacobian determinants (C, q) of the
+        reference nodes (s, u), each cell as its own loft would compute them."""
+        shape = (len(self.rule), len(s), 2)
+        b = np.empty(shape)
+        db = np.empty(shape)
+        c = np.flatnonzero(self.curved)
+        if c.size:
+            r = self.rule[c, None]
+            s0, s1 = self.s0[c, None], self.s1[c, None]
+            dt = t1[r] - t0[r]
+            tq = (t0[r] + (s0 + s * (s1 - s0)) * dt).ravel()
+            b[c] = curve.point(tq).reshape(c.size, -1, 2)
+            db[c] = curve.tangent(tq).reshape(c.size, -1, 2) * dt[..., None] * (s1 - s0)[..., None]
+        st = np.flatnonzero(~self.curved)
+        if st.size:
+            p0, p1 = self.p0[st, None, :], self.p1[st, None, :]
+            b[st] = (1.0 - s)[:, None] * p0 + s[:, None] * p1
+            db[st] = p1 - p0
+        # in place where a temporary can be reused: a * b and a + b take the
+        # same bits in either operand order
+        top = (1.0 - s)[:, None] * self.top0[:, None, :]
+        top += s[:, None] * self.top1[:, None, :]
+        u = u[:, None]
+        dxdu = top - b
+        top *= u
+        points = (1.0 - u) * b
+        points += top
+        del b, top
+        dxds = db
+        dxds *= 1.0 - u
+        dxds += u * (self.top1 - self.top0)[:, None, :]
+        detj = dxds[..., 0] * dxdu[..., 1]
+        detj -= dxds[..., 1] * dxdu[..., 0]
+        return points, detj
+
+
+def _round_cells(candidates, m, verts, rules, rnd) -> _Cells:
+    """Candidate ``rnd`` of every rule in ``rules``: compact decompositions
+    from the templates of each chain length, the strip fallback per rule."""
+    parts = []
+    for mm in sorted(set(m[rules].tolist())):
+        group = rules[m[rules] == mm]
+        if rnd < len(candidates[mm]):
+            for bottom, top0, top1 in candidates[mm][rnd]:
+                v = verts[group]
+                p0, p1 = (v[:, 0], v[:, 0]) if bottom is None else (v[:, bottom[0]], v[:, bottom[1]])
+                k = len(group)
+                parts.append((group, np.full(k, bottom is None), np.zeros(k), np.ones(k), p0, p1, v[:, top0], v[:, top1]))
             continue
-        g, gd = _sub_curve(gamma, gamma_d, cum[k] / total, cum[k + 1] / total)
-        cells.append(_Loft(g, gd, nodes[k], nodes[k + 1]))
-    return cells
+        for r in group:  # the strip round, reached by few rules
+            for s0, s1, top0, top1 in _strip_cells(verts[r, _START], verts[r, _END], list(verts[r, _CHAIN : _CHAIN + mm])):
+                one = np.array([r])  # p0, p1 are unused by a curved cell
+                parts.append((one, np.ones(1, dtype=bool), np.array([s0]), np.array([s1]), top0[None], top1[None], top0[None], top1[None]))
+    cols = [np.concatenate(c) for c in zip(*parts)]
+    order = np.argsort(cols[0], kind="stable")  # cells of a rule in decomposition order
+    return _Cells(*(c[order] for c in cols))
 
 
-def _region_decompositions(topology: CutTopology, element: int, side: int):
-    """Candidate sub-cell decompositions of one side of a cut element, the
-    compact one (curved cell plus at most two straight cells) first."""
-    mesh, curve = topology.mesh, topology.curve
-    seg = topology.segment_for(element)
-    if seg is None:
-        raise ValueError(f"element {element} is not cut")
-    if side == 1:
-        t0, t1 = seg.t_lo, seg.t_hi
-    else:
-        t0, t1 = seg.t_hi, seg.t_lo
-
-    def gamma(s):
-        return curve.point(t0 + np.asarray(s) * (t1 - t0))
-
-    def gamma_d(s):
-        return curve.tangent(t0 + np.asarray(s) * (t1 - t0)) * (t1 - t0)
-
-    start = curve.point(t0)
-    end = curve.point(t1)
-    box = mesh.element_box(element)
-    chain = boundary_chain_ccw(box, end, start, tol=1e-9 * mesh.h)
-    m = len(chain)
-
-    candidates = []
-    if m == 0:
-        candidates.append([_Loft(gamma, gamma_d, start, end)])
-    elif m == 2:
-        candidates.append([_Loft(gamma, gamma_d, chain[1], chain[0])])
-    else:
-        for shift in range(m):
-            idx = ((m - 1) // 2 + shift) % m
-            anchor = chain[idx]
-            cells = [_Loft(gamma, gamma_d, anchor, anchor)]
-            cells += _polygon_cells([end, *chain[:idx], anchor])
-            cells += _polygon_cells([anchor, *chain[idx + 1 :], start])
-            candidates.append(cells)
-    if m >= 1:
-        candidates.append(_strip_cells(gamma, gamma_d, start, end, chain))
-    return candidates
+def _pinched(element, side, last_err) -> QuadratureError:
+    return QuadratureError(
+        f"cut rule for element {element} side {side} failed: {last_err}; the "
+        "curve is likely (near-)tangent to a mesh line inside this element, "
+        "pinching the region -- refine or shift the mesh"
+    )
 
 
-def cut_cell_rule(topology: CutTopology, element: int, side: int, order: int) -> CutCellRule:
-    """Quadrature over K ∩ Ω_side for a cut element.
-
-    Uses (order+2)^2 Gauss points per sub-cell.  All weights are positive and
-    every node is verified to lie strictly on the requested side (nodes within
-    1e-13 of the curve are first nudged off it along the distance gradient).
-    """
-    mesh, curve = topology.mesh, topology.curve
+def _invalid_request(topology: CutTopology, element, side, order) -> Exception:
+    """The error of a request that fails before any sub-cell is built."""
     if side not in (1, 2):
-        raise ValueError(f"side must be 1 or 2, got {side}")
+        return ValueError(f"side must be 1 or 2, got {side}")
     if order < 1:
-        raise ValueError("order must be >= 1")
+        return ValueError("order must be >= 1")
     if topology.labels[element] != 0:
-        raise ValueError(f"element {element} is pure, no cut rule to build")
+        return ValueError(f"element {element} is pure, no cut rule to build")
     if topology.fractions[element, side - 1] < 1e-12:
-        raise DegenerateSliver(
+        return DegenerateSliver(
             f"element {element} side {side} fraction "
             f"{topology.fractions[element, side - 1]:.3e}"
         )
+    return ValueError(f"element {element} is not cut")
+
+
+def cut_cell_rule(topology: CutTopology, element, side, order: int):
+    """Quadrature over K ∩ Ω_side for cut elements.
+
+    ``element`` and ``side`` are scalars, giving one ``CutCellRule``, or
+    equal-length 1-D arrays, giving a tuple of rules in input order; a scalar
+    call is a batch of one.  Uses (order+2)^2 Gauss points per sub-cell.  All
+    weights are positive and every node is verified to lie strictly on the
+    requested side (nodes within 1e-13 of the curve are first nudged off it
+    along the distance gradient).  A batch raises the error of its first
+    failing (element, side), as one call per rule in input order would.
+    """
+    scalar = np.ndim(element) == 0 and np.ndim(side) == 0
+    elements = np.atleast_1d(np.asarray(element))
+    sides = np.atleast_1d(np.asarray(side))
+    if elements.ndim != 1 or elements.shape != sides.shape:
+        raise ValueError("element and side must be scalars or equal-length 1-D arrays")
+    valid_side = (sides == 1) | (sides == 2)
+    invalid = (
+        ~valid_side
+        | (order < 1)
+        | (topology.labels[elements] != 0)
+        | (topology.fractions[elements, np.where(valid_side, sides, 1) - 1] < 1e-12)
+        | (topology.element_segment[elements] < 0)
+    )
+    stop = int(np.argmax(invalid)) if invalid.any() else len(elements)
+    rules = _build_rules(topology, elements[:stop], sides[:stop], order)
+    if stop < len(elements):
+        raise _invalid_request(topology, elements[stop], sides[stop], order)
+    return rules[0] if scalar else rules
+
+
+def _build_rules(topology: CutTopology, elements, sides, order: int) -> tuple:
+    """All rules of valid requests, built together round by round: round k
+    tries candidate k of every rule that no earlier round resolved."""
+    n = len(elements)
+    if n == 0:
+        return ()
+    mesh, curve = topology.mesh, topology.curve
+    segs = [topology.segments[k] for k in topology.element_segment[elements]]
+    t_lo = np.array([seg.t_lo for seg in segs])
+    t_hi = np.array([seg.t_hi for seg in segs])
+    t0 = np.where(sides == 1, t_lo, t_hi)
+    t1 = np.where(sides == 1, t_hi, t_lo)
+    ends = curve.point(np.concatenate([t0, t1]))
+    start, end = ends[:n], ends[n:]
+    boxes = np.stack(mesh.element_box(elements), axis=-1)
+    corners, m = boundary_chains_ccw(boxes, end, start, tol=1e-9 * mesh.h)
+    verts = np.concatenate([start[:, None], end[:, None], corners], axis=1)
+
+    errors = {}
+    candidates = {}
+    n_tries = np.zeros(n, dtype=np.int64)  # compact candidates, plus the strip when m >= 1
+    for mm in set(m.tolist()):
+        try:
+            candidates[mm] = _compact_candidates(mm)
+        except QuadratureError as exc:
+            errors.update((int(r), exc) for r in np.flatnonzero(m == mm))
+            continue
+        n_tries[m == mm] = len(candidates[mm]) + (mm >= 1)
 
     n1 = order + 2
     g = gauss_1d(n1)
@@ -271,47 +354,56 @@ def cut_cell_rule(topology: CutTopology, element: int, side: int, order: int) ->
     wq = np.outer(w01, w01).ravel()
     squ = squ.ravel()
     uqu = uqu.ravel()
+    q = len(wq)
 
-    last_err = None
-    for cells in _region_decompositions(topology, element, side):
-        pts_all = []
-        w_all = []
-        ok = True
-        for cell in cells:
-            detj = cell.jacobian_det(squ, uqu)
-            if np.any(detj <= 0.0):
-                ok = False
-                last_err = "nonpositive jacobian in a sub-cell"
-                break
-            pts_all.append(cell.map(squ, uqu))
-            w_all.append(wq * detj)
-        if not ok:
-            continue
-        points = np.vstack(pts_all)
-        weights = np.concatenate(w_all)
-        points, bad = _verify_side(points, curve, side, mesh.h)
-        if bad:
-            last_err = f"{bad} node(s) on the wrong side"
-            continue
-        return CutCellRule(element=element, side=side, points=points, weights=weights)
-    raise QuadratureError(
-        f"cut rule for element {element} side {side} failed: {last_err}; the "
-        "curve is likely (near-)tangent to a mesh line inside this element, "
-        "pinching the region -- refine or shift the mesh"
-    )
+    out = [None] * n
+    last_err = {}
+    pending = np.flatnonzero(n_tries > 0)
+    rnd = 0
+    while pending.size:
+        for r in pending[n_tries[pending] == rnd].tolist():
+            errors[r] = _pinched(elements[r], sides[r], last_err[r])
+        pending = pending[n_tries[pending] > rnd]
+        if not pending.size:
+            break
+        cells = _round_cells(candidates, m, verts, pending, rnd)
+        points, detj = cells.evaluate(curve, t0, t1, squ, uqu)
+        folded = np.zeros(n, dtype=bool)
+        folded[cells.rule[np.any(detj <= 0.0, axis=1)]] = True
+        for r in np.flatnonzero(folded).tolist():
+            last_err[r] = "nonpositive jacobian in a sub-cell"
+
+        keep = ~folded[cells.rule]
+        node_rule = np.repeat(cells.rule[keep], q)
+        pts = points[keep].reshape(-1, 2)
+        weights = (wq * detj[keep]).reshape(-1)
+        del points, detj
+        wrong = _wrong_side(pts, curve, sides[node_rule], mesh.h)
+        bad = np.bincount(node_rule[wrong], minlength=n)
+        rules, first, count = np.unique(cells.rule[keep], return_index=True, return_counts=True)
+        for r, a, k in zip(rules.tolist(), (q * first).tolist(), (q * count).tolist()):
+            if bad[r]:
+                last_err[r] = f"{bad[r]} node(s) on the wrong side"
+            else:
+                out[r] = CutCellRule(
+                    element=int(elements[r]), side=int(sides[r]), points=pts[a : a + k], weights=weights[a : a + k]
+                )
+        pending = pending[folded[pending] | (bad[pending] > 0)]
+        rnd += 1
+    if errors:
+        raise errors[min(errors)]
+    return tuple(out)
 
 
-def _verify_side(points, curve, side, h):
-    """Nudge near-interface nodes off the curve, then check side membership."""
+def _wrong_side(points, curve, sides, h):
+    """Nudge near-interface nodes off the curve (in place), then flag the
+    nodes that are not strictly on their requested side."""
     d = np.asarray(curve.signed_distance(points[:, 0], points[:, 1]), dtype=float)
     near = np.abs(d) < 1e-13
     if np.any(near):
         gx, gy = curve.distance_gradient(points[near, 0], points[near, 1])
-        shift = 1e-12 * h * (-1.0 if side == 1 else 1.0)
-        points = points.copy()
+        shift = 1e-12 * h * np.where(sides[near] == 1, -1.0, 1.0)
         points[near, 0] += shift * gx
         points[near, 1] += shift * gy
         d = np.asarray(curve.signed_distance(points[:, 0], points[:, 1]), dtype=float)
-    wrong = int(np.sum(d >= 0.0)) if side == 1 else int(np.sum(d <= 0.0))
-    return points, wrong
-
+    return np.where(sides == 1, d >= 0.0, d <= 0.0)

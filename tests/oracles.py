@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from ipfem.geometry import GeometryError
+
 
 def monomial_pairs(degmax):
     return [(a, b) for a in range(degmax + 1) for b in range(degmax + 1 - a)]
@@ -279,3 +281,40 @@ def brute_force_labels(mesh, curve, per_element=256):
         has2 = bool(np.any(d > 0))
         labels[e] = 0 if (has1 and has2) else (1 if has1 else 2)
     return labels
+
+
+def _scalar_perimeter_coord(box, p, tol):
+    x0, y0, x1, y1 = box
+    w, h = x1 - x0, y1 - y0
+    x, y = p
+    if abs(y - y0) <= tol:
+        return min(max(x - x0, 0.0), w)
+    if abs(x - x1) <= tol:
+        return w + min(max(y - y0, 0.0), h)
+    if abs(y - y1) <= tol:
+        return w + h + min(max(x1 - x, 0.0), w)
+    if abs(x - x0) <= tol:
+        return 2 * w + h + min(max(y1 - y, 0.0), h)
+    raise GeometryError(f"point {p} not on the element boundary")
+
+
+def scalar_boundary_chain(box, p_from, p_to, tol):
+    """Element corners passed when walking the boundary of ``box``
+    counterclockwise from p_from to p_to, in walk order (endpoints excluded):
+    one element at a time, with Python floats."""
+    x0, y0, x1, y1 = box
+    w, h = x1 - x0, y1 - y0
+    perim = 2 * (w + h)
+    s_a = _scalar_perimeter_coord(box, p_from, tol)
+    s_b = _scalar_perimeter_coord(box, p_to, tol)
+    span = (s_b - s_a) % perim
+    if span <= tol:
+        span = perim if span == 0.0 else span
+    corners = [(0.0, (x0, y0)), (w, (x1, y0)), (w + h, (x1, y1)), (2 * w + h, (x0, y1))]
+    chain = []
+    for s_c, c in corners:
+        d = (s_c - s_a) % perim
+        if tol < d < span - tol:
+            chain.append((d, np.array(c)))
+    chain.sort(key=lambda item: item[0])
+    return [c for _, c in chain]

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ipfem.assembly import (
+    ElementGroup,
     PenaltyParams,
     Problem,
     assemble,
@@ -14,7 +17,7 @@ from ipfem.assembly import (
     segment_trace_operators,
 )
 from ipfem.cases import catalog
-from ipfem.errors import compute_errors, energy_norm_squared
+from ipfem.errors import _squared_parts, compute_errors, energy_norm_squared
 from ipfem.fe_space import build_dof_map, build_doubled_space
 from ipfem.geometry import Circle, VerticalLine, classify_elements
 from ipfem.mesh import Rectangle, build_mesh, element_geometry
@@ -371,11 +374,13 @@ def test_each_rule_is_built_once_per_pass(name, monkeypatch):
 
     import ipfem.quadrature as quadrature
 
-    cut_calls, segment_calls = [], []
+    cut_calls, segment_calls, batches = [], [], []
     real_cut, real_segment = quadrature.cut_cell_rule, quadrature.segment_rule
 
     def counted_cut(topology, element, side, order):
-        cut_calls.append((int(element), side, order))
+        # one (element, side, order) triple per rule, scalar or batched call
+        batches.append(order)
+        cut_calls.extend((int(e), int(s), order) for e, s in zip(np.atleast_1d(element), np.atleast_1d(side)))
         return real_cut(topology, element, side, order=order)
 
     def counted_segment(segment, curve, npoints):
@@ -398,9 +403,58 @@ def test_each_rule_is_built_once_per_pass(name, monkeypatch):
     segments = sorted(id(seg) for seg in top.segments)
     assert sorted(cut_calls) == [(e, side, p + 2) for e, side in sides]
     assert sorted(segment_calls) == segments
+    # one batched call per pass, none without cut elements
+    assert batches == ([] if name == "aligned-edge" else [p + 2])
 
     cut_calls.clear()
     segment_calls.clear()
+    batches.clear()
     compute_errors(space, top, case.problem, np.zeros(space.n_unknowns), params)
     assert sorted(cut_calls) == [(e, side, p + 4) for e, side in sides]
     assert sorted(segment_calls) == segments
+    assert batches == ([] if name == "aligned-edge" else [p + 4])
+
+
+def _one_group_per_side(plan, space, top, quad_order):
+    """``plan`` with every cut side in a group of its own, in (element, side)
+    order, from one scalar ``cut_cell_rule`` call each."""
+    basis = space.basis
+    groups = list(plan.groups[:2])
+    for e in top.cut_elements:
+        geo = element_geometry(space.mesh, e)
+        for side in (1, 2):
+            if top.fractions[e, side - 1] <= 0.0:
+                continue
+            crule = cut_cell_rule(top, int(e), side, quad_order)
+            xi, eta = geo.to_reference(crule.points[:, 0], crule.points[:, 1])
+            groups.append(
+                ElementGroup(
+                    side=side,
+                    x=crule.points[None, :, 0],
+                    y=crule.points[None, :, 1],
+                    w=crule.weights[None],
+                    vals=basis.values(xi, eta)[None],
+                    grads=(basis.gradients(xi, eta) / geo.half[None, None, :])[None],
+                    idx=space.element_unknowns(e, side)[None, :],
+                )
+            )
+    return replace(plan, groups=tuple(groups), cut_order=np.arange(len(groups) - 2))
+
+
+@pytest.mark.parametrize("name", ["circle-jump", "smooth-nojump"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_stacked_cut_groups_match_one_group_per_side(name, p):
+    case = catalog()[name]
+    mesh, top, space, params, system = build_pipeline(case, p, 8)
+    coeffs = np.random.default_rng(p).standard_normal(space.n_unknowns)
+    for quad_order in (p + 2, p + 4):
+        plan = build_plan(space, top, quad_order, p)
+        assert len(plan.groups) <= 10
+        ref = _one_group_per_side(plan, space, top, quad_order)
+        got, want = assemble_volume(plan, case.problem), assemble_volume(ref, case.problem)
+        for field in ("data", "indices", "indptr"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        load = assemble_load(plan, case.problem, params)[1]["volume"]
+        assert load.tobytes() == assemble_load(ref, case.problem, params)[1]["volume"].tobytes()
+        parts = _squared_parts(plan, case.problem, params, coeffs, exact=True)
+        assert parts == _squared_parts(ref, case.problem, params, coeffs, exact=True)

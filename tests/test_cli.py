@@ -99,6 +99,27 @@ def test_summary_records_condition_estimates(tmp_path):
         assert (out / "results.csv").read_text().split("\n")[0] == CSV_HEADER
 
 
+def test_summary_records_run_stats(tmp_path):
+    summaries = []
+    for k in range(2):
+        out = tmp_path / str(k)
+        run_study(StudyConfig(case="circle-jump", method="sip", p_list=[1, 2], nx_list=[8], out_dir=str(out)))
+        summaries.append((out / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
+    stats = json.loads(summaries[0])["stats"]
+    common = {"cut_elements": 20, "segments": 20, "dropped_arclength": 0.0, "refine_steps": 0}
+    assert stats == [
+        {**common, "unknowns": 89, "nnz": 1081, "min_cut_fraction": pytest.approx(0.031499995393823255, rel=1e-12)},
+        {**common, "unknowns": 345, "nnz": 7345, "min_cut_fraction": pytest.approx(0.031499995393823255, rel=1e-12)},
+    ]
+    out = tmp_path / "uncut"
+    run_study(StudyConfig(case="aligned-edge", method="nip", p_list=[1], nx_list=[4], out_dir=str(out)))
+    (uncut,) = json.loads((out / "summary.json").read_text())["stats"]
+    assert uncut["cut_elements"] == 0 and uncut["min_cut_fraction"] is None
+    assert uncut["segments"] == 4
+    assert (out / "results.csv").read_text().split("\n")[0] == CSV_HEADER
+
+
 def test_byte_reproducibility(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

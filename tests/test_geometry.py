@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from ipfem.geometry import (
 )
 from ipfem.mesh import Rectangle, build_mesh
 
-from oracles import brute_force_labels
+from oracles import brute_force_labels, scalar_boundary_chain
 
 BIUNIT = Rectangle(-1.0, -1.0, 1.0, 1.0)
 
@@ -386,3 +388,56 @@ def test_arclength_over_long_segments_of_an_eccentric_ellipse():
     assert max(s.t_hi - s.t_lo for s in top.segments) > 3.0
     length = sum(curve.arclength(s.t_lo, s.t_hi) for s in top.segments) + top.dropped_arclength
     assert length == pytest.approx(_perimeter(curve), rel=1e-12)
+
+
+def _scan_segment(top, element):
+    for seg in top.segments:
+        if not seg.on_edge and seg.element == element:
+            return seg
+    return None
+
+
+LOOKUP_CASES = [(c.curve, nx) for c in catalog().values() for nx in (8, 16, 32)] + [
+    (SEED1_ELLIPSE, nx) for nx in (24, 128)
+]
+
+
+@pytest.mark.parametrize("curve,nx", LOOKUP_CASES)
+def test_segment_lookup_matches_linear_scan(curve, nx):
+    top = classify_elements(build_mesh(BIUNIT, nx, nx), curve)
+    # a replaced topology builds its own index
+    shuffled = dataclasses.replace(top, segments=top.segments[::-1])
+    for t in (top, shuffled):
+        for k in range(top.mesh.n_elements):
+            assert t.segment_for(k) is _scan_segment(t, k)
+
+
+def _scalar_side1_fraction(mesh, curve, seg, npts=32):
+    """Green's theorem for one segment at a time (the per-segment loop the
+    batched fractions replaced)."""
+    box = mesh.element_box(seg.element)
+    xg, wg = np.polynomial.legendre.leggauss(npts)
+    tq = seg.t_mid + 0.5 * (seg.t_hi - seg.t_lo) * xg
+    r = curve.point(tq)
+    dr = curve.tangent(tq)
+    cross = r[:, 0] * dr[:, 1] - r[:, 1] * dr[:, 0]
+    area = 0.25 * (seg.t_hi - seg.t_lo) * float(np.dot(wg, cross))
+    a_pt = curve.point(seg.t_lo)
+    b_pt = curve.point(seg.t_hi)
+    loop = [b_pt] + scalar_boundary_chain(box, b_pt, a_pt, 1e-9 * mesh.h) + [a_pt]
+    for p, q in zip(loop[:-1], loop[1:]):
+        area += 0.5 * (p[0] * q[1] - q[0] * p[1])
+    elem_area = (box[2] - box[0]) * (box[3] - box[1])
+    return min(max(area / elem_area, 0.0), 1.0)
+
+
+@pytest.mark.parametrize(
+    "curve,nx", [(c, nx) for _, c, nx in CROSSING_CASES], ids=[f"{n}-{nx}" for n, _, nx in CROSSING_CASES]
+)
+def test_batched_fractions_match_per_segment_green(curve, nx):
+    mesh = build_mesh(BIUNIT, nx, nx)
+    top = classify_elements(mesh, curve)
+    for seg in top.segments:
+        if not seg.on_edge:
+            f1 = _scalar_side1_fraction(mesh, curve, seg)
+            assert top.fractions[seg.element].tolist() == [f1, 1.0 - f1]
