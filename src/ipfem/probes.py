@@ -14,12 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fe_space import build_basis
 from .geometry import CutTopology, corners_farthest_first
 from .mesh import element_geometry
 from .quadrature import cut_cell_rule, segment_rule, tensor_gauss
+from .solver import diagonal_scale, factor
 
 
 class ProbeError(Exception):
@@ -220,21 +222,13 @@ def probe_coercivity(
     for g1 in gamma1_values:
         for g0 in gamma0_values:
             system = system_builder(g0, g1)
-            a = system.matrix.tocsc()
-            gram = (
-                system.blocks["volume"] + system.blocks["j0"] + system.blocks["j1"]
-            ).tocsc()
-            out[(g0, g1)] = _min_rayleigh(a, gram, iters=iters, tol=tol, seed=seed)
+            gram = system.blocks["volume"] + system.blocks["j0"] + system.blocks["j1"]
+            out[(g0, g1)] = _min_rayleigh(system.matrix, gram, iters=iters, tol=tol, seed=seed)
     return out
 
 
 def _min_rayleigh(a, gram, iters=30, tol=1e-8, seed=0, dense_cutoff=1500):
     """Leftmost generalized eigenvalue of (a, gram).
-
-    Small systems use a dense symmetric eigensolve; larger ones run Krylov
-    inverse iteration (shift-invert Lanczos) with a shift placed below the
-    spectrum by a power-iteration bound, so the nearest eigenvalue to the
-    shift is the leftmost one.
 
     Both matrices get the same shift REGULARIZATION * diag(gram).  A sliver
     cut or a zero penalty weight leaves the Gram matrix singular to round-off
@@ -242,14 +236,24 @@ def _min_rayleigh(a, gram, iters=30, tol=1e-8, seed=0, dense_cutoff=1500):
     Gram matrix alone then turns its near-null vectors into spurious large
     negative quotients; shifting both maps them to quotients near 1 and moves
     the others by a relative amount of order REGULARIZATION.
-    """
-    import scipy.sparse as sp
 
+    The shifted pencil is then Jacobi-scaled, (D a D, D gram D) with
+    D = diag(gram)^(-1/2), which leaves its eigenvalues unchanged.  Small
+    systems use a dense symmetric eigensolve of it; larger ones run Krylov
+    inverse iteration (shift-invert Lanczos) with a shift placed below the
+    spectrum by a power-iteration bound, so the nearest eigenvalue to the
+    shift is the leftmost one.  Both LUs of that path, of the Gram matrix
+    and of the shift-invert operator (passed to ``eigsh`` as ``OPinv``),
+    come from ``solver.factor``; without the scaling its ordering returns a
+    wrong quotient on a sliver.
+    """
     n = a.shape[0]
     rng = np.random.default_rng(seed)
     shift = REGULARIZATION * sp.diags(gram.diagonal())
-    a = (a + shift).tocsc()
-    gram = (gram + shift).tocsc()
+    gram = gram + shift
+    d = 1.0 / np.sqrt(gram.diagonal())
+    a = diagonal_scale(a + shift, d)
+    gram = diagonal_scale(gram, d)
 
     if n <= dense_cutoff:
         ad = a.toarray()
@@ -259,7 +263,7 @@ def _min_rayleigh(a, gram, iters=30, tol=1e-8, seed=0, dense_cutoff=1500):
         vals = la.eigh(ad, gd, eigvals_only=True, subset_by_index=[0, 0])
         return float(vals[0])
 
-    glu = spla.splu(gram)
+    glu = factor(gram.tocsc())
 
     # crude spectral bound of gram^{-1} a to place a shift below the spectrum
     x = rng.standard_normal(n)
@@ -273,6 +277,7 @@ def _min_rayleigh(a, gram, iters=30, tol=1e-8, seed=0, dense_cutoff=1500):
         bound = ny
         x = y / ny
     sigma = -1.1 * bound - 1.0
+    shifted = factor((a - sigma * gram).tocsc())
     try:
         vals = spla.eigsh(
             a,
@@ -284,6 +289,7 @@ def _min_rayleigh(a, gram, iters=30, tol=1e-8, seed=0, dense_cutoff=1500):
             tol=tol,
             return_eigenvectors=False,
             v0=rng.standard_normal(n),
+            OPinv=spla.LinearOperator((n, n), matvec=shifted.solve, dtype=float),
         )
     except (RuntimeError, spla.ArpackNoConvergence) as exc:
         raise ProbeError(f"inverse iteration failed: {exc}") from exc

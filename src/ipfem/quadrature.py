@@ -154,7 +154,9 @@ def _compact_candidates(m: int) -> tuple:
     """Compact decompositions of a side whose boundary chain passes m
     corners, in the order they are tried: one cell with the curve as its
     bottom edge (bottom None), lofted onto a corner or onto the straight
-    closing edge, plus at most two straight cells (bottom = two slots)."""
+    closing edge, plus at most two straight cells (bottom = two slots).
+    Anchors that would leave a straight part of more than four vertices are
+    skipped (for m = 4, the first and last corner)."""
     if m == 0:
         return (((None, _START, _END),),)
     if m == 2:
@@ -163,6 +165,8 @@ def _compact_candidates(m: int) -> tuple:
     candidates = []
     for shift in range(m):
         idx = ((m - 1) // 2 + shift) % m
+        if idx + 2 > 4 or m - idx + 1 > 4:
+            continue
         anchor = chain[idx]
         cells = [(None, anchor, anchor)]
         cells += _polygon_cells([_END, *chain[:idx], anchor])
@@ -339,11 +343,7 @@ def _build_rules(topology: CutTopology, elements, sides, order: int) -> tuple:
     candidates = {}
     n_tries = np.zeros(n, dtype=np.int64)  # compact candidates, plus the strip when m >= 1
     for mm in set(m.tolist()):
-        try:
-            candidates[mm] = _compact_candidates(mm)
-        except QuadratureError as exc:
-            errors.update((int(r), exc) for r in np.flatnonzero(m == mm))
-            continue
+        candidates[mm] = _compact_candidates(mm)
         n_tries[m == mm] = len(candidates[mm]) + (mm >= 1)
 
     n1 = order + 2

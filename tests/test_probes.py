@@ -184,3 +184,31 @@ def test_coercivity_positive_on_a_sliver_sparse_path():
     gram = (system.blocks["volume"] + system.blocks["j0"] + system.blocks["j1"]).tocsc()
     quotient = _min_rayleigh(system.matrix.tocsc(), gram, dense_cutoff=0)
     assert quotient > 0.0
+
+
+def test_sparse_coercivity_matches_dense_on_a_1e_8_sliver():
+    # smallest cut fraction 1.3e-8 at nx = 24; without Jacobi scaling the
+    # shift-invert path missed the leftmost quotient by 1.9 % at (1000, 1)
+    import scipy.linalg as la
+    import scipy.sparse as sp
+
+    from ipfem.geometry import Ellipse
+    from ipfem.probes import REGULARIZATION, _min_rayleigh
+
+    curve = Ellipse(-0.023853030956971416, 0.04476117018240089, 0.5466567978737936, 0.6533432021262063)
+    mesh, top = _topology(curve, 24)
+    assert top.fractions[top.cut_elements].min() < 1e-7
+    space = build_doubled_space(build_dof_map(mesh, 2), top)
+    one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
+    ten = lambda x, y: 10.0 * np.ones_like(np.asarray(x, dtype=float))
+    zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
+    problem = Problem(a=(one, ten), f=(zero, zero))
+    for g0, g1 in ((1000.0, 1.0), (1.0, 0.01)):
+        system = assemble(space, top, problem, PenaltyParams(beta=1, gamma0=g0, gamma1=g1, p=2))
+        gram = system.blocks["volume"] + system.blocks["j0"] + system.blocks["j1"]
+        shift = REGULARIZATION * sp.diags(gram.diagonal())
+        ad = (system.matrix + shift).toarray()
+        gd = (gram + shift).toarray()
+        dense = la.eigh(0.5 * (ad + ad.T), 0.5 * (gd + gd.T), eigvals_only=True, subset_by_index=[0, 0])[0]
+        quotient = _min_rayleigh(system.matrix, gram, dense_cutoff=0)
+        assert quotient == pytest.approx(float(dense), rel=1e-6)

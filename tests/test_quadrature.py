@@ -272,6 +272,8 @@ def _region_decompositions(topology, element, side):
     else:
         for shift in range(m):
             idx = ((m - 1) // 2 + shift) % m
+            if idx + 2 > 4 or m - idx + 1 > 4:  # a straight part of 5 or more vertices
+                continue
             anchor = chain[idx]
             cells = [_Loft(gamma, gamma_d, anchor, anchor)]
             cells += _polygon_lofts([end, *chain[:idx], anchor])
@@ -438,14 +440,11 @@ def test_side_check_nudges_like_the_oracle():
     assert [int(wrong[40 * k : 40 * (k + 1)].sum()) for k in range(4)] == [0, 0, 40, 0]
 
 
-# inputs the builder rejects: a pinched cell (fan lofts fold over), a pinched
-# cell with a node on the wrong side, and a curve entering and leaving an
-# element through one edge (the side keeping all four corners has no compact
-# decomposition)
+# inputs the builder rejects: a pinched cell (fan lofts fold over) and a
+# pinched cell with a node on the wrong side
 FAILING_CASES = [
     ("folded", Circle(0.05478693439592891, -0.43904253161810863, 0.18903662243193112), 8, 3),
     ("wrong-side", Circle(-0.19415298938842215, -0.27850958256949393, 0.27850551260515966), 6, 6),
-    ("one-edge", Circle(0.16197230836186927, 0.09978879811603719, 0.10927821626722603), 4, 3),
 ]
 
 
@@ -458,6 +457,25 @@ def test_failing_batch_raises_the_first_oracle_error(curve, nx, order):
     with pytest.raises(QuadratureError) as info:
         cut_cell_rule(top, elements, sides, order)
     assert (type(info.value), str(info.value)) == want
+
+
+def test_one_edge_cut_side_integrates():
+    # the curve enters and leaves elements 6 and 10 through one edge, so side
+    # 2 keeps all four corners: two compact candidates plus the strip
+    curve = Circle(0.16197230836186927, 0.09978879811603719, 0.10927821626722603)
+    mesh = build_mesh(BIUNIT, 4, 4)
+    top = classify_elements(mesh, curve)
+    elements, sides = np.array([6, 10]), np.array([2, 2])
+    rules = cut_cell_rule(top, elements, sides, 4)
+    for rule, e in zip(rules, elements):
+        assert len(_region_decompositions(top, e, 2)) == 3
+        x0, y0, x1, y1 = mesh.element_box(e)
+        area = (x1 - x0) * (y1 - y0)
+        assert abs(rule.weights.sum() - top.fractions[e, 1] * area) <= 1e-13 * area
+        assert np.all(rule.weights > 0.0)
+        points, weights, _ = _oracle_rule(top, e, 2, 4)
+        assert rule.points.tobytes() == points.tobytes()
+        assert rule.weights.tobytes() == weights.tobytes()
 
 
 def test_doctored_sliver_in_a_batch_raises_like_the_oracle():
