@@ -19,8 +19,10 @@ of equal node count, so the volume block, the load and the error norms loop
 over groups, never over elements.  The five block functions then read the
 plan; the cut sides' local blocks reach the scatter in (element, side) order.
 
-Scatter uses coordinate triplets merged by a deterministic lexicographic sort,
-so assembled matrices are bitwise reproducible.
+Each block is one COO -> CSR conversion of all its local matrices, and each
+load term one ``np.bincount`` of all its local vectors.  scipy's conversion
+sums the duplicate entries in an order fixed by the input, and bincount adds
+in input order, so reruns stay byte-identical.
 """
 
 from __future__ import annotations
@@ -134,54 +136,24 @@ def _T(a):
     return np.swapaxes(a, -1, -2)
 
 
-class _Triplets:
-    """Coordinate accumulation with a deterministic sort-and-merge finish.
-
-    Each block is kept as its compact (k, m) unknown ids and (k, m*m) local
-    matrices; the coordinates are expanded only inside ``to_csr``.
-    """
-
-    def __init__(self):
-        self._blocks = []
-
-    def add(self, idx, local):
-        idx = np.atleast_2d(idx)
-        self._blocks.append((idx, np.asarray(local, dtype=float).reshape(len(idx), idx.shape[1] ** 2)))
-
-    def to_csr(self, n: int) -> sp.csr_matrix:
-        keys, vals = [], []
-        for idx, local in self._blocks:
-            m = idx.shape[1]
-            r = np.repeat(idx, m, axis=1)
-            c = np.tile(idx, (1, m))
-            keep = (r >= 0) & (c >= 0)
-            keys.append(r[keep] * n + c[keep])
-            vals.append(local[keep])
-        key = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
-        v = np.concatenate(vals) if vals else np.zeros(0)
-        del keys, vals
-        if len(key) == 0:
-            return sp.csr_matrix((n, n))
-        # a stable sort of row * n + col is the lexicographic (row, col) order
-        order = np.argsort(key, kind="stable")
-        key, v = key[order], v[order]
-        del order
-        new = np.empty(len(key), dtype=bool)
-        new[0] = True
-        np.not_equal(key[1:], key[:-1], out=new[1:])
-        starts = np.flatnonzero(new)
-        merged = np.add.reduceat(v, starts)
-        # built from indptr directly: a COO detour raised p-sweep's peak RSS by ~20 MiB
-        rows, cols = np.divmod(key[starts], n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return sp.csr_matrix((merged, cols, indptr), shape=(n, n))
+def _csr(idx, local, n: int) -> sp.csr_matrix:
+    """Sum of the local matrices local[e] (m x m, row-major) placed at the
+    unknowns idx[e] of a (k, m) id array, as canonical n x n CSR; rows and
+    columns with id -1 (constrained or inactive) are dropped."""
+    m = idx.shape[1]
+    # int32, the index type scipy stores: int64 coordinates raised p-sweep's peak RSS
+    idx = idx.astype(np.int32)
+    rows = np.repeat(idx, m, axis=1).ravel()
+    cols = np.tile(idx, (1, m)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
 
 
-def _scatter_add(out, idx, local):
-    """out[idx] += local, skipping constrained or inactive ids (-1)."""
+def _vector(idx, local, n: int) -> np.ndarray:
+    """Sum of the local vectors local[e] placed at the unknowns idx[e], as a
+    length-n array; ids -1 are dropped."""
     ok = idx >= 0
-    np.add.at(out, idx[ok], local[ok])
+    return np.bincount(idx[ok], weights=local[ok], minlength=n)
 
 
 def _evaluate(fn, x, y):
@@ -400,7 +372,9 @@ def _cut_groups(space: DoubledSpace, topology: CutTopology, quad_order: int):
                 idx=space.element_unknowns(elems[sel], side),
             )
         )
-    return groups, np.argsort(order)
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(len(order))
+    return groups, inverse
 
 
 def build_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: int) -> IntegrationPlan:
@@ -432,18 +406,7 @@ def build_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: i
         )
     cut_groups, cut_order = _cut_groups(space, topology, quad_order)
 
-    npts = _segment_npoints(quad_order, p)
-    rules = [segment_rule(seg, topology.curve, npts) for seg in topology.segments]
-
-    def stack(name, shape):
-        return np.stack([getattr(r, name) for r in rules]) if rules else np.zeros((0,) + shape)
-
-    rule = SegmentRule(
-        params=stack("params", (npts,)),
-        points=stack("points", (npts, 2)),
-        weights=stack("weights", (npts,)),
-        normals=stack("normals", (npts, 2)),
-    )
+    rule = segment_rule(topology.segments, topology.curve, _segment_npoints(quad_order, p))
     traces = _unit_traces(space, _segment_hosts(topology.segments), rule.points, rule.normals)
     return IntegrationPlan(
         space=space,
@@ -463,10 +426,8 @@ def assemble_volume(plan: IntegrationPlan, problem: Problem) -> sp.csr_matrix:
         # B[q, (l, m)] = sum_d G[q, l, d] G[q, m, d]
         table = np.einsum("...qld,...qmd->...qlm", g.grads, g.grads)
         local.append(_contract(aw, table.reshape(table.shape[:-2] + (-1,))))
-    trip = _Triplets()
-    for idx, block in zip(plan.blocks([g.idx for g in plan.groups]), plan.blocks(local)):
-        trip.add(idx, block)
-    return trip.to_csr(plan.n)
+    idx = np.concatenate(plan.blocks([g.idx for g in plan.groups]))
+    return _csr(idx, np.concatenate(plan.blocks(local)), plan.n)
 
 
 def assemble_interface(plan: IntegrationPlan, problem: Problem, params: PenaltyParams) -> sp.csr_matrix:
@@ -475,18 +436,14 @@ def assemble_interface(plan: IntegrationPlan, problem: Problem, params: PenaltyP
     jump = tr.jump
     avg = tr.avg_flux
     w = plan.rule.weights[..., None]
-    trip = _Triplets()
-    trip.add(tr.joint_idx, -(_T(jump) @ (w * avg) + params.beta * _T(avg) @ (w * jump)))
-    return trip.to_csr(plan.n)
+    return _csr(tr.joint_idx, -(_T(jump) @ (w * avg) + params.beta * _T(avg) @ (w * jump)), plan.n)
 
 
 def assemble_J0(plan: IntegrationPlan, params: PenaltyParams) -> sp.csr_matrix:
     """Jump penalty  sum_e (gamma0 p^2 / h_K) int_e [u][v]."""
     scale = params.gamma0 * params.p**2 / plan.h
     jump = plan.traces.jump
-    trip = _Triplets()
-    trip.add(plan.traces.joint_idx, scale * (_T(jump) @ (plan.rule.weights[..., None] * jump)))
-    return trip.to_csr(plan.n)
+    return _csr(plan.traces.joint_idx, scale * (_T(jump) @ (plan.rule.weights[..., None] * jump)), plan.n)
 
 
 def assemble_J1(plan: IntegrationPlan, problem: Problem, params: PenaltyParams) -> sp.csr_matrix:
@@ -494,9 +451,7 @@ def assemble_J1(plan: IntegrationPlan, problem: Problem, params: PenaltyParams) 
     tr = plan.segment_traces(problem)
     scale = params.gamma1 * plan.h / params.p**2
     jf = tr.jump_flux
-    trip = _Triplets()
-    trip.add(tr.joint_idx, scale * (_T(jf) @ (plan.rule.weights[..., None] * jf)))
-    return trip.to_csr(plan.n)
+    return _csr(tr.joint_idx, scale * (_T(jf) @ (plan.rule.weights[..., None] * jf)), plan.n)
 
 
 def assemble_load(plan: IntegrationPlan, problem: Problem, params: PenaltyParams):
@@ -506,16 +461,10 @@ def assemble_load(plan: IntegrationPlan, problem: Problem, params: PenaltyParams
     the Dirichlet penalty J_D and the flux penalty J_N.
     """
     n = plan.n
-    terms = {
-        "volume": np.zeros(n),
-        "gn_avg": np.zeros(n),
-        "gd_flux": np.zeros(n),
-        "j_d": np.zeros(n),
-        "j_n": np.zeros(n),
-    }
     local = [_contract(_evaluate(problem.f[g.side - 1], g.x, g.y) * g.w, g.vals) for g in plan.groups]
-    for idx, block in zip(plan.blocks([g.idx for g in plan.groups]), plan.blocks(local)):
-        _scatter_add(terms["volume"], idx, block)
+    volume = _vector(
+        np.concatenate(plan.blocks([g.idx for g in plan.groups])), np.concatenate(plan.blocks(local)), n
+    )
 
     tr = plan.segment_traces(problem)
     t = plan.rule.params
@@ -528,10 +477,13 @@ def assemble_load(plan: IntegrationPlan, problem: Problem, params: PenaltyParams
 
     idx = tr.joint_idx
     avg_v = 0.5 * np.concatenate([tr.vals1, tr.vals2], axis=-1)
-    _scatter_add(terms["gn_avg"], idx, project(avg_v, gn))
-    _scatter_add(terms["gd_flux"], idx, -params.beta * project(tr.avg_flux, gd))
-    _scatter_add(terms["j_d"], idx, (params.gamma0 * params.p**2 / plan.h) * project(tr.jump, gd))
-    _scatter_add(terms["j_n"], idx, (params.gamma1 * plan.h / params.p**2) * project(tr.jump_flux, gn))
+    terms = {
+        "volume": volume,
+        "gn_avg": _vector(idx, project(avg_v, gn), n),
+        "gd_flux": _vector(idx, -params.beta * project(tr.avg_flux, gd), n),
+        "j_d": _vector(idx, (params.gamma0 * params.p**2 / plan.h) * project(tr.jump, gd), n),
+        "j_n": _vector(idx, (params.gamma1 * plan.h / params.p**2) * project(tr.jump_flux, gn), n),
+    }
     load = terms["volume"] + terms["gn_avg"] + terms["gd_flux"] + terms["j_d"] + terms["j_n"]
     return load, terms
 

@@ -23,7 +23,7 @@ from .errors import InsufficientData, compute_errors, estimate_rates
 from .fe_space import build_dof_map, build_doubled_space
 from .geometry import classify_elements, parse_curve
 from .mesh import build_mesh
-from .probes import probe_coercivity, probe_G, probe_inverse_trace, probe_trace
+from .probes import ProbeError, probe_coercivity, probe_G, probe_inverse_trace, probe_trace
 from .quadrature import cut_cell_rule
 from .solver import solve
 
@@ -110,13 +110,17 @@ def _run_stats(topology, space, system, report) -> dict:
     }
 
 
+def _case(name: str) -> ManufacturedCase:
+    cases = catalog()
+    if name not in cases:
+        raise ValueError(f"unknown case {name!r}; see list-cases")
+    return cases[name]
+
+
 def run_study(config: StudyConfig) -> StudyResult:
     """Execute the configured sweep and write results.csv / rates.csv /
     summary.json under the output directory."""
-    cases = catalog()
-    if config.case not in cases:
-        raise ValueError(f"unknown case {config.case!r}; see list-cases")
-    case = cases[config.case]
+    case = _case(config.case)
     if case.curve.closed and any(nx < 4 for nx in config.nx_list):
         raise ValueError("cut cases need nx >= 4 to keep one segment per element")
     case.problem.validate(case.curve)
@@ -381,8 +385,7 @@ def _config_from_args(args) -> StudyConfig:
 
 
 def _run_probes(args) -> int:
-    cases = catalog()
-    case = cases[args.case]
+    case = _case(args.case)
     curve = parse_curve(args.curve) if args.curve else case.curve
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -438,12 +441,12 @@ def main(argv=None) -> int:
         emit_plots(args.csvs, args.out)
         print(f"wrote {args.out}")
         return 0
-    if args.command == "probes":
-        return _run_probes(args)
     try:
+        if args.command == "probes":
+            return _run_probes(args)
         config = _config_from_args(args)
         result = run_study(config)
-    except (InsufficientData, ValueError) as exc:
+    except (InsufficientData, ProbeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for failure in result.failures:

@@ -8,7 +8,6 @@ immutable after construction and safe to share between workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -79,9 +78,6 @@ class Mesh:
     vertices : (n_vertices, 2) float array, row-major lattice.
     elements : (n_elements, 4) int array of vertex indices, counterclockwise
         from the lower-left corner.
-    edges : (n_edges, 2) int array of vertex index pairs, built on first use.
-    edge_elements : list of tuples with the one or two incident elements,
-        built on first use.
     """
 
     def __init__(self, domain: Rectangle, nx: int, ny: int):
@@ -116,29 +112,6 @@ class Mesh:
     @property
     def n_vertices(self) -> int:
         return (self.nx + 1) * (self.ny + 1)
-
-    @cached_property
-    def edges(self) -> np.ndarray:
-        """Horizontal edges row-major over (i, j) with j the lattice row, then
-        vertical edges likewise; each as (lower/left, upper/right) vertex."""
-        v = np.arange(self.n_vertices, dtype=np.int64).reshape(self.ny + 1, self.nx + 1)
-        horizontal = np.column_stack([v[:, :-1].ravel(), v[:, 1:].ravel()])
-        vertical = np.column_stack([v[:-1, :].ravel(), v[1:, :].ravel()])
-        arr = np.concatenate([horizontal, vertical])
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def edge_elements(self) -> list:
-        """Incident elements of each edge, in ``edges`` order, lower index first."""
-        nx, ny = self.nx, self.ny
-
-        def incident(cells):
-            return tuple(j * nx + i for i, j in cells if 0 <= i < nx and 0 <= j < ny)
-
-        return [incident(((i, j - 1), (i, j))) for j in range(ny + 1) for i in range(nx)] + [
-            incident(((i - 1, j), (i, j))) for j in range(ny) for i in range(nx + 1)
-        ]
 
     def element_index(self, i: int, j: int) -> int:
         return j * self.nx + i

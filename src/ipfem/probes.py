@@ -43,6 +43,22 @@ class ProbeReport:
     extra: dict = field(default_factory=dict)
 
 
+def _report(name, mesh, p, per_element, extra=None) -> ProbeReport:
+    """Report over the per-element constants, with their max and median."""
+    if not per_element:
+        raise ProbeError(f"no interface segments: the {name} probe has no element to measure")
+    values = np.array(list(per_element.values()))
+    return ProbeReport(
+        name=name,
+        h=mesh.h,
+        p=p,
+        per_element=per_element,
+        global_max=float(values.max()),
+        global_median=float(np.median(values)),
+        extra={} if extra is None else extra,
+    )
+
+
 def _analysis_region_rule(topology, seg, geo, order):
     """Quadrature over the analysis side of the segment's host element: the
     whole element for a segment on a mesh edge, else the cut-cell rule of
@@ -119,16 +135,7 @@ def probe_inverse_trace(mesh, curve, topology: CutTopology, p: int, samples: int
         sampled[seg.element] = best * scale
         lam = _gen_max_eig_power(m_edge, m_region, seed=seed)
         refined[seg.element] = float(np.sqrt(max(lam, 0.0)) * scale)
-    values = np.array(list(refined.values()))
-    return ProbeReport(
-        name="inverse-trace",
-        h=mesh.h,
-        p=p,
-        per_element=refined,
-        global_max=float(values.max()),
-        global_median=float(np.median(values)),
-        extra={"sampled_max": sampled},
-    )
+    return _report("inverse-trace", mesh, p, refined, extra={"sampled_max": sampled})
 
 
 def _random_smooth_fields(rng, n, h):
@@ -191,15 +198,7 @@ def probe_trace(mesh, curve, topology: CutTopology, samples: int = 20, seed: int
                 continue
             best = max(best, ve / denom)
         per_element[seg.element] = best
-    values = np.array(list(per_element.values()))
-    return ProbeReport(
-        name="trace",
-        h=mesh.h,
-        p=0,
-        per_element=per_element,
-        global_max=float(values.max()),
-        global_median=float(np.median(values)),
-    )
+    return _report("trace", mesh, 0, per_element)
 
 
 def probe_coercivity(
@@ -309,13 +308,6 @@ def probe_G(topology: CutTopology, curve, samples_per_segment: int = 64) -> Prob
         g = np.abs(r[:, 0] * dr[:, 1] - r[:, 1] * dr[:, 0]) / np.linalg.norm(dr, axis=-1)
         h_e = element_geometry(mesh, seg.element).h_k
         per_element[seg.element] = float(g.min() / h_e)
-    values = np.array(list(per_element.values()))
-    return ProbeReport(
-        name="far-point-distance",
-        h=mesh.h,
-        p=0,
-        per_element=per_element,
-        global_max=float(values.max()),
-        global_median=float(np.median(values)),
-        extra={"global_min": float(values.min())},
-    )
+    report = _report("far-point-distance", mesh, 0, per_element)
+    report.extra["global_min"] = min(per_element.values())
+    return report

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .geometry import CutTopology, boundary_chains_ccw
+from .geometry import CutTopology, InterfaceSegment, boundary_chains_ccw
 
 
 class QuadratureError(Exception):
@@ -98,7 +98,10 @@ def tensor_gauss(n: int) -> QuadRule:
 
 @dataclass(frozen=True, eq=False)
 class SegmentRule:
-    """Physical quadrature along one interface segment with arc-length weights."""
+    """Physical quadrature along interface segments with arc-length weights.
+
+    Fields carry a leading segment axis when built for a sequence of segments.
+    """
 
     params: np.ndarray  # curve parameters of the nodes
     points: np.ndarray  # (n, 2)
@@ -107,18 +110,21 @@ class SegmentRule:
 
 
 def segment_rule(segment, curve, npoints: int) -> SegmentRule:
-    """Gauss rule on r([t_lo, t_hi]) with weights w_g * |r'| * interval/2."""
+    """Gauss rule on r([t_lo, t_hi]) with weights w_g * |r'| * interval/2.
+
+    ``segment`` is one InterfaceSegment, or a sequence of them for one rule
+    stacked along a leading segment axis, node for node the same floats.
+    """
+    single = isinstance(segment, InterfaceSegment)
+    segments = [segment] if single else segment
     g = gauss_1d(int(npoints))
-    half = 0.5 * (segment.t_hi - segment.t_lo)
-    tq = segment.t_mid + half * g.points
-    dr = curve.tangent(tq)
-    speed = np.linalg.norm(dr, axis=-1)
-    return SegmentRule(
-        params=tq,
-        points=curve.point(tq),
-        weights=g.weights * speed * half,
-        normals=curve.normal(tq),
-    )
+    t_lo = np.array([s.t_lo for s in segments], dtype=float)
+    t_hi = np.array([s.t_hi for s in segments], dtype=float)
+    half = 0.5 * (t_hi - t_lo)
+    tq = 0.5 * (t_lo + t_hi)[:, None] + half[:, None] * g.points
+    speed = np.linalg.norm(curve.tangent(tq), axis=-1)
+    fields = (tq, curve.point(tq), g.weights * speed * half[:, None], curve.normal(tq))
+    return SegmentRule(*(f[0] for f in fields)) if single else SegmentRule(*fields)
 
 
 @dataclass(frozen=True, eq=False)

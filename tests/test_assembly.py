@@ -2,11 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ipfem.assembly import (
     ElementGroup,
     PenaltyParams,
     Problem,
+    _csr,
+    _vector,
     assemble,
     assemble_interface,
     assemble_J0,
@@ -19,7 +22,7 @@ from ipfem.assembly import (
 from ipfem.cases import catalog
 from ipfem.errors import _squared_parts, compute_errors, energy_norm_squared
 from ipfem.fe_space import build_dof_map, build_doubled_space
-from ipfem.geometry import Circle, VerticalLine, classify_elements
+from ipfem.geometry import Circle, InterfaceSegment, VerticalLine, classify_elements
 from ipfem.mesh import Rectangle, build_mesh, element_geometry
 from ipfem.quadrature import cut_cell_rule, segment_rule, tensor_gauss
 
@@ -374,7 +377,7 @@ def test_each_rule_is_built_once_per_pass(name, monkeypatch):
 
     import ipfem.quadrature as quadrature
 
-    cut_calls, segment_calls, batches = [], [], []
+    cut_calls, segment_calls, batches, segment_batches = [], [], [], []
     real_cut, real_segment = quadrature.cut_cell_rule, quadrature.segment_rule
 
     def counted_cut(topology, element, side, order):
@@ -384,7 +387,9 @@ def test_each_rule_is_built_once_per_pass(name, monkeypatch):
         return real_cut(topology, element, side, order=order)
 
     def counted_segment(segment, curve, npoints):
-        segment_calls.append(id(segment))
+        # one id per segment, single or batched call
+        segment_batches.append(npoints)
+        segment_calls.extend(id(s) for s in ([segment] if isinstance(segment, InterfaceSegment) else segment))
         return real_segment(segment, curve, npoints)
 
     for module_name, module in list(sys.modules.items()):
@@ -405,14 +410,17 @@ def test_each_rule_is_built_once_per_pass(name, monkeypatch):
     assert sorted(segment_calls) == segments
     # one batched call per pass, none without cut elements
     assert batches == ([] if name == "aligned-edge" else [p + 2])
+    assert len(segment_batches) == 1
 
     cut_calls.clear()
     segment_calls.clear()
     batches.clear()
+    segment_batches.clear()
     compute_errors(space, top, case.problem, np.zeros(space.n_unknowns), params)
     assert sorted(cut_calls) == [(e, side, p + 4) for e, side in sides]
     assert sorted(segment_calls) == segments
     assert batches == ([] if name == "aligned-edge" else [p + 4])
+    assert len(segment_batches) == 1
 
 
 def _one_group_per_side(plan, space, top, quad_order):
@@ -458,3 +466,42 @@ def test_stacked_cut_groups_match_one_group_per_side(name, p):
         assert load.tobytes() == assemble_load(ref, case.problem, params)[1]["volume"].tobytes()
         parts = _squared_parts(plan, case.problem, params, coeffs, exact=True)
         assert parts == _squared_parts(ref, case.problem, params, coeffs, exact=True)
+
+
+def _canonical(a):
+    """has_canonical_format checked on the arrays, not read from a cached flag."""
+    return sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape).has_canonical_format
+
+
+@pytest.mark.parametrize("k", [0, 40])
+def test_csr_and_vector_match_dense_accumulation(k):
+    rng = np.random.default_rng(11)
+    n, m = 13, 5
+    idx = rng.integers(-1, n, size=(k, m))
+    mats = rng.standard_normal((k, m, m))
+    vecs = rng.standard_normal((k, m))
+    if k:
+        kept = idx[idx >= 0]
+        assert (idx < 0).any() and len(np.unique(kept)) < len(kept)
+
+    rows = np.broadcast_to(idx[:, :, None], mats.shape)
+    cols = np.broadcast_to(idx[:, None, :], mats.shape)
+    ok = (rows >= 0) & (cols >= 0)
+    dense = np.zeros((n, n))
+    np.add.at(dense, (rows[ok], cols[ok]), mats[ok])
+    a = _csr(idx, mats, n)
+    assert a.shape == (n, n) and _canonical(a)
+    np.testing.assert_allclose(a.toarray(), dense, rtol=0, atol=1e-15 * np.abs(dense).max(initial=0.0))
+
+    ref = np.zeros(n)
+    np.add.at(ref, idx[idx >= 0], vecs[idx >= 0])
+    got = _vector(idx, vecs, n)
+    assert got.shape == (n,) and np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("name", ["circle-jump", "aligned-edge"])
+def test_assembled_matrices_are_canonical_csr(name):
+    # assemble() sums the blocks without a conversion on the strength of this
+    *_, system = build_pipeline(catalog()[name], 2, 8)
+    assert all(_canonical(b) for b in system.blocks.values())
+    assert _canonical(system.matrix)

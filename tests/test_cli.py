@@ -285,6 +285,17 @@ def test_probes_subcommand(tmp_path):
     assert "coercivity" in text
 
 
+
+def test_probe_errors_exit_2(tmp_path, capsys):
+    # a circle outside the domain leaves no interface segment to measure
+    for probe in ("trace", "invtrace", "G"):
+        rc = main(["probes", "--probe", probe, "--curve", "circle:5,5,0.5", "--nx", "4", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: no interface segments")
+    rc = main(["probes", "--probe", "trace", "--case", "nope", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: unknown case 'nope'")
+
 def test_aligned_edge_hosts_side1(tmp_path):
     cfg = StudyConfig(
         case="aligned-edge",

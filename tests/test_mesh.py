@@ -11,16 +11,12 @@ def test_single_cell_counts():
     mesh = build_mesh(UNIT, 1, 1)
     assert mesh.n_elements == 1
     assert mesh.n_vertices == 4
-    boundary_edges = [e for e in mesh.edge_elements if len(e) == 1]
-    assert len(boundary_edges) == 4
 
 
 def test_two_by_two_counts():
     mesh = build_mesh(UNIT, 2, 2)
     assert mesh.n_elements == 4
     assert mesh.n_vertices == 9
-    interior = [e for e in mesh.edge_elements if len(e) == 2]
-    assert len(interior) == 4
 
 
 def test_uniform_diagonal():
@@ -62,13 +58,6 @@ def test_area_partition():
         4.0 * element_geometry(mesh, k).jacobian_det for k in range(mesh.n_elements)
     )
     assert total == pytest.approx(mesh.domain.area, rel=1e-13)
-
-
-def test_edge_incidence_symmetric():
-    mesh = build_mesh(UNIT, 3, 4)
-    for edge, elems in zip(mesh.edges, mesh.edge_elements):
-        for e in elems:
-            assert set(edge).issubset(set(mesh.elements[e]))
 
 
 def test_invalid_arguments():
