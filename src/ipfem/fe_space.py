@@ -190,6 +190,9 @@ class DoubledSpace:
         self.n_unknowns = int(active.sum())
         self.active.setflags(write=False)
         self.unknown_of.setflags(write=False)
+        # (quad_order, p) -> the integration plan that assembly.build_plan
+        # keeps, or None while the key has been requested only once
+        self.plans = {}
 
     def element_unknowns(self, element: int, side: int) -> np.ndarray:
         """Unknown ids of the element's local DOFs in copy ``side`` (-1 where

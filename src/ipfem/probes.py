@@ -5,7 +5,8 @@ trace and inverse-trace constants on the analysis side of each cut element,
 the smallest Rayleigh quotient of the symmetric form against the energy Gram
 matrix (the empirical coercivity region in the penalty plane), and the lower
 bound on the distance function G built from the far corner of each segment's
-host element.
+host element.  Each Rayleigh quotient of a large system costs one sparse LU,
+of the Gram matrix, and one Lanczos run (see ``_min_rayleigh``).
 """
 
 from __future__ import annotations
@@ -238,13 +239,15 @@ def _min_rayleigh(a, gram, iters=30, tol=1e-8, seed=0, dense_cutoff=1500):
 
     The shifted pencil is then Jacobi-scaled, (D a D, D gram D) with
     D = diag(gram)^(-1/2), which leaves its eigenvalues unchanged.  Small
-    systems use a dense symmetric eigensolve of it; larger ones run Krylov
-    inverse iteration (shift-invert Lanczos) with a shift placed below the
-    spectrum by a power-iteration bound, so the nearest eigenvalue to the
-    shift is the leftmost one.  Both LUs of that path, of the Gram matrix
-    and of the shift-invert operator (passed to ``eigsh`` as ``OPinv``),
-    come from ``solver.factor``; without the scaling its ordering returns a
-    wrong quotient on a sliver.
+    systems use a dense symmetric eigensolve of it.  Larger ones run
+    Lanczos on gram^(-1) a in the gram inner product (``eigsh`` in its
+    regular generalized mode) for the smallest algebraic eigenvalue; the
+    one LU of the path, of the Gram matrix (passed as ``Minv``), comes from
+    ``solver.factor``, and without the scaling its ordering returns a wrong
+    quotient on a sliver.  a differs from gram only by the consistency
+    block, which couples just the unknowns of interface elements, so most
+    quotients equal 1 and the leftmost one lies apart from that cluster:
+    Lanczos finds it without a shift.
     """
     n = a.shape[0]
     rng = np.random.default_rng(seed)
@@ -263,35 +266,20 @@ def _min_rayleigh(a, gram, iters=30, tol=1e-8, seed=0, dense_cutoff=1500):
         return float(vals[0])
 
     glu = factor(gram.tocsc())
-
-    # crude spectral bound of gram^{-1} a to place a shift below the spectrum
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    bound = 1.0
-    for _ in range(15):
-        y = glu.solve(a @ x)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            break
-        bound = ny
-        x = y / ny
-    sigma = -1.1 * bound - 1.0
-    shifted = factor((a - sigma * gram).tocsc())
     try:
         vals = spla.eigsh(
             a,
             k=1,
             M=gram,
-            sigma=sigma,
-            which="LM",
+            which="SA",
             maxiter=max(200, 20 * iters),
             tol=tol,
             return_eigenvectors=False,
             v0=rng.standard_normal(n),
-            OPinv=spla.LinearOperator((n, n), matvec=shifted.solve, dtype=float),
+            Minv=spla.LinearOperator((n, n), matvec=glu.solve, dtype=float),
         )
     except (RuntimeError, spla.ArpackNoConvergence) as exc:
-        raise ProbeError(f"inverse iteration failed: {exc}") from exc
+        raise ProbeError(f"Lanczos iteration failed: {exc}") from exc
     return float(vals[0])
 
 

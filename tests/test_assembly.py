@@ -505,3 +505,75 @@ def test_assembled_matrices_are_canonical_csr(name):
     *_, system = build_pipeline(catalog()[name], 2, 8)
     assert all(_canonical(b) for b in system.blocks.values())
     assert _canonical(system.matrix)
+
+
+def _scan_space(case, p, nx):
+    mesh = build_mesh(BIUNIT, nx, nx)
+    top = classify_elements(mesh, case.curve)
+    return build_doubled_space(build_dof_map(mesh, p), top), top
+
+
+def test_repeated_assembly_keeps_the_second_plan(monkeypatch):
+    import ipfem.assembly as assembly
+
+    calls = {"cut": 0, "segment": 0}
+    real_cut, real_segment = assembly.cut_cell_rule, assembly.segment_rule
+
+    def counted_cut(*args, **kwargs):
+        calls["cut"] += 1
+        return real_cut(*args, **kwargs)
+
+    def counted_segment(*args, **kwargs):
+        calls["segment"] += 1
+        return real_segment(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "cut_cell_rule", counted_cut)
+    monkeypatch.setattr(assembly, "segment_rule", counted_segment)
+    case, p, nx = catalog()["circle-jump"], 2, 8
+    scan = [(g0, g1) for g1 in (1.0, 0.1, 0.01) for g0 in (1000.0, 100.0, 10.0, 1.0)]
+    space, top = _scan_space(case, p, nx)
+    systems = [assemble(space, top, case.problem, PenaltyParams(1, g0, g1, p)) for g0, g1 in scan]
+    # the first call's plan is dropped, the second call's plan serves the rest
+    assert calls == {"cut": 2, "segment": 2}
+    assert [key for key, plan in space.plans.items() if plan is not None] == [(p + 2, p)]
+
+    for (g0, g1), system in zip(scan, systems):
+        fresh_space, fresh_top = _scan_space(case, p, nx)
+        fresh = assemble(fresh_space, fresh_top, case.problem, PenaltyParams(1, g0, g1, p))
+        assert list(fresh_space.plans.values()) == [None]  # one assemble keeps no plan
+        for got, want in [(system.matrix, fresh.matrix)] + [(system.blocks[k], fresh.blocks[k]) for k in fresh.blocks]:
+            for field in ("data", "indices", "indptr"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert system.load.tobytes() == fresh.load.tobytes()
+
+
+def test_kept_plan_dies_with_its_space():
+    import gc
+    import weakref
+
+    case, p = catalog()["circle-jump"], 1
+    space, top = _scan_space(case, p, 8)
+    for g0 in (10.0, 100.0):
+        assemble(space, top, case.problem, PenaltyParams(1, g0, 1.0, p))
+    kept = weakref.ref(space.plans[(p + 2, p)])
+    assert kept() is not None
+    del space, top
+    gc.collect()
+    assert kept() is None
+
+
+def test_plan_rejects_a_topology_the_space_was_not_built_on():
+    case, p = catalog()["circle-jump"], 1
+    space, top = _scan_space(case, p, 8)
+    other = classify_elements(space.mesh, case.curve)  # equal, but not the same object
+    params = PenaltyParams(1, 10.0, 1.0, p)
+    coeffs = np.zeros(space.n_unknowns)
+    with pytest.raises(ValueError, match="topology"):
+        build_plan(space, other, 3, p)
+    with pytest.raises(ValueError, match="topology"):
+        assemble(space, other, case.problem, params)
+    with pytest.raises(ValueError, match="topology"):
+        compute_errors(space, other, case.problem, coeffs, params)
+    with pytest.raises(ValueError, match="topology"):
+        energy_norm_squared(space, other, case.problem, params, coeffs)
+    assert space.plans == {}

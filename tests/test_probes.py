@@ -167,7 +167,7 @@ def test_coercivity_matches_dense_eigensolve():
 
 def test_coercivity_positive_on_a_sliver_sparse_path():
     # An ellipse whose smallest cut fraction at nx = 24 is 9.8e-8: the energy
-    # Gram matrix is singular to round-off, and the shift-invert path must
+    # Gram matrix is singular to round-off, and the sparse path must
     # still find the positive leftmost quotient at a large jump penalty.
     from ipfem.geometry import Ellipse
     from ipfem.probes import _min_rayleigh
@@ -212,3 +212,32 @@ def test_sparse_coercivity_matches_dense_on_a_1e_8_sliver():
         dense = la.eigh(0.5 * (ad + ad.T), 0.5 * (gd + gd.T), eigvals_only=True, subset_by_index=[0, 0])[0]
         quotient = _min_rayleigh(system.matrix, gram, dense_cutoff=0)
         assert quotient == pytest.approx(float(dense), rel=1e-6)
+
+
+@pytest.mark.parametrize("g0, g1", [(1000.0, 1.0), (1.0, 0.01)])
+def test_sparse_coercivity_matches_dense_on_the_scan_ellipse(g0, g1):
+    # the ellipse of the penalty-scan benchmark at seed 1 (nx = 24, p = 2):
+    # the Lanczos path must give the positive quotient at (1000, 1) and the
+    # negative one at (1, 0.01) of a dense solve of the same shifted pencil
+    import scipy.linalg as la
+    import scipy.sparse as sp
+
+    from ipfem.geometry import Ellipse
+    from ipfem.probes import REGULARIZATION, _min_rayleigh
+
+    curve = Ellipse(0.0023643249400513433, 0.09009273926518707, 0.49324788381589013, 0.7067521161841098)
+    mesh, top = _topology(curve, 24)
+    space = build_doubled_space(build_dof_map(mesh, 2), top)
+    one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
+    ten = lambda x, y: 10.0 * np.ones_like(np.asarray(x, dtype=float))
+    zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
+    problem = Problem(a=(one, ten), f=(zero, zero))
+    system = assemble(space, top, problem, PenaltyParams(beta=1, gamma0=g0, gamma1=g1, p=2))
+    gram = system.blocks["volume"] + system.blocks["j0"] + system.blocks["j1"]
+    shift = REGULARIZATION * sp.diags(gram.diagonal())
+    ad = (system.matrix + shift).toarray()
+    gd = (gram + shift).toarray()
+    dense = la.eigh(0.5 * (ad + ad.T), 0.5 * (gd + gd.T), eigvals_only=True, subset_by_index=[0, 0])[0]
+    quotient = _min_rayleigh(system.matrix, gram, dense_cutoff=0)
+    assert (quotient > 0.0) == (g0 == 1000.0)
+    assert quotient == pytest.approx(float(dense), rel=1e-8)
