@@ -28,6 +28,23 @@ errors once per space (every sweep) would only hold its peak memory higher,
 while a coercivity scan that reassembles on one space builds its rules twice,
 not once per penalty point.
 
+On an uncut element with a constant coefficient a the local stiffness is
+a (S (x) M + M (x) S), scaled per axis, where S and M are the 1-D stiffness
+and mass matrices of the two hats and the integrated Legendre bubbles.  Their
+zero patterns are exact: S is the 2 x 2 hat block plus the diagonal (bubble
+derivatives are Legendre polynomials, orthogonal to constants and to each
+other), and M is the hat block, the hat couplings of bubbles 2 and 3 only,
+and the bubble couplings with |k - l| in {0, 2}.  ``_stiffness_pattern``
+derives the local (row, col) pairs of that pattern once per p; the plan
+holds its reference-table columns for the two uncut groups when the rule
+integrates the products exactly (quad_order >= p + 1).  ``assemble_volume``
+then computes and scatters only those entries for an uncut group whose a is
+equal at every quadrature point of each element; the omitted entries are
+zero up to round-off.  At p = 8 on the nx = 16 mesh of a straight interface
+that keeps 111,260 of the volume block's 1,556,256 entries.  Cut groups,
+coefficients that vary within an element and p = 1, whose pattern is full,
+take the full element clique.
+
 Each block is one COO -> CSR conversion of all its local matrices, and each
 load term one ``np.bincount`` of all its local vectors.  scipy's conversion
 sums the duplicate entries in an order fixed by the input, and bincount adds
@@ -38,6 +55,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -145,17 +163,30 @@ def _T(a):
     return np.swapaxes(a, -1, -2)
 
 
-def _csr(idx, local, n: int) -> sp.csr_matrix:
-    """Sum of the local matrices local[e] (m x m, row-major) placed at the
-    unknowns idx[e] of a (k, m) id array, as canonical n x n CSR; rows and
-    columns with id -1 (constrained or inactive) are dropped."""
-    m = idx.shape[1]
-    # int32, the index type scipy stores: int64 coordinates raised p-sweep's peak RSS
-    idx = idx.astype(np.int32)
-    rows = np.repeat(idx, m, axis=1).ravel()
-    cols = np.tile(idx, (1, m)).ravel()
+def _csr(idx, local, n: int, pairs=None) -> sp.csr_matrix:
+    """Sum of the local matrices placed at the unknowns idx[e] of a (k, m) id
+    array, as canonical n x n CSR; rows and columns with id -1 (constrained
+    or inactive) are dropped.  local[e] holds the entries at the local
+    (row, col) positions ``pairs``, by default the full m x m clique in
+    row-major order.  ``idx``, ``local`` and ``pairs`` may also be lists of
+    such chunks, converted together in list order."""
+    if not isinstance(idx, list):
+        idx, local, pairs = [idx], [local], [pairs]
+    rows, cols = [], []
+    for chunk, at in zip(idx, pairs):
+        # int32, the index type scipy stores: int64 coordinates raised p-sweep's peak RSS
+        chunk = chunk.astype(np.int32)
+        if at is None:
+            m = chunk.shape[1]
+            rows.append(np.repeat(chunk, m, axis=1).ravel())
+            cols.append(np.tile(chunk, (1, m)).ravel())
+        else:
+            rows.append(chunk[:, at[0]].ravel())
+            cols.append(chunk[:, at[1]].ravel())
+    data = [v.ravel() for v in local]
+    rows, cols, data = (c[0] if len(c) == 1 else np.concatenate(c) for c in (rows, cols, data))
     keep = (rows >= 0) & (cols >= 0)
-    return sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    return sp.coo_matrix((data[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
 
 
 def _vector(idx, local, n: int) -> np.ndarray:
@@ -288,6 +319,10 @@ class ElementGroup:
     grads: np.ndarray  # physical basis gradients: (q, n_loc, 2) shared, or (E, q, n_loc, 2)
     idx: np.ndarray  # (E, n_loc) unknown ids, -1 where constrained or inactive
     table: np.ndarray | None = None  # ``_volume_table``, stored in a kept plan only
+    # uncut groups with a structurally sparse stiffness: its local (row, col)
+    # pairs (``_stiffness_pattern``) and the volume table's columns at them
+    pattern: tuple | None = None
+    pattern_table: np.ndarray | None = None  # (q, K)
 
 
 def _contract(rows, table):
@@ -387,6 +422,30 @@ def _cut_groups(space: DoubledSpace, topology: CutTopology, quad_order: int):
     return groups, inverse
 
 
+@lru_cache(maxsize=None)
+def _stiffness_pattern(p: int):
+    """Local (row, col) pairs, row-major, of the structural nonzeros of the
+    constant-coefficient stiffness S (x) M + M (x) S of the degree-p basis
+    (see the module docstring), or None for p = 1, where it is full."""
+    k = np.arange(p + 1)
+    hat = k < 2
+    both_hats = hat[:, None] & hat[None, :]
+    gap = np.abs(k[:, None] - k[None, :])
+    s1d = both_hats | (gap == 0)
+    m1d = (
+        both_hats
+        | (hat[:, None] & (k[None, :] <= 3))
+        | (hat[None, :] & (k[:, None] <= 3))
+        | (~hat[:, None] & ~hat[None, :] & ((gap == 0) | (gap == 2)))
+    )
+    rows, cols = np.nonzero(np.kron(s1d, m1d) | np.kron(m1d, s1d))
+    if len(rows) == (p + 1) ** 4:
+        return None
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def build_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: int) -> IntegrationPlan:
     """Integration plan of one pass over ``space`` (see ``_new_plan``).
 
@@ -421,6 +480,14 @@ def _new_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: in
     ref_vals = basis.values(ref.points[:, 0], ref.points[:, 1])
     ref_grads = basis.gradients(ref.points[:, 0], ref.points[:, 1]) / half[None, None, :]
     ref_w = ref.weights * (half[0] * half[1])
+    # Gauss with quad_order >= p + 1 points per axis integrates the degree-2p
+    # 1-D products exactly, so the pattern's zeros are zero up to round-off
+    pattern = _stiffness_pattern(basis.p) if quad_order >= basis.p + 1 else None
+    pattern_table = None
+    if pattern is not None:
+        gx, gy = ref_grads[..., 0], ref_grads[..., 1]
+        rows, cols = pattern
+        pattern_table = gx[:, rows] * gx[:, cols] + gy[:, rows] * gy[:, cols]
 
     groups = []
     for side in (1, 2):
@@ -435,6 +502,8 @@ def _new_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: in
                 vals=ref_vals,
                 grads=ref_grads,
                 idx=space.element_unknowns(elems, side),
+                pattern=pattern,
+                pattern_table=pattern_table,
             )
         )
     cut_groups, cut_order = _cut_groups(space, topology, quad_order)
@@ -459,16 +528,30 @@ def _volume_table(g: ElementGroup) -> np.ndarray:
 
 
 def assemble_volume(plan: IntegrationPlan, problem: Problem) -> sp.csr_matrix:
-    """Side-wise stiffness: sum_i int_{Omega_i} a grad u . grad v."""
-    local = []
+    """Side-wise stiffness: sum_i int_{Omega_i} a grad u . grad v.
+
+    An uncut group whose a is equal at every quadrature point of each element
+    gets only its structural nonzeros (``_stiffness_pattern``)."""
+    local, pairs = [], []
     for g in plan.groups:
-        aw = _evaluate(problem.a[g.side - 1], g.x, g.y) * g.w
+        a = _evaluate(problem.a[g.side - 1], g.x, g.y)
+        if g.pattern is not None and (a == a[:, :1]).all():
+            local.append((a * g.w) @ g.pattern_table)
+            pairs.append(g.pattern)
+            continue
+        aw = a * g.w
+        del a  # (E, q) floats, kept out of the table build's memory peak
         # bound to a name, so it lives until the next group's is built: freed
         # at once, the tables raised h-sweep's peak RSS by 1.3 MB
         table = _volume_table(g) if g.table is None else g.table
         local.append(_contract(aw, table))
-    idx = np.concatenate(plan.blocks([g.idx for g in plan.groups]))
-    return _csr(idx, np.concatenate(plan.blocks(local)), plan.n)
+        pairs.append(None)
+    idx = plan.blocks([g.idx for g in plan.groups])
+    local = plan.blocks(local)
+    if pairs[0] is None and pairs[1] is None:
+        return _csr(np.concatenate(idx), np.concatenate(local), plan.n)
+    # the cut rows, after the two uncut groups, take the full clique
+    return _csr(idx, local, plan.n, pairs[:2] + [None] * (len(idx) - 2))
 
 
 def assemble_interface(plan: IntegrationPlan, problem: Problem, params: PenaltyParams) -> sp.csr_matrix:

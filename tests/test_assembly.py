@@ -19,7 +19,7 @@ from ipfem.assembly import (
     build_plan,
     segment_trace_operators,
 )
-from ipfem.cases import catalog
+from ipfem.cases import DOMAIN, catalog
 from ipfem.errors import _squared_parts, compute_errors, energy_norm_squared
 from ipfem.fe_space import build_dof_map, build_doubled_space
 from ipfem.geometry import Circle, InterfaceSegment, VerticalLine, classify_elements
@@ -493,6 +493,18 @@ def test_csr_and_vector_match_dense_accumulation(k):
     assert a.shape == (n, n) and _canonical(a)
     np.testing.assert_allclose(a.toarray(), dense, rtol=0, atol=1e-15 * np.abs(dense).max(initial=0.0))
 
+    # two chunks in one conversion: the first half's elements at the local
+    # positions ``sub`` only, the second half's at their full clique
+    sub = np.zeros((m, m), dtype=bool)
+    sub.flat[rng.choice(m * m, 9, replace=False)] = True
+    half = k // 2
+    mask = ok & (sub | (np.arange(k) >= half)[:, None, None])
+    mixed = np.zeros((n, n))
+    np.add.at(mixed, (rows[mask], cols[mask]), mats[mask])
+    got = _csr([idx[:half], idx[half:]], [mats[:half][:, sub], mats[half:]], n, [np.nonzero(sub), None])
+    assert got.shape == (n, n) and _canonical(got)
+    np.testing.assert_allclose(got.toarray(), mixed, rtol=0, atol=1e-15 * np.abs(mixed).max(initial=0.0))
+
     ref = np.zeros(n)
     np.add.at(ref, idx[idx >= 0], vecs[idx >= 0])
     got = _vector(idx, vecs, n)
@@ -505,6 +517,43 @@ def test_assembled_matrices_are_canonical_csr(name):
     *_, system = build_pipeline(catalog()[name], 2, 8)
     assert all(_canonical(b) for b in system.blocks.values())
     assert _canonical(system.matrix)
+
+
+def _full_clique(plan):
+    """``plan`` with every group scattering its whole element clique."""
+    return replace(plan, groups=tuple(replace(g, pattern=None, pattern_table=None) for g in plan.groups))
+
+
+# perfbench's p-sweep seed-0 input: the interface on mesh line 11 of the
+# nx = 16 mesh, a = (1, 10)
+PSWEEP_SEED0 = (VerticalLine(0.375, -1.0, 1.0), Problem(a=(_const(1.0), _const(10.0)), f=(_const(0.0), _const(0.0))))
+
+
+@pytest.mark.parametrize("name", ["circle-jump", "aligned-edge", "smooth-nojump", "p-sweep-seed0"])
+def test_volume_block_omits_only_round_off(name):
+    if name == "p-sweep-seed0":
+        (curve, problem), nx, degrees = PSWEEP_SEED0, 16, range(2, 9)
+    else:
+        curve, problem, nx, degrees = catalog()[name].curve, catalog()[name].problem, 8, range(1, 9)
+    mesh = build_mesh(DOMAIN, nx, nx)
+    top = classify_elements(mesh, curve)
+    for p in degrees:
+        space = build_doubled_space(build_dof_map(mesh, p), top)
+        plan = build_plan(space, top, p + 2, p)
+        got, full = assemble_volume(plan, problem), assemble_volume(_full_clique(plan), problem)
+        if name == "smooth-nojump" or p == 1:
+            # a varies within the elements, or the pattern is the full clique
+            for field in ("data", "indices", "indptr"):
+                assert getattr(got, field).tobytes() == getattr(full, field).tobytes()
+            continue
+        assert got.nnz < full.nnz
+        # every stored entry is one of the full assembly's, and every omitted
+        # or changed entry is round-off against its diagonal
+        stored = [sp.csr_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape) for a in (got, full)]
+        assert (stored[0] + stored[1]).nnz == full.nnz
+        diff = (full - got).tocoo()
+        diag = np.abs(full.diagonal())
+        assert np.all(np.abs(diff.data) <= 1e-13 * np.sqrt(diag[diff.row] * diag[diff.col]))
 
 
 def _scan_space(case, p, nx):
