@@ -5,8 +5,9 @@ trace and inverse-trace constants on the analysis side of each cut element,
 the smallest Rayleigh quotient of the symmetric form against the energy Gram
 matrix (the empirical coercivity region in the penalty plane), and the lower
 bound on the distance function G built from the far corner of each segment's
-host element.  Each Rayleigh quotient of a large system costs one sparse LU,
-of the Gram matrix, and one Lanczos run (see ``_min_rayleigh``).
+host element.  A Rayleigh quotient is reduced exactly to the unknowns of
+the segment hosts: one LU per topology for the volume Schur complement, then
+one small LU and one Lanczos run per penalty point (see ``_point_quotient``).
 """
 
 from __future__ import annotations
@@ -60,24 +61,32 @@ def _report(name, mesh, p, per_element, extra=None) -> ProbeReport:
     )
 
 
-def _analysis_region_rule(topology, seg, geo, order):
-    """Quadrature over the analysis side of the segment's host element: the
-    whole element for a segment on a mesh edge, else the cut-cell rule of
-    side ``seg.analysis_side``.  Returns the physical nodes x, y, the weights
-    and the reference nodes xi, eta."""
-    if seg.on_edge:
+def _analysis_rules(topology, order) -> list:
+    """Per segment, the cut-cell rule of its host's analysis side (None on a
+    mesh edge), all from one batched ``cut_cell_rule`` call."""
+    cut = [seg for seg in topology.segments if not seg.on_edge]
+    rules = iter(cut_cell_rule(topology, np.array([seg.element for seg in cut], dtype=int),
+                               np.array([seg.analysis_side for seg in cut], dtype=int), order))
+    return [None if seg.on_edge else next(rules) for seg in topology.segments]
+
+
+def _analysis_region_rule(geo, crule, order):
+    """Quadrature over the analysis side of a segment's host: the whole element
+    if ``crule`` is None (a mesh-edge segment), else the cut-cell rule
+    ``crule``.  Returns physical nodes x, y, weights, reference nodes xi, eta."""
+    if crule is None:
         rule = tensor_gauss(order)
         xi, eta = rule.points[:, 0], rule.points[:, 1]
         x, y = geo.to_physical(xi, eta)
         return x, y, rule.weights * geo.jacobian_det, xi, eta
-    crule = cut_cell_rule(topology, seg.element, seg.analysis_side, order=order)
     x, y = crule.points[:, 0], crule.points[:, 1]
     return (x, y, crule.weights, *geo.to_reference(x, y))
 
 
-def _side_norm_matrices(topology, seg, p, quad_order):
+def _side_norm_matrices(topology, seg, crule, p, quad_order):
     """Edge and region Gram matrices of the local degree-p tensor basis on the
-    host element, the edge over the segment, the region over the analysis side."""
+    host element, the edge over the segment, the region over the analysis
+    side (``crule`` as in ``_analysis_region_rule``)."""
     basis = build_basis(p)
     geo = element_geometry(topology.mesh, seg.element)
 
@@ -86,44 +95,22 @@ def _side_norm_matrices(topology, seg, p, quad_order):
     vals_e = basis.values(xi, eta)
     m_edge = vals_e.T @ (srule.weights[:, None] * vals_e)
 
-    _, _, w, xi_k, eta_k = _analysis_region_rule(topology, seg, geo, quad_order)
+    _, _, w, xi_k, eta_k = _analysis_region_rule(geo, crule, quad_order)
     vals_k = basis.values(xi_k, eta_k)
     m_region = vals_k.T @ (w[:, None] * vals_k)
     return m_edge, m_region, geo
 
 
-def _gen_max_eig_power(m_num, m_den, iters=50, seed=0):
-    """Largest generalized eigenvalue of (m_num, m_den) by power iteration
-    with a Cholesky solve of the SPD denominator."""
-    try:
-        chol = la.cho_factor(m_den)
-    except la.LinAlgError:
-        w = la.eigh(m_num, m_den, eigvals_only=True)
-        return float(w[-1])
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(m_den.shape[0])
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(iters):
-        y = la.cho_solve(chol, m_num @ x)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        x = y / ny
-        lam = float(x @ (m_num @ x)) / float(x @ (m_den @ x))
-    return lam
-
-
 def probe_inverse_trace(mesh, curve, topology: CutTopology, p: int, samples: int = 20, seed: int = 0) -> ProbeReport:
     """Constant in  ||v_h||_e <= C (p / h^(1/2)) ||v_h||_{K_ie}  over degree-p
     polynomials: per segment host, both the max over random samples and an
-    exact power-method solve of the generalized eigenproblem."""
+    exact dense solve of the generalized eigenproblem (m_edge, m_region)."""
     rng = np.random.default_rng(seed)
     quad_order = p + 3
     sampled = {}
     refined = {}
-    for seg in topology.segments:
-        m_edge, m_region, geo = _side_norm_matrices(topology, seg, p, quad_order)
+    for seg, crule in zip(topology.segments, _analysis_rules(topology, quad_order)):
+        m_edge, m_region, geo = _side_norm_matrices(topology, seg, crule, p, quad_order)
         best = 0.0
         for _ in range(samples):
             c = rng.standard_normal(m_edge.shape[0])
@@ -134,7 +121,7 @@ def probe_inverse_trace(mesh, curve, topology: CutTopology, p: int, samples: int
             best = max(best, np.sqrt(num / den))
         scale = np.sqrt(geo.h_k) / p
         sampled[seg.element] = best * scale
-        lam = _gen_max_eig_power(m_edge, m_region, seed=seed)
+        lam = la.eigh(m_edge, m_region, eigvals_only=True)[-1]
         refined[seg.element] = float(np.sqrt(max(lam, 0.0)) * scale)
     return _report("inverse-trace", mesh, p, refined, extra={"sampled_max": sampled})
 
@@ -182,10 +169,10 @@ def probe_trace(mesh, curve, topology: CutTopology, samples: int = 20, seed: int
     rng = np.random.default_rng(seed)
     quad_order = 8
     per_element = {}
-    for seg in topology.segments:
+    for seg, crule in zip(topology.segments, _analysis_rules(topology, quad_order)):
         geo = element_geometry(mesh, seg.element)
         srule = segment_rule(seg, topology.curve, 12)
-        x, y, w, _, _ = _analysis_region_rule(topology, seg, geo, quad_order)
+        x, y, w, _, _ = _analysis_region_rule(geo, crule, quad_order)
         best = 0.0
         for val, grad in _random_smooth_fields(rng, samples, mesh.h):
             ve = np.sqrt(np.sum(srule.weights * val(srule.points[:, 0], srule.points[:, 1]) ** 2))
@@ -214,73 +201,85 @@ def probe_coercivity(
     Gram matrix (volume + both penalties) on a (gamma0, gamma1) grid.
 
     Returns {(gamma0, gamma1): quotient}; nonpositive quotients are reported,
-    not raised.  Both matrices carry a tiny relative diagonal shift, which
-    keeps the Gram matrix definite when a sliver or a zero penalty weight
-    makes it singular (see ``_min_rayleigh``).
+    not raised.  Each point costs one small LU and one Lanczos run (at most
+    ``max(200, 20 * iters)`` restarts, tolerance ``tol``, start vector from
+    ``seed``) on the interface unknowns; the volume Schur complement is kept
+    while the volume block and those unknowns stay the same.
     """
     out = {}
+    kept = None
     for g1 in gamma1_values:
         for g0 in gamma0_values:
-            system = system_builder(g0, g1)
-            gram = system.blocks["volume"] + system.blocks["j0"] + system.blocks["j1"]
-            out[(g0, g1)] = _min_rayleigh(system.matrix, gram, iters=iters, tol=tol, seed=seed)
+            # the system and its factors are freed before the next build
+            out[(g0, g1)], kept = _point_quotient(system_builder(g0, g1), kept, iters, tol, seed)
     return out
 
 
-def _min_rayleigh(a, gram, iters=30, tol=1e-8, seed=0, dense_cutoff=1500):
-    """Leftmost generalized eigenvalue of (a, gram).
+def _point_quotient(system, kept=None, iters=30, tol=1e-8, seed=0):
+    """Leftmost eigenvalue of the pencil (A + s, G + s), G = volume + j0 + j1,
+    s = REGULARIZATION * diag(G), and the S_V with its key (I and the volume
+    block's CSR arrays) to pass as ``kept`` to the next point.
 
-    Both matrices get the same shift REGULARIZATION * diag(gram).  A sliver
-    cut or a zero penalty weight leaves the Gram matrix singular to round-off
-    (its Jacobi-scaled smallest eigenvalue near +-1e-15), and a shift on the
-    Gram matrix alone then turns its near-null vectors into spurious large
-    negative quotients; shifting both maps them to quotients near 1 and moves
-    the others by a relative amount of order REGULARIZATION.
-
-    The shifted pencil is then Jacobi-scaled, (D a D, D gram D) with
-    D = diag(gram)^(-1/2), which leaves its eigenvalues unchanged.  Small
-    systems use a dense symmetric eigensolve of it.  Larger ones run
-    Lanczos on gram^(-1) a in the gram inner product (``eigsh`` in its
-    regular generalized mode) for the smallest algebraic eigenvalue; the
-    one LU of the path, of the Gram matrix (passed as ``Minv``), comes from
-    ``solver.factor``, and without the scaling its ordering returns a wrong
-    quotient on a sliver.  a differs from gram only by the consistency
-    block, which couples just the unknowns of interface elements, so most
-    quotients equal 1 and the leftmost one lies apart from that cluster:
-    Lanczos finds it without a shift.
+    A sliver or a zero penalty weight leaves G singular to round-off; a shift
+    of G alone would make its near-null vectors spurious large negative
+    quotients, shifting both maps them near 1.  C = A - G, free of the shift,
+    is stored (with j0 + j1) only on the unknowns I of the segment hosts, so
+    the quotient is 1 if I is empty, else min(1, 1 + mu) for the leftmost mu
+    of C_II y = mu S y, with S the Schur complement of G + s onto I:
+    S_V (``_volume_schur``) + (j0 + j1)_II + s_I.  Lanczos runs on S^(-1) C_II
+    in the S inner product, the LU of the Jacobi-scaled S as ``Minv``; the
+    leftmost mu lies apart from the rest, so it needs no shift.
     """
-    n = a.shape[0]
-    rng = np.random.default_rng(seed)
-    shift = REGULARIZATION * sp.diags(gram.diagonal())
-    gram = gram + shift
-    d = 1.0 / np.sqrt(gram.diagonal())
-    a = diagonal_scale(a + shift, d)
-    gram = diagonal_scale(gram, d)
-
-    if n <= dense_cutoff:
-        ad = a.toarray()
-        gd = gram.toarray()
-        ad = 0.5 * (ad + ad.T)
-        gd = 0.5 * (gd + gd.T)
-        vals = la.eigh(ad, gd, eigvals_only=True, subset_by_index=[0, 0])
-        return float(vals[0])
-
-    glu = factor(gram.tocsc())
+    volume = system.blocks["volume"]
+    jumps = system.blocks["j0"] + system.blocks["j1"]
+    consistency = system.matrix - (volume + jumps)
+    on_interface = np.zeros(system.matrix.shape[0], dtype=bool)
+    for block in (consistency, jumps):
+        block = block.tocoo()
+        block.eliminate_zeros()
+        on_interface[block.row] = on_interface[block.col] = True
+    iface = np.flatnonzero(on_interface)
+    if iface.size == 0:
+        return 1.0, None
+    key = (iface, volume.indptr, volume.indices, volume.data)
+    if kept is None or not all(np.array_equal(a, b) for a, b in zip(kept[0], key)):
+        kept = (key, _volume_schur(volume, on_interface))
+    jumps = jumps[iface][:, iface]
+    schur = kept[1] + jumps + sp.diags(REGULARIZATION * (volume.diagonal()[iface] + jumps.diagonal()))
+    d = 1.0 / np.sqrt(schur.diagonal())
+    schur = diagonal_scale(schur, d)
+    lu = factor(schur.tocsc())
+    m = iface.size
     try:
-        vals = spla.eigsh(
-            a,
-            k=1,
-            M=gram,
-            which="SA",
-            maxiter=max(200, 20 * iters),
-            tol=tol,
-            return_eigenvectors=False,
-            v0=rng.standard_normal(n),
-            Minv=spla.LinearOperator((n, n), matvec=glu.solve, dtype=float),
-        )
+        mu = spla.eigsh(
+            diagonal_scale(consistency[iface][:, iface], d), k=1, M=schur, which="SA",
+            maxiter=max(200, 20 * iters), tol=tol, return_eigenvectors=False,
+            v0=np.random.default_rng(seed).standard_normal(m),
+            Minv=spla.LinearOperator((m, m), matvec=lu.solve, dtype=float),
+        )[0]
     except (RuntimeError, spla.ArpackNoConvergence) as exc:
         raise ProbeError(f"Lanczos iteration failed: {exc}") from exc
-    return float(vals[0])
+    return min(1.0, 1.0 + float(mu)), kept
+
+
+def _volume_schur(volume, on_interface):
+    """S_V = V_II - V_IR V_RR^(-1) V_RI from one LU of V_RR, shifted as G is
+    and Jacobi-scaled; V_RR is definite, as no nonzero constant vanishes on
+    every segment host.  Only the columns of I that V_RI touches are solved
+    for.  V never couples the two copies, so the solves keep exact zeros
+    across them and the correction, stored without zeros, is block-diagonal."""
+    iface, rest = np.flatnonzero(on_interface), np.flatnonzero(~on_interface)
+    v_i, v_r = volume[iface], volume[rest]  # the rows of I and of R
+    v_rr = v_r[:, rest]
+    v_ri = v_r[:, iface].tocsc()
+    touched = np.flatnonzero(np.diff(v_ri.indptr))
+    v_rr = v_rr + sp.diags(REGULARIZATION * v_rr.diagonal())
+    d = 1.0 / np.sqrt(v_rr.diagonal())
+    lu = factor(diagonal_scale(v_rr, d).tocsc())
+    x = d[:, None] * lu.solve(d[:, None] * v_ri[:, touched].toarray())  # V_RR^(-1) V_RI
+    corr = sp.coo_matrix(v_i[touched][:, rest] @ x)
+    corr = sp.csr_matrix((corr.data, (touched[corr.row], touched[corr.col])), shape=(iface.size,) * 2)
+    return v_i[:, iface] - corr
 
 
 def probe_G(topology: CutTopology, curve, samples_per_segment: int = 64) -> ProbeReport:

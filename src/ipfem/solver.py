@@ -8,8 +8,9 @@ instead of patching them).  ``condition_estimate`` reports how ill-conditioned
 the scaled matrix is.
 
 Every LU in the package comes from ``factor``.  The matrices here (the
-interface-penalty systems and the energy Gram matrix of the coercivity
-probe) all have a symmetric nonzero pattern, so ``factor``
+interface-penalty systems, and the coercivity probe's volume block off the
+interface unknowns and Schur complement onto them) all have a symmetric
+nonzero pattern, so ``factor``
 orders the columns by minimum degree on the pattern of A + A^T (Liu, ACM TOMS
 11, 1985) and keeps that ordering through pivoting in SuperLU's symmetric
 mode, which prefers the diagonal pivot unless it is below 0.1 of the column

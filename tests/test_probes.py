@@ -167,10 +167,10 @@ def test_coercivity_matches_dense_eigensolve():
 
 def test_coercivity_positive_on_a_sliver_sparse_path():
     # An ellipse whose smallest cut fraction at nx = 24 is 9.8e-8: the energy
-    # Gram matrix is singular to round-off, and the sparse path must
+    # Gram matrix is singular to round-off, and the probe must
     # still find the positive leftmost quotient at a large jump penalty.
     from ipfem.geometry import Ellipse
-    from ipfem.probes import _min_rayleigh
+    from ipfem.probes import _point_quotient
 
     curve = Ellipse(-0.012423625375440242, -0.025450219382129394, 0.4820860789418323, 0.7179139210581676)
     mesh, top = _topology(curve, 24)
@@ -181,19 +181,18 @@ def test_coercivity_positive_on_a_sliver_sparse_path():
     zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
     problem = Problem(a=(one, ten), f=(zero, zero))
     system = assemble(space, top, problem, PenaltyParams(beta=1, gamma0=1000.0, gamma1=1.0, p=2))
-    gram = (system.blocks["volume"] + system.blocks["j0"] + system.blocks["j1"]).tocsc()
-    quotient = _min_rayleigh(system.matrix.tocsc(), gram, dense_cutoff=0)
+    quotient, _ = _point_quotient(system)
     assert quotient > 0.0
 
 
 def test_sparse_coercivity_matches_dense_on_a_1e_8_sliver():
-    # smallest cut fraction 1.3e-8 at nx = 24; without Jacobi scaling the
-    # shift-invert path missed the leftmost quotient by 1.9 % at (1000, 1)
+    # smallest cut fraction 1.3e-8 at nx = 24; without Jacobi scaling an
+    # earlier shift-invert path missed the leftmost quotient by 1.9 % at (1000, 1)
     import scipy.linalg as la
     import scipy.sparse as sp
 
     from ipfem.geometry import Ellipse
-    from ipfem.probes import REGULARIZATION, _min_rayleigh
+    from ipfem.probes import REGULARIZATION, _point_quotient
 
     curve = Ellipse(-0.023853030956971416, 0.04476117018240089, 0.5466567978737936, 0.6533432021262063)
     mesh, top = _topology(curve, 24)
@@ -210,20 +209,20 @@ def test_sparse_coercivity_matches_dense_on_a_1e_8_sliver():
         ad = (system.matrix + shift).toarray()
         gd = (gram + shift).toarray()
         dense = la.eigh(0.5 * (ad + ad.T), 0.5 * (gd + gd.T), eigvals_only=True, subset_by_index=[0, 0])[0]
-        quotient = _min_rayleigh(system.matrix, gram, dense_cutoff=0)
+        quotient, _ = _point_quotient(system)
         assert quotient == pytest.approx(float(dense), rel=1e-6)
 
 
 @pytest.mark.parametrize("g0, g1", [(1000.0, 1.0), (1.0, 0.01)])
 def test_sparse_coercivity_matches_dense_on_the_scan_ellipse(g0, g1):
     # the ellipse of the penalty-scan benchmark at seed 1 (nx = 24, p = 2):
-    # the Lanczos path must give the positive quotient at (1000, 1) and the
+    # the interface-reduced probe must give the positive quotient at (1000, 1) and the
     # negative one at (1, 0.01) of a dense solve of the same shifted pencil
     import scipy.linalg as la
     import scipy.sparse as sp
 
     from ipfem.geometry import Ellipse
-    from ipfem.probes import REGULARIZATION, _min_rayleigh
+    from ipfem.probes import REGULARIZATION, _point_quotient
 
     curve = Ellipse(0.0023643249400513433, 0.09009273926518707, 0.49324788381589013, 0.7067521161841098)
     mesh, top = _topology(curve, 24)
@@ -238,6 +237,87 @@ def test_sparse_coercivity_matches_dense_on_the_scan_ellipse(g0, g1):
     ad = (system.matrix + shift).toarray()
     gd = (gram + shift).toarray()
     dense = la.eigh(0.5 * (ad + ad.T), 0.5 * (gd + gd.T), eigvals_only=True, subset_by_index=[0, 0])[0]
-    quotient = _min_rayleigh(system.matrix, gram, dense_cutoff=0)
+    quotient, _ = _point_quotient(system)
     assert (quotient > 0.0) == (g0 == 1000.0)
     assert quotient == pytest.approx(float(dense), rel=1e-8)
+
+
+def _shifted_dense_quotient(system):
+    """Leftmost eigenvalue of the full shifted pencil, by a dense solve."""
+    import scipy.linalg as la
+    import scipy.sparse as sp
+
+    from ipfem.probes import REGULARIZATION
+
+    gram = system.blocks["volume"] + system.blocks["j0"] + system.blocks["j1"]
+    shift = REGULARIZATION * sp.diags(gram.diagonal())
+    ad = (system.matrix + shift).toarray()
+    gd = (gram + shift).toarray()
+    return float(la.eigh(0.5 * (ad + ad.T), 0.5 * (gd + gd.T), eigvals_only=True, driver="gv")[0])
+
+
+def test_coercivity_scan_matches_dense_at_every_point_of_the_scan_ellipse():
+    # the 12 penalty-scan points on its seed-1 ellipse (nx = 24, p = 2): the
+    # volume Schur complement is computed at the first point and kept
+    from ipfem.geometry import Ellipse
+
+    curve = Ellipse(0.0023643249400513433, 0.09009273926518707, 0.49324788381589013, 0.7067521161841098)
+    mesh, top = _topology(curve, 24)
+    space = build_doubled_space(build_dof_map(mesh, 2), top)
+    one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
+    ten = lambda x, y: 10.0 * np.ones_like(np.asarray(x, dtype=float))
+    zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
+    problem = Problem(a=(one, ten), f=(zero, zero))
+
+    def builder(g0, g1):
+        return assemble(space, top, problem, PenaltyParams(beta=1, gamma0=g0, gamma1=g1, p=2))
+
+    grid = probe_coercivity(builder, [1000.0, 100.0, 10.0, 1.0], [1.0, 0.1, 0.01])
+    assert len(grid) == 12
+    for (g0, g1), quotient in grid.items():
+        dense = _shifted_dense_quotient(builder(g0, g1))
+        assert quotient == pytest.approx(dense, rel=1e-8), (g0, g1)
+
+
+def test_coercivity_recomputes_the_volume_schur_complement_when_the_volume_changes():
+    # the coefficient on side 1 alternates between points, so every volume
+    # block differs from the one before it: each quotient must equal, bitwise,
+    # that of a probe of its point alone
+    case = catalog()["circle-jump"]
+    mesh = build_mesh(DOMAIN, 8, 8)
+    top = classify_elements(mesh, case.curve)
+    space = build_doubled_space(build_dof_map(mesh, 2), top)
+    zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
+    gamma0 = [100.0, 10.0, 1.0, 1000.0]
+
+    def builder(g0, g1):
+        a1 = 1.0 + 4.0 * (gamma0.index(g0) % 2)
+        coef = lambda x, y, a1=a1: a1 * np.ones_like(np.asarray(x, dtype=float))
+        problem = Problem(a=(coef, case.problem.a[1]), f=(zero, zero))
+        return assemble(space, top, problem, PenaltyParams(beta=1, gamma0=g0, gamma1=g1, p=2))
+
+    grid = probe_coercivity(builder, gamma0, [1.0, 0.1], seed=2)
+    for (g0, g1), quotient in grid.items():
+        assert quotient == probe_coercivity(builder, [g0], [g1], seed=2)[(g0, g1)]
+    assert len(set(grid.values())) == len(grid)
+
+
+def test_coercivity_is_one_without_an_interface(monkeypatch):
+    # a circle outside the domain leaves no segment, so C = A - G vanishes:
+    # the quotient is exactly 1 and nothing is factored or iterated
+    import ipfem.probes as probes
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the probe factored or iterated without an interface")
+
+    monkeypatch.setattr(probes, "factor", forbidden)
+    monkeypatch.setattr(probes.spla, "eigsh", forbidden)
+    case = catalog()["circle-jump"]
+    mesh, top = _topology(Circle(3.0, 3.0, 0.5), 8)
+    assert not top.segments
+    space = build_doubled_space(build_dof_map(mesh, 1), top)
+
+    def builder(g0, g1):
+        return assemble(space, top, case.problem, PenaltyParams(beta=1, gamma0=g0, gamma1=g1, p=1))
+
+    assert probe_coercivity(builder, [1.0, 10.0], [1.0]) == {(1.0, 1.0): 1.0, (10.0, 1.0): 1.0}
