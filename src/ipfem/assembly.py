@@ -17,16 +17,16 @@ segment rule with its trace operators is built once, all uncut elements share
 the reference tensor tables, and the cut sides are stacked into a few groups
 of equal node count, so the volume block, the load and the error norms loop
 over groups, never over elements.  The five block functions then read the
-plan; the cut sides' local blocks reach the scatter in (element, side) order.
+plan, taking its groups in plan order: uncut side 1, uncut side 2, then the
+cut groups by (side, node count).
 
 A plan depends on the space, its topology, the quadrature order and p, never
 on the coefficient or the penalties.  The second request for one
-(quad_order, p) on a space keeps its plan on the space, with each group's
-volume table, for as long as the space lives; later requests reuse it.  The
-first request keeps nothing: a run that assembles once and evaluates its
-errors once per space (every sweep) would only hold its peak memory higher,
-while a coercivity scan that reassembles on one space builds its rules twice,
-not once per penalty point.
+(quad_order, p) on a space keeps its plan on the space for as long as the
+space lives; later requests reuse it.  The first request keeps nothing: a run
+that assembles once and evaluates its errors once per space (every sweep)
+would only hold its peak memory higher, while a coercivity scan that
+reassembles on one space builds its rules twice, not once per penalty point.
 
 On an uncut element with a constant coefficient a the local stiffness is
 a (S (x) M + M (x) S), scaled per axis, where S and M are the 1-D stiffness
@@ -41,9 +41,11 @@ integrates the products exactly (quad_order >= p + 1).  ``assemble_volume``
 then computes and scatters only those entries for an uncut group whose a is
 equal at every quadrature point of each element; the omitted entries are
 zero up to round-off.  At p = 8 on the nx = 16 mesh of a straight interface
-that keeps 111,260 of the volume block's 1,556,256 entries.  Cut groups,
-coefficients that vary within an element and p = 1, whose pattern is full,
-take the full element clique.
+that keeps 111,260 of the volume block's 1,556,256 entries.  Coefficients that
+vary within an element and p = 1, whose pattern is full, take the full element
+clique from the shared (q, n_loc^2) reference table (``_volume_table``).  A cut
+group takes its full cliques from one batched product G^T diag(a w) G of its
+sides' physical gradients.
 
 Each block is one COO -> CSR conversion of all its local matrices, and each
 load term one ``np.bincount`` of all its local vectors.  scipy's conversion
@@ -237,28 +239,34 @@ class SegmentTraces:
         return np.concatenate([self.flux1, -self.flux2], axis=-1)
 
 
-def _element_centers(mesh, elems) -> np.ndarray:
-    """Centres of the elements ``elems`` (shape elems.shape + (2,)), computed
-    as ``element_geometry`` does."""
-    return 0.5 * (mesh.vertices[mesh.elements[elems, 0]] + mesh.vertices[mesh.elements[elems, 2]])
+def _element_map(mesh, elems) -> tuple:
+    """Centres (elems.shape + (2,)) and half-widths (2,) of the affine maps
+    x = c + half * xi of the elements ``elems``, computed as
+    ``element_geometry`` does."""
+    centers = 0.5 * (mesh.vertices[mesh.elements[elems, 0]] + mesh.vertices[mesh.elements[elems, 2]])
+    return centers, np.array([mesh.dx / 2.0, mesh.dy / 2.0])
+
+
+def _basis_at(space: DoubledSpace, elems, points) -> tuple:
+    """Basis values (..., q, n_loc) and physical gradients (..., q, n_loc, 2)
+    at the nodes ``points`` (..., q, 2), each row of nodes mapped into its
+    element in ``elems`` (shape ...)."""
+    c, half = _element_map(space.mesh, elems)
+    xi = ((points[..., 0] - c[..., None, 0]) / half[0]).ravel()
+    eta = ((points[..., 1] - c[..., None, 1]) / half[1]).ravel()
+    shape = points.shape[:-1] + (space.basis.n_local,)
+    grads = space.basis.gradients(xi, eta)
+    grads /= half
+    return space.basis.values(xi, eta).reshape(shape), grads.reshape(shape + (2,))
 
 
 def _unit_traces(space: DoubledSpace, hosts, points, normals) -> SegmentTraces:
     """Both copies' traces at segment nodes ``points`` (..., nq, 2), with the
     normal fluxes of a unit coefficient; ``hosts`` holds the copy-1 and copy-2
     host elements of each segment, with the shape of points[..., 0, 0]."""
-    mesh = space.mesh
-    basis = space.basis
-    half = np.array([mesh.dx / 2.0, mesh.dy / 2.0])
     out = {}
     for side, elems in zip((1, 2), hosts):
-        c = _element_centers(mesh, elems)
-        xi = (points[..., 0] - c[..., None, 0]) / half[0]
-        eta = (points[..., 1] - c[..., None, 1]) / half[1]
-        vals = basis.values(xi.ravel(), eta.ravel()).reshape(xi.shape + (basis.n_local,))
-        grads = (basis.gradients(xi.ravel(), eta.ravel()) / half[None, None, :]).reshape(
-            xi.shape + (basis.n_local, 2)
-        )
+        vals, grads = _basis_at(space, elems, points)
         flux = np.einsum("...qld,...qd->...ql", grads, normals)
         out[side] = (space.element_unknowns(elems, side), vals, flux)
     return SegmentTraces(
@@ -309,7 +317,8 @@ def _segment_npoints(quad_order: int, p: int) -> int:
 class ElementGroup:
     """Elements of one side integrated together: all uncut elements of the
     side, sharing the reference tensor rule's tables, or the cut elements'
-    sides with one node count, each with its own cut-cell rule."""
+    sides with one node count, each with its own cut-cell rule.  Only
+    geometry: nothing here depends on the coefficient."""
 
     side: int
     x: np.ndarray  # (E, q) physical quadrature points
@@ -318,7 +327,6 @@ class ElementGroup:
     vals: np.ndarray  # basis values: (q, n_loc) shared, or (E, q, n_loc)
     grads: np.ndarray  # physical basis gradients: (q, n_loc, 2) shared, or (E, q, n_loc, 2)
     idx: np.ndarray  # (E, n_loc) unknown ids, -1 where constrained or inactive
-    table: np.ndarray | None = None  # ``_volume_table``, stored in a kept plan only
     # uncut groups with a structurally sparse stiffness: its local (row, col)
     # pairs (``_stiffness_pattern``) and the volume table's columns at them
     pattern: tuple | None = None
@@ -340,17 +348,15 @@ class IntegrationPlan:
     """Geometry-only quadrature data of one assembly or error pass.
 
     ``groups`` are the uncut elements of side 1 and of side 2, then the cut
-    sides stacked by (side, node count).  ``cut_order`` puts the rows of the
-    cut groups, concatenated, in (element, side) order.  ``rule`` and
-    ``traces`` hold the rule and the unit-coefficient trace operators of
-    every segment, stacked along a leading segment axis.  Every rule is built
-    exactly once.
+    sides stacked by (side, node count); every consumer takes them in that
+    order.  ``rule`` and ``traces`` hold the rule and the unit-coefficient
+    trace operators of every segment, stacked along a leading segment axis.
+    Every rule is built exactly once.
     """
 
     space: DoubledSpace
     h: float  # element diagonal h_K, the same for every element
     groups: tuple
-    cut_order: np.ndarray
     rule: SegmentRule
     traces: SegmentTraces
 
@@ -362,64 +368,39 @@ class IntegrationPlan:
         """Segment traces with the normal fluxes a grad(phi) . n of ``problem``."""
         return _with_coefficient(self.traces, problem, self.rule.points)
 
-    def blocks(self, per_group) -> list:
-        """Per-group arrays (leading element axis) as the blocks of an
-        element-by-element pass: uncut side 1, uncut side 2, then every cut
-        (element, side) ascending, so sums and scatters see that sequence."""
-        uncut, cut = list(per_group[:2]), per_group[2:]
-        return uncut + [np.concatenate(cut)[self.cut_order]] if cut else uncut
 
-
-def _cut_groups(space: DoubledSpace, topology: CutTopology, quad_order: int):
-    """Stacked groups of every positive cut side, from one batched
-    ``cut_cell_rule`` call, and the permutation back to (element, side) order."""
-    mesh, basis = space.mesh, space.basis
+def _cut_groups(space: DoubledSpace, topology: CutTopology, quad_order: int) -> list:
+    """One group per (side, node count) of the positive cut sides, in that
+    order, from one batched ``cut_cell_rule`` call; each group holds its
+    sides in (element, side) order."""
     cut = topology.cut_elements
     elems = np.repeat(cut, 2)
     sides = np.tile([1, 2], len(cut))
     positive = topology.fractions[elems, sides - 1] > 0.0
     elems, sides = elems[positive], sides[positive]
     if not len(elems):
-        return [], np.zeros(0, dtype=np.int64)
+        return []
     rules = cut_cell_rule(topology, elems, sides, quad_order)
     counts = np.array([len(r.weights) for r in rules])
     keys = sides * (counts.max() + 1) + counts
-    members = [np.flatnonzero(keys == key) for key in np.unique(keys)]
-    # all cut sides in group order, so each group's tables are one slice
-    order = np.concatenate(members)
-    points = np.concatenate([rules[k].points for k in order])
-    weights = np.concatenate([rules[k].weights for k in order])
-    del rules
-    half = np.array([mesh.dx / 2.0, mesh.dy / 2.0])
-    c = _element_centers(mesh, np.repeat(elems[order], counts[order]))
-    xi = (points[:, 0] - c[:, 0]) / half[0]
-    eta = (points[:, 1] - c[:, 1]) / half[1]
-    del c
-    vals = basis.values(xi, eta)
-    grads = basis.gradients(xi, eta)
-    grads /= half[None, None, :]
-    del xi, eta
-
     groups = []
-    start = 0
-    for sel in members:
-        side, q = int(sides[sel[0]]), int(counts[sel[0]])
-        at = slice(start, start + len(sel) * q)
-        start = at.stop
+    for key in np.unique(keys):
+        sel = np.flatnonzero(keys == key)
+        side = int(sides[sel[0]])
+        points = np.stack([rules[k].points for k in sel])
+        vals, grads = _basis_at(space, elems[sel], points)
         groups.append(
             ElementGroup(
                 side=side,
-                x=points[at, 0].reshape(-1, q),
-                y=points[at, 1].reshape(-1, q),
-                w=weights[at].reshape(-1, q),
-                vals=vals[at].reshape(len(sel), q, -1),
-                grads=grads[at].reshape(len(sel), q, -1, 2),
+                x=points[..., 0],
+                y=points[..., 1],
+                w=np.stack([rules[k].weights for k in sel]),
+                vals=vals,
+                grads=grads,
                 idx=space.element_unknowns(elems[sel], side),
             )
         )
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(len(order))
-    return groups, inverse
+    return groups
 
 
 @lru_cache(maxsize=None)
@@ -450,9 +431,9 @@ def build_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: i
     """Integration plan of one pass over ``space`` (see ``_new_plan``).
 
     The first request for a (quad_order, p) on a space gets a plan of its
-    own, dropped after the pass.  The second request builds the plan again,
-    with each group's volume table, and keeps it on the space; it and every
-    later request for that key get the kept plan.
+    own, dropped after the pass.  The second request builds the plan again
+    and keeps it on the space; it and every later request for that key get
+    the kept plan, which is the same object a fresh build returns.
     """
     if topology is not space.topology:
         raise ValueError("the topology is not the one the space was built on")
@@ -461,12 +442,9 @@ def build_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: i
     if kept is not None:
         return kept
     plan = _new_plan(space, topology, quad_order, p)
-    if key not in space.plans:
-        space.plans[key] = None  # requested once: remember the key, keep nothing
-        return plan
-    kept = replace(plan, groups=tuple(replace(g, table=_volume_table(g)) for g in plan.groups))
-    space.plans[key] = kept
-    return kept
+    # the first request only remembers the key, the second keeps its plan
+    space.plans[key] = plan if key in space.plans else None
+    return plan
 
 
 def _new_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: int) -> IntegrationPlan:
@@ -475,10 +453,10 @@ def _new_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: in
     ``_segment_npoints(quad_order, p)`` nodes."""
     mesh = space.mesh
     basis = space.basis
-    half = np.array([mesh.dx / 2.0, mesh.dy / 2.0])
     ref = tensor_gauss(quad_order)
+    _, half = _element_map(mesh, 0)  # the same for every element
     ref_vals = basis.values(ref.points[:, 0], ref.points[:, 1])
-    ref_grads = basis.gradients(ref.points[:, 0], ref.points[:, 1]) / half[None, None, :]
+    ref_grads = basis.gradients(ref.points[:, 0], ref.points[:, 1]) / half
     ref_w = ref.weights * (half[0] * half[1])
     # Gauss with quad_order >= p + 1 points per axis integrates the degree-2p
     # 1-D products exactly, so the pattern's zeros are zero up to round-off
@@ -492,7 +470,7 @@ def _new_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: in
     groups = []
     for side in (1, 2):
         elems = np.flatnonzero(topology.labels == side)
-        centers = _element_centers(mesh, elems)
+        centers, _ = _element_map(mesh, elems)
         groups.append(
             ElementGroup(
                 side=side,
@@ -506,52 +484,47 @@ def _new_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: in
                 pattern_table=pattern_table,
             )
         )
-    cut_groups, cut_order = _cut_groups(space, topology, quad_order)
 
     rule = segment_rule(topology.segments, topology.curve, _segment_npoints(quad_order, p))
     traces = _unit_traces(space, _segment_hosts(topology.segments), rule.points, rule.normals)
     return IntegrationPlan(
         space=space,
         h=mesh.h,
-        groups=tuple(groups + cut_groups),
-        cut_order=cut_order,
+        groups=tuple(groups + _cut_groups(space, topology, quad_order)),
         rule=rule,
         traces=traces,
     )
 
 
 def _volume_table(g: ElementGroup) -> np.ndarray:
-    """B[.., q, (l, m)] = sum_d G[.., q, l, d] G[.., q, m, d] of the group's
+    """B[q, (l, m)] = sum_d G[q, l, d] G[q, m, d] of an uncut group's shared
     basis gradients G: the coefficient-free factor of its stiffness."""
-    table = np.einsum("...qld,...qmd->...qlm", g.grads, g.grads)
-    return table.reshape(table.shape[:-2] + (-1,))
+    table = np.einsum("qld,qmd->qlm", g.grads, g.grads)
+    return table.reshape(len(table), -1)
 
 
 def assemble_volume(plan: IntegrationPlan, problem: Problem) -> sp.csr_matrix:
     """Side-wise stiffness: sum_i int_{Omega_i} a grad u . grad v.
 
     An uncut group whose a is equal at every quadrature point of each element
-    gets only its structural nonzeros (``_stiffness_pattern``)."""
+    gets only its structural nonzeros (``_stiffness_pattern``); every other
+    group its full element cliques."""
     local, pairs = [], []
     for g in plan.groups:
         a = _evaluate(problem.a[g.side - 1], g.x, g.y)
-        if g.pattern is not None and (a == a[:, :1]).all():
-            local.append((a * g.w) @ g.pattern_table)
-            pairs.append(g.pattern)
-            continue
         aw = a * g.w
-        del a  # (E, q) floats, kept out of the table build's memory peak
-        # bound to a name, so it lives until the next group's is built: freed
-        # at once, the tables raised h-sweep's peak RSS by 1.3 MB
-        table = _volume_table(g) if g.table is None else g.table
-        local.append(_contract(aw, table))
-        pairs.append(None)
-    idx = plan.blocks([g.idx for g in plan.groups])
-    local = plan.blocks(local)
-    if pairs[0] is None and pairs[1] is None:
-        return _csr(np.concatenate(idx), np.concatenate(local), plan.n)
-    # the cut rows, after the two uncut groups, take the full clique
-    return _csr(idx, local, plan.n, pairs[:2] + [None] * (len(idx) - 2))
+        if g.pattern is not None and (a == a[:, :1]).all():
+            local.append(aw @ g.pattern_table)
+            pairs.append(g.pattern)
+        elif g.w.ndim == 1:  # uncut: the shared reference table
+            local.append(aw @ _volume_table(g))
+            pairs.append(None)
+        else:
+            # G^T diag(a w) G with G the (2q, n_loc) gradients of each cut side
+            grads = _T(g.grads).reshape(len(aw), -1, g.grads.shape[-2])
+            local.append(_T(grads) @ (np.repeat(aw, 2, axis=1)[..., None] * grads))
+            pairs.append(None)
+    return _csr([g.idx for g in plan.groups], local, plan.n, pairs)
 
 
 def assemble_interface(plan: IntegrationPlan, problem: Problem, params: PenaltyParams) -> sp.csr_matrix:
@@ -586,9 +559,7 @@ def assemble_load(plan: IntegrationPlan, problem: Problem, params: PenaltyParams
     """
     n = plan.n
     local = [_contract(_evaluate(problem.f[g.side - 1], g.x, g.y) * g.w, g.vals) for g in plan.groups]
-    volume = _vector(
-        np.concatenate(plan.blocks([g.idx for g in plan.groups])), np.concatenate(plan.blocks(local)), n
-    )
+    volume = _vector(np.concatenate([g.idx for g in plan.groups]), np.concatenate(local), n)
 
     tr = plan.segment_traces(problem)
     t = plan.rule.params

@@ -286,7 +286,9 @@ def emit_plots(csv_paths, out_path) -> str:
         "            if not hs or any(e <= 0 or e != e for e in errs):",
         "                continue",
         "            ax.loglog(hs, errs, 'o-', label=f'p={p}')",
-        "            slope = (math.log(errs[-1]) - math.log(errs[-2])) / (math.log(hs[-1]) - math.log(hs[-2])) if len(hs) >= 2 else 0.0",
+        "            if len(hs) < 2:",
+        "                continue  # no slope triangle on a single level",
+        "            slope = (math.log(errs[-1]) - math.log(errs[-2])) / (math.log(hs[-1]) - math.log(hs[-2]))",
         "            h0, h1 = hs[-2], hs[-1]",
         "            e0 = errs[-2]",
         "            ax.loglog([h0, h1, h0, h0], [e0, e0 * (h1 / h0) ** round(slope), e0 * (h1 / h0) ** round(slope), e0], ':', color='gray')",

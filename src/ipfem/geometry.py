@@ -46,7 +46,7 @@ _ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])  # tangent -> outward normal of side 
 @cache
 def _gauss_legendre(n: int):
     """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1], built
-    once per n (``quadrature.gauss_1d`` cannot be used: it imports this module)."""
+    once per n; ``quadrature.gauss_1d`` wraps them in a checked rule."""
     x, w = leggauss(n)
     x.setflags(write=False)
     w.setflags(write=False)
@@ -282,11 +282,6 @@ class CutTopology:
                 index[self.segments[k].element] = k
         index.setflags(write=False)
         return index
-
-    def segment_for(self, element: int) -> InterfaceSegment | None:
-        """The cut segment hosted by ``element``, or None."""
-        k = self.element_segment[element]
-        return None if k < 0 else self.segments[k]
 
     @property
     def cut_elements(self) -> np.ndarray:

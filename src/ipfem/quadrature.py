@@ -24,9 +24,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .geometry import CutTopology, InterfaceSegment, boundary_chains_ccw
+from .geometry import CutTopology, InterfaceSegment, _gauss_legendre, boundary_chains_ccw
 
 
 class QuadratureError(Exception):
@@ -82,7 +81,7 @@ def gauss_1d(n: int) -> QuadRule:
     """n-point Gauss-Legendre rule on [-1, 1], exact to degree 2n-1."""
     if n < 1:
         raise ValueError("point count must be >= 1")
-    x, w = leggauss(n)
+    x, w = _gauss_legendre(n)
     return QuadRule(points=x, weights=w, order=2 * n - 1)
 
 

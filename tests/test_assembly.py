@@ -329,7 +329,7 @@ def _rel(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize("name", ["circle-jump", "aligned-edge"])
+@pytest.mark.parametrize("name", ["circle-jump", "aligned-edge", "smooth-nojump"])
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_batched_volume_and_load_match_element_loop(name, p):
     case = catalog()[name]
@@ -424,10 +424,11 @@ def test_each_rule_is_built_once_per_pass(name, monkeypatch):
 
 
 def _one_group_per_side(plan, space, top, quad_order):
-    """``plan`` with every cut side in a group of its own, in (element, side)
-    order, from one scalar ``cut_cell_rule`` call each."""
+    """``plan`` with every cut side in a group of its own, from one scalar
+    ``cut_cell_rule`` call each, in the stacked plan's (side, node count)
+    order and (element, side) order within it."""
     basis = space.basis
-    groups = list(plan.groups[:2])
+    groups = []
     for e in top.cut_elements:
         geo = element_geometry(space.mesh, e)
         for side in (1, 2):
@@ -446,7 +447,8 @@ def _one_group_per_side(plan, space, top, quad_order):
                     idx=space.element_unknowns(e, side)[None, :],
                 )
             )
-    return replace(plan, groups=tuple(groups), cut_order=np.arange(len(groups) - 2))
+    groups.sort(key=lambda g: (g.side, g.w.shape[1]))  # stable: (element, side) within a key
+    return replace(plan, groups=plan.groups[:2] + tuple(groups))
 
 
 @pytest.mark.parametrize("name", ["circle-jump", "smooth-nojump"])

@@ -1,4 +1,8 @@
 import json
+import runpy
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +244,49 @@ def test_emit_plots(tmp_path):
     compile(text1, str(script_path), "exec")  # valid python, never executed
     with pytest.raises(FileNotFoundError):
         emit_plots([str(tmp_path / "missing.csv")], script_path)
+
+
+class _Figure:
+    """Stands in for a matplotlib figure and its axes: every call is
+    accepted, ``loglog`` and ``savefig`` are recorded."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def loglog(self, xs, ys, *args, **kwargs):
+        self.calls.append(("loglog", len(xs)))
+
+    def savefig(self, name, **kwargs):
+        self.calls.append(("savefig", Path(name).name))
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: None
+
+
+@pytest.mark.parametrize("levels", [1, 3])
+def test_emitted_plot_script_runs(tmp_path, monkeypatch, levels):
+    hs = [0.25 / 2**k for k in range(levels)]
+    csv_path = tmp_path / "results.csv"
+    rows = "".join(f"1,{h!r},{h * h!r},{h!r},{h!r},{h!r}\n" for h in hs)
+    csv_path.write_text("p,h,l2,h1_broken,normA,normB\n" + rows)
+    calls = []
+    figure = _Figure(calls)
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.subplots = lambda: (figure, figure)
+    pyplot.close = lambda fig: None
+    matplotlib = types.ModuleType("matplotlib")
+    matplotlib.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    script = tmp_path / "plots.py"
+    emit_plots([str(csv_path)], script)
+    runpy.run_path(str(script), run_name="__main__")
+
+    norms = ("l2", "h1_broken", "normA", "normB")
+    assert [name for kind, name in calls if kind == "savefig"] == [f"results_{norm}.png" for norm in norms]
+    # the data line of every norm, plus a slope triangle once there are two levels
+    per_norm = [("loglog", levels)] + ([("loglog", 4)] if levels >= 2 else [])
+    assert [c for c in calls if c[0] == "loglog"] == per_norm * len(norms)
 
 
 def test_probes_subcommand(tmp_path):

@@ -145,8 +145,9 @@ def test_select_analysis_side_hand_case():
     top = classify_elements(mesh, curve)
     # element [0.25, 0.5] x [0, 0.25] is mostly inside the circle
     elem = mesh.element_index(5, 4)
-    seg = top.segment_for(elem)
-    assert seg is not None
+    k = top.element_segment[elem]
+    assert k >= 0
+    seg = top.segments[k]
     # hand oracle: farthest corner from the tangent at the midpoint
     tm = seg.t_mid
     p0 = curve.point(tm)
@@ -409,7 +410,8 @@ def test_segment_lookup_matches_linear_scan(curve, nx):
     shuffled = dataclasses.replace(top, segments=top.segments[::-1])
     for t in (top, shuffled):
         for k in range(top.mesh.n_elements):
-            assert t.segment_for(k) is _scan_segment(t, k)
+            index = t.element_segment[k]
+            assert (None if index < 0 else t.segments[index]) is _scan_segment(t, k)
 
 
 def _scalar_side1_fraction(mesh, curve, seg, npts=32):

@@ -36,6 +36,19 @@ def test_gauss_small_rules():
     assert np.allclose(g2.weights, [1.0, 1.0])
 
 
+def test_gauss_rules_are_leggauss_bits_and_self_tested(monkeypatch):
+    import ipfem.quadrature as quadrature
+
+    for n in range(1, 13):
+        x, w = np.polynomial.legendre.leggauss(n)
+        g = gauss_1d(n)
+        assert g.points.tobytes() == x.tobytes() and g.weights.tobytes() == w.tobytes()
+    # a wrong node set fails the rule's exactness self-test
+    monkeypatch.setattr(quadrature, "_gauss_legendre", lambda n: (np.linspace(-0.9, 0.9, n), np.full(n, 2.0 / n)))
+    with pytest.raises(QuadratureError, match="monomial"):
+        gauss_1d.__wrapped__(4)
+
+
 def test_gauss_exactness_degree_eight():
     g5 = gauss_1d(5)
     val = float(np.dot(g5.weights, g5.points**8))
