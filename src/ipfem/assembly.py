@@ -95,6 +95,14 @@ class PenaltyParams:
                 stacklevel=2,
             )
 
+    def j0_weight(self, h: float) -> float:
+        """Weight gamma0 p^2 / h of the jump penalty."""
+        return self.gamma0 * self.p**2 / h
+
+    def j1_weight(self, h: float) -> float:
+        """Weight gamma1 h / p^2 of the flux-jump penalty."""
+        return self.gamma1 * h / self.p**2
+
 
 @dataclass
 class Problem:
@@ -538,7 +546,7 @@ def assemble_interface(plan: IntegrationPlan, problem: Problem, params: PenaltyP
 
 def assemble_J0(plan: IntegrationPlan, params: PenaltyParams) -> sp.csr_matrix:
     """Jump penalty  sum_e (gamma0 p^2 / h_K) int_e [u][v]."""
-    scale = params.gamma0 * params.p**2 / plan.h
+    scale = params.j0_weight(plan.h)
     jump = plan.traces.jump
     return _csr(plan.traces.joint_idx, scale * (_T(jump) @ (plan.rule.weights[..., None] * jump)), plan.n)
 
@@ -546,7 +554,7 @@ def assemble_J0(plan: IntegrationPlan, params: PenaltyParams) -> sp.csr_matrix:
 def assemble_J1(plan: IntegrationPlan, problem: Problem, params: PenaltyParams) -> sp.csr_matrix:
     """Flux-jump penalty  sum_e (gamma1 h_K / p^2) int_e [a grad u . n][a grad v . n]."""
     tr = plan.segment_traces(problem)
-    scale = params.gamma1 * plan.h / params.p**2
+    scale = params.j1_weight(plan.h)
     jf = tr.jump_flux
     return _csr(tr.joint_idx, scale * (_T(jf) @ (plan.rule.weights[..., None] * jf)), plan.n)
 
@@ -576,8 +584,8 @@ def assemble_load(plan: IntegrationPlan, problem: Problem, params: PenaltyParams
         "volume": volume,
         "gn_avg": _vector(idx, project(avg_v, gn), n),
         "gd_flux": _vector(idx, -params.beta * project(tr.avg_flux, gd), n),
-        "j_d": _vector(idx, (params.gamma0 * params.p**2 / plan.h) * project(tr.jump, gd), n),
-        "j_n": _vector(idx, (params.gamma1 * plan.h / params.p**2) * project(tr.jump_flux, gn), n),
+        "j_d": _vector(idx, params.j0_weight(plan.h) * project(tr.jump, gd), n),
+        "j_n": _vector(idx, params.j1_weight(plan.h) * project(tr.jump_flux, gn), n),
     }
     load = terms["volume"] + terms["gn_avg"] + terms["gd_flux"] + terms["j_d"] + terms["j_n"]
     return load, terms

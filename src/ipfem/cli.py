@@ -21,7 +21,7 @@ from .assembly import PenaltyParams, assemble
 from .cases import DOMAIN, ManufacturedCase, catalog
 from .errors import InsufficientData, compute_errors, estimate_rates
 from .fe_space import build_dof_map, build_doubled_space
-from .geometry import classify_elements, parse_curve
+from .geometry import GeometryError, classify_elements, parse_curve
 from .mesh import build_mesh
 from .probes import ProbeError, probe_coercivity, probe_G, probe_inverse_trace, probe_trace
 from .quadrature import cut_cell_rule
@@ -448,7 +448,7 @@ def main(argv=None) -> int:
             return _run_probes(args)
         config = _config_from_args(args)
         result = run_study(config)
-    except (InsufficientData, ProbeError, ValueError) as exc:
+    except (GeometryError, InsufficientData, ProbeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for failure in result.failures:

@@ -97,8 +97,8 @@ def _squared_parts(plan: IntegrationPlan, problem: Problem, params: PenaltyParam
     out = {
         "l2": float(np.sum(np.concatenate(l2_parts))),
         "h1": float(np.sum(np.concatenate(h1_parts))),
-        "j0": params.gamma0 * p**2 / plan.h * float(np.sum(w * ((u1 - u2) - jump_h) ** 2)),
-        "j1": params.gamma1 * plan.h / p**2 * float(np.sum(w * ((f1 - f2) - (f1_h - f2_h)) ** 2)),
+        "j0": params.j0_weight(plan.h) * float(np.sum(w * ((u1 - u2) - jump_h) ** 2)),
+        "j1": params.j1_weight(plan.h) * float(np.sum(w * ((f1 - f2) - (f1_h - f2_h)) ** 2)),
         "avg": 0.0,
     }
     if params.gamma0 > 0.0:

@@ -4,15 +4,17 @@ The interface is a regular C^2 curve given by a parameterization r(t) together
 with a scalar side function (negative inside the first subdomain).  A closed
 curve must lie strictly inside the mesh domain; the one supported open curve is
 a straight vertical line spanning the domain exactly (the edge-aligned
-configuration).  Classification produces, per element, a pure/cut label, the
-area fraction of each side, and at most one interface segment whose parameter
-intervals tile the whole curve.
+configuration), and an open curve whose ends r(0) and r(period) are not both
+on the domain boundary is rejected.  Classification produces, per element, a
+pure/cut label, the area fraction of each side, and at most one interface
+segment whose parameter intervals tile the whole curve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import starmap
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -400,6 +402,24 @@ def _grid_line_crossings(curve, ts, pts, xs, ys, xtol, tol_edge):
     return t, np.abs(_coord(curve.tangent, t, axis))
 
 
+def _cluster_roots(t, strength, t_micro):
+    """One root per cluster of ``t`` whose consecutive roots, in (t, strength)
+    order, lie at most t_micro apart: the first of greatest strength."""
+    order = np.lexsort((strength, t))
+    t, strength = t[order], strength[order]
+    start = np.diff(t, prepend=-np.inf) > t_micro
+    cluster = np.cumsum(start) - 1
+    best = np.flatnonzero(strength == np.maximum.reduceat(strength, np.flatnonzero(start))[cluster])
+    return t[best[np.diff(cluster[best], prepend=-1) != 0]]
+
+
+def _near_line(c, lines, tol):
+    """Whether each coordinate c lies within tol of one of the ascending
+    ``lines``; the nearest line is a neighbour of c in their order."""
+    i = np.clip(np.searchsorted(lines, c), 1, len(lines) - 1)
+    return np.minimum(np.abs(c - lines[i - 1]), np.abs(c - lines[i])) < tol
+
+
 def _clamp(v, hi):
     """min(max(v, 0.0), hi) elementwise, with Python's tie rules."""
     v = np.where(0.0 > v, 0.0, v)
@@ -472,30 +492,36 @@ def _side1_fractions(mesh, curve, t_lo, t_hi, hosts, npts: int = 32) -> np.ndarr
     return _clamp(area / elem_area, 1.0)
 
 
-def corners_farthest_first(segment: InterfaceSegment, mesh: Mesh, curve: InterfaceCurve) -> np.ndarray:
-    """Host-element corners ordered by distance from the tangent line at the
-    segment midpoint, farthest first, ties by smallest corner index; the first
-    is the far point P of the fan construction."""
-    tm = segment.t_mid
-    p0 = curve.point(tm)
-    d = curve.tangent(tm)
-    d = d / np.linalg.norm(d)
-    corners = mesh.vertices[mesh.elements[segment.element]]
-    rel = corners - p0
-    dist = np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0])
-    return corners[np.argsort(-dist, kind="stable")]
+def far_corners(mesh: Mesh, curve: InterfaceCurve, elements, t_mid) -> np.ndarray:
+    """Corners (n, 4, 2) of each host element ``elements[i]``, ordered by
+    distance from the tangent line at r(t_mid[i]), farthest first, ties by
+    smallest corner index; the first is the far point P of the fan
+    construction."""
+    p0 = curve.point(t_mid)
+    d = curve.tangent(t_mid)
+    # |r'| as np.linalg.norm takes it for one vector: one dot product per row
+    d = d / np.sqrt(np.matmul(d[:, None, :], d[:, :, None]))[:, 0]
+    corners = mesh.vertices[mesh.elements[elements]]
+    rel = corners - p0[:, None, :]
+    dist = np.abs(rel[..., 0] * d[:, 1:] - rel[..., 1] * d[:, :1])
+    return np.take_along_axis(corners, np.argsort(-dist, axis=1, kind="stable")[..., None], axis=1)
+
+
+def _analysis_sides(mesh, curve, elements, t_mid) -> np.ndarray:
+    """Side (1 or 2) of the first ``far_corners`` corner of each host that
+    lies off the curve by more than 1e-12 h."""
+    corners = far_corners(mesh, curve, elements, t_mid)
+    d = curve.signed_distance(corners[..., 0], corners[..., 1])
+    off = ~(np.abs(d) <= 1e-12 * mesh.h)
+    if not off.any(axis=1).all():
+        raise GeometryError("all host-element corners lie on the interface")
+    return np.where(np.take_along_axis(d, off.argmax(axis=1)[:, None], axis=1)[:, 0] < 0.0, 1, 2)
 
 
 def select_analysis_side(segment: InterfaceSegment, mesh: Mesh, curve: InterfaceCurve) -> int:
     """Side of the host element containing the corner farthest from the tangent
     line at the segment midpoint (ties broken by smallest corner index)."""
-    tol = 1e-12 * mesh.h
-    for corner in corners_farthest_first(segment, mesh, curve):
-        try:
-            return signed_side(corner, curve, tol=tol)
-        except OnInterface:
-            continue
-    raise GeometryError("all host-element corners lie on the interface")
+    return int(_analysis_sides(mesh, curve, [segment.element], np.array([segment.t_mid]))[0])
 
 
 def _label_by_centre(mesh, curve):
@@ -518,17 +544,30 @@ def classify_elements(mesh: Mesh, curve: InterfaceCurve, cut_threshold: float = 
     The curve is sampled densely in t; the crossings with all grid lines are
     found in one batched pass (binary searches of the sample coordinates among
     the line values, then one masked bisection + Newton polish of every
-    bracket).  The crossings split the parameter range into intervals, each
-    hosted by one element or lying on a mesh edge; the side-1 area fraction
-    of each host follows from Green's theorem.  Every other element is pure,
-    labelled by the side of its centre from one signed-distance evaluation on
-    all element centres.
+    bracket).  Every later step is one array pass over the parameter
+    intervals (t_lo, t_hi, host, on_edge, neighbor): near-coincident roots
+    collapse to the most transversal one of each cluster; the roots split the
+    parameter range into intervals, each outside the domain, on a mesh edge
+    (hosted by the side-1 element, ``neighbor`` the side-2 one) or inside
+    one element; consecutive intervals with one host merge (grazing
+    touches), across t = period too; hosts are counted; the side-1 area
+    fraction of each cut host follows from Green's theorem, and slivers
+    below ``cut_threshold`` are dropped; each segment's analysis side comes
+    from ``far_corners``.  Every other element is pure, labelled by the side
+    of its centre from one signed-distance evaluation on all element centres.
 
     Raises MultiIntersection when the curve meets one element's boundary in
     more than two points, TangencyUnresolved when a crossing cannot be
     bracketed, and UnresolvedTopology for interior loops (also one touching
-    its element's boundary) or curves leaving the domain; all three indicate
-    the mesh is too coarse for the curve.
+    its element's boundary), curves leaving the domain, or an open curve that
+    does not end on the domain boundary; all but the last indicate the mesh
+    is too coarse for the curve.  The per-interval tests (an edge-aligned
+    interval running along the domain boundary, an interval leaving its
+    element) come first, and where several intervals fail them the first in
+    t raises.  The whole-curve checks follow in this order: part of the curve
+    outside the domain, a closed curve crossing no mesh line, a closed curve
+    left with one host, a host met twice, a host with every corner on the
+    curve, and the ends of an open curve.
     """
     dom = mesh.domain
 
@@ -549,169 +588,119 @@ def classify_elements(mesh: Mesh, curve: InterfaceCurve, cut_threshold: float = 
     ys = dom.y0 + mesh.dy * np.arange(mesh.ny + 1)
     t_root, strength = _grid_line_crossings(curve, ts, pts, xs, ys, xtol, tol_edge)
 
-    # Collapse clusters of near-coincident breakpoints (tangential touches of a
-    # grid line leave weak duplicate roots a few 1e-9 apart); keep the most
-    # transversal root of each cluster so true crossings stay machine-accurate.
+    # Tangential touches of a grid line leave weak duplicate roots a few 1e-9
+    # apart; keeping the most transversal root of each cluster keeps true
+    # crossings machine-accurate.
     t_micro = max(2e-7 * curve.period, 4 * xtol)
     t_dedupe = max(1e-13 * curve.period, 2 * xtol)
     if curve.closed:
-        t_root = t_root % curve.period
-    roots = sorted(zip(t_root.tolist(), strength.tolist()))
-    merged = []
-    cluster = []
-    for r, s in roots:
-        if cluster and r - cluster[-1][0] > t_micro:
-            merged.append(max(cluster, key=lambda item: item[1])[0])
-            cluster = []
-        cluster.append((r, s))
-    if cluster:
-        merged.append(max(cluster, key=lambda item: item[1])[0])
-    if curve.closed and len(merged) >= 2 and (merged[0] + curve.period) - merged[-1] <= t_micro:
-        merged.pop()
-
-    intervals = []
-    if curve.closed:
-        if not merged:
-            intervals.append((0.0, curve.period))
-        else:
-            for k in range(len(merged)):
-                a = merged[k]
-                b = merged[(k + 1) % len(merged)]
-                if (k + 1) % len(merged) == 0:
-                    b += curve.period
-                intervals.append((a, b))
+        roots = _cluster_roots(t_root % curve.period, strength, t_micro)
+        if roots.size >= 2 and (roots[0] + curve.period) - roots[-1] <= t_micro:
+            roots = roots[:-1]
+        knots = np.append(roots, roots[0] + curve.period) if roots.size else np.array([0.0, curve.period])
     else:
-        knots = [0.0] + [r for r in merged if t_dedupe < r < curve.period - t_dedupe] + [curve.period]
-        intervals = [(a, b) for a, b in zip(knots[:-1], knots[1:]) if b - a > t_dedupe]
-
-    if not intervals:
+        roots = _cluster_roots(t_root, strength, t_micro)
+        roots = roots[(t_dedupe < roots) & (roots < curve.period - t_dedupe)]
+        knots = np.concatenate([[0.0], roots, [curve.period]])
+    wide = knots[1:] - knots[:-1] > t_dedupe
+    t_lo, t_hi = knots[:-1][wide], knots[1:][wide]
+    if not t_lo.size:
         raise UnresolvedTopology("curve produced no parameter intervals")
 
-    # classify each interval: outside the domain / on a mesh edge / inside one element
-    records = []  # (t_lo, t_hi, host, on_edge, neighbor)
-    any_inside = False
-    any_outside = False
-    for (a, b) in intervals:
-        tm = 0.5 * (a + b)
-        pm = curve.point(tm)
-        if not bool(dom.contains(pm[0], pm[1], tol=-tol_geo)):
-            any_outside = True
-            continue
-        any_inside = True
-        t_check = np.linspace(a, b, 7)[1:-1]
-        p_check = curve.point(t_check)
-        dist_v = np.min(np.abs(p_check[:, 0][:, None] - xs[None, :]), axis=1)
-        dist_h = np.min(np.abs(p_check[:, 1][:, None] - ys[None, :]), axis=1)
-        long_enough = curve.arclength(a, b, npts=8) >= 0.1 * min_side
-        if long_enough and (np.all(dist_v < tol_edge) or np.all(dist_h < tol_edge)):
-            nrm = curve.normal(tm)
-            delta = min_side / 3.0
-            p_host = pm - delta * nrm
-            p_nb = pm + delta * nrm
-            if not (dom.contains(p_host[0], p_host[1]) and dom.contains(p_nb[0], p_nb[1])):
-                raise UnresolvedTopology("edge-aligned interface runs along the domain boundary")
-            records.append((a, b, mesh.locate(*p_host), True, mesh.locate(*p_nb)))
-        else:
-            host = mesh.locate(pm[0], pm[1])
-            box = mesh.element_box(host)
-            pad = 10.0 * tol_geo + tol_edge
-            ok = (
-                (p_check[:, 0] >= box[0] - pad)
-                & (p_check[:, 0] <= box[2] + pad)
-                & (p_check[:, 1] >= box[1] - pad)
-                & (p_check[:, 1] <= box[3] + pad)
-            )
-            if not np.all(ok):
-                raise TangencyUnresolved(
-                    f"interval [{a:.6g},{b:.6g}] leaves element {host} without a "
-                    "bracketed crossing; refine the mesh"
-                )
-            records.append((a, b, host, False, host))
+    # each interval: outside the domain / on a mesh edge / inside one element
+    t_mid = 0.5 * (t_lo + t_hi)
+    p_mid = curve.point(t_mid)
+    inside = dom.contains(p_mid[:, 0], p_mid[:, 1], tol=-tol_geo)
+    p_check = curve.point(np.linspace(t_lo, t_hi, 7, axis=1)[:, 1:-1])
+    on_line = [_near_line(p_check[..., ax], lines, tol_edge).all(axis=1) for ax, lines in ((0, xs), (1, ys))]
+    on_edge = inside & (on_line[0] | on_line[1])
+    for k in np.flatnonzero(on_edge):
+        on_edge[k] = curve.arclength(t_lo[k], t_hi[k], npts=8) >= 0.1 * min_side
+    # an edge interval is hosted on side 1 and neighboured on side 2
+    shift = np.zeros_like(p_mid)
+    shift[on_edge] = min_side / 3.0 * curve.normal(t_mid[on_edge])
+    p_host, p_nb = p_mid - shift, p_mid + shift
+    host = mesh.locate(p_host[:, 0], p_host[:, 1])
+    neighbor = mesh.locate(p_nb[:, 0], p_nb[:, 1])
 
-    if any_outside and any_inside:
-        raise UnresolvedTopology("curve crosses the domain boundary; unsupported")
-    if not any_inside:
+    pad = 10.0 * tol_geo + tol_edge
+    x_lo, y_lo, x_hi, y_hi = (v[:, None] for v in mesh.element_box(host))
+    px, py = p_check[..., 0], p_check[..., 1]
+    in_box = ((px >= x_lo - pad) & (px <= x_hi + pad) & (py >= y_lo - pad) & (py <= y_hi + pad)).all(axis=1)
+    in_domain = dom.contains(p_host[:, 0], p_host[:, 1]) & dom.contains(p_nb[:, 0], p_nb[:, 1])
+    failed = np.flatnonzero(inside & np.where(on_edge, ~in_domain, ~in_box))
+    if failed.size:
+        k = failed[0]
+        if on_edge[k]:
+            raise UnresolvedTopology("edge-aligned interface runs along the domain boundary")
+        raise TangencyUnresolved(
+            f"interval [{t_lo[k]:.6g},{t_hi[k]:.6g}] leaves element {host[k]} without a "
+            "bracketed crossing; refine the mesh"
+        )
+    if not inside.any():
         # curve entirely outside: all elements pure
         return CutTopology(mesh, curve, *_label_by_centre(mesh, curve), ())
-
-    if curve.closed and not merged:
+    if not inside.all():
+        raise UnresolvedTopology("curve crosses the domain boundary; unsupported")
+    if curve.closed and not roots.size:
         raise UnresolvedTopology(
             "closed curve never crosses a mesh line (interior loop inside one "
             "element); refine the mesh"
         )
 
     # merge consecutive intervals sharing a host (grazing breakpoints)
-    records.sort(key=lambda rec: rec[0])
-    mergedrec = []
-    for rec in records:
-        if mergedrec and mergedrec[-1][2] == rec[2] and mergedrec[-1][3] == rec[3] and abs(mergedrec[-1][1] - rec[0]) <= t_dedupe:
-            prev = mergedrec.pop()
-            mergedrec.append((prev[0], rec[1], prev[2], prev[3], prev[4]))
-        else:
-            mergedrec.append(rec)
-    if curve.closed and len(mergedrec) >= 2:
-        first, last = mergedrec[0], mergedrec[-1]
-        if first[2] == last[2] and first[3] == last[3] and abs((last[1] % curve.period) - first[0]) <= t_dedupe:
-            mergedrec = mergedrec[1:-1] + [(last[0], last[1] + (first[1] - first[0]), last[2], last[3], last[4])]
+    first = np.ones(t_lo.size, dtype=bool)
+    first[1:] = (host[1:] != host[:-1]) | (on_edge[1:] != on_edge[:-1]) | ~(np.abs(t_hi[:-1] - t_lo[1:]) <= t_dedupe)
+    t_hi = t_hi[np.append(np.flatnonzero(first)[1:], t_lo.size) - 1]
+    t_lo, host, on_edge, neighbor = t_lo[first], host[first], on_edge[first], neighbor[first]
+    # ... and the last with the first across t = period, kept last
+    if (curve.closed and t_lo.size >= 2 and host[0] == host[-1] and on_edge[0] == on_edge[-1]
+            and abs(t_hi[-1] % curve.period - t_lo[0]) <= t_dedupe):
+        t_hi[-1] += t_hi[0] - t_lo[0]
+        t_lo, t_hi, host, on_edge, neighbor = t_lo[1:], t_hi[1:], host[1:], on_edge[1:], neighbor[1:]
 
-    if curve.closed and len(mergedrec) == 1:
+    if curve.closed and t_lo.size == 1:
         # the loop only touches grid lines tangentially: one host holds it all
         raise UnresolvedTopology(
-            f"closed curve lies inside element {mergedrec[0][2]}, touching its "
+            f"closed curve lies inside element {host[0]}, touching its "
             "boundary only; refine the mesh"
         )
-
-    hosts_seen = {}
-    for rec in mergedrec:
-        key = rec[2]
-        hosts_seen[key] = hosts_seen.get(key, 0) + 1
-    bad = [k for k, c in hosts_seen.items() if c > 1]
-    if bad:
+    hosts, first_seen, count = np.unique(host, return_index=True, return_counts=True)
+    if (count > 1).any():
+        bad = hosts[count > 1][np.argsort(first_seen[count > 1])]
         raise MultiIntersection(
-            f"element(s) {bad} meet the curve in more than two boundary points; "
+            f"element(s) {bad.tolist()} meet the curve in more than two boundary points; "
             "refine the mesh"
         )
 
     labels, fractions = _label_by_centre(mesh, curve)
-    inner = [rec for rec in mergedrec if not rec[3]]
-    f_side1 = iter(
-        _side1_fractions(
-            mesh,
-            curve,
-            np.array([rec[0] for rec in inner]),
-            np.array([rec[1] for rec in inner]),
-            np.array([rec[2] for rec in inner], dtype=np.int64),
-        ).tolist()
-    )
-    segments = []
+    inner = np.flatnonzero(~on_edge)
+    f1 = _side1_fractions(mesh, curve, t_lo[inner], t_hi[inner], host[inner])
+    sliver = (f1 < cut_threshold) | ((1.0 - f1) < cut_threshold)
     dropped = 0.0
-    cut_hosts = set()
-    for (a, b, host, on_edge, nb) in mergedrec:
-        seg = InterfaceSegment(element=host, t_lo=a, t_hi=b, on_edge=on_edge, neighbor=nb)
-        if on_edge:
-            segments.append(seg)
-            continue
-        f1 = next(f_side1)
-        if f1 < cut_threshold or (1.0 - f1) < cut_threshold:
-            dropped += curve.arclength(a, b)
-            continue
-        labels[host] = 0
-        fractions[host] = (f1, 1.0 - f1)
-        cut_hosts.add(host)
-        segments.append(seg)
+    for k in inner[sliver]:
+        dropped += curve.arclength(t_lo[k], t_hi[k])
+    cut = host[inner[~sliver]]
+    labels[cut] = 0
+    fractions[cut] = np.stack([f1[~sliver], 1.0 - f1[~sliver]], axis=1)
+    keep = np.ones(t_lo.size, dtype=bool)
+    keep[inner[sliver]] = False
+    t_lo, t_hi, host, on_edge, neighbor = t_lo[keep], t_hi[keep], host[keep], on_edge[keep], neighbor[keep]
+    side = _analysis_sides(mesh, curve, host, 0.5 * (t_lo + t_hi))
 
-    edge_hosts = {s.element for s in segments if s.on_edge}
-    if edge_hosts & cut_hosts:
-        raise MultiIntersection(
-            f"element(s) {sorted(edge_hosts & cut_hosts)} host both an edge-aligned "
-            "segment and a cut; refine the mesh"
-        )
+    if not curve.closed:
+        ends = curve.point(np.array([0.0, curve.period]))
+        inner_end = dom.contains(ends[:, 0], ends[:, 1], tol=-tol_geo)
+        near = dom.contains(ends[:, 0], ends[:, 1], tol=tol_geo)
+        if (inner_end | ~near).any():
+            raise UnresolvedTopology(
+                f"open curve ends at {ends[0].tolist()} and {ends[1].tolist()}, not both on the "
+                "domain boundary; unsupported"
+            )
 
-
-    segments.sort(key=lambda s: s.t_lo)
-    segments = tuple(
-        replace(s, analysis_side=select_analysis_side(s, mesh, curve)) for s in segments
-    )
     labels.setflags(write=False)
     fractions.setflags(write=False)
+    segments = tuple(
+        starmap(InterfaceSegment, zip(*(v.tolist() for v in (host, t_lo, t_hi, on_edge, neighbor, side))))
+    )
     return CutTopology(mesh, curve, labels, fractions, segments, dropped_arclength=dropped)

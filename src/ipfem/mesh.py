@@ -127,14 +127,13 @@ class Mesh:
         y0 = self.domain.y0 + j * self.dy
         return x0, y0, x0 + self.dx, y0 + self.dy
 
-    def locate(self, x: float, y: float) -> int:
-        """Element containing (x, y); points on internal lines go to the
-        higher-index cell, points on the domain boundary are clamped."""
-        fx = (x - self.domain.x0) / self.dx
-        fy = (y - self.domain.y0) / self.dy
-        i = min(max(int(np.floor(fx)), 0), self.nx - 1)
-        j = min(max(int(np.floor(fy)), 0), self.ny - 1)
-        return self.element_index(i, j)
+    def locate(self, x, y):
+        """Element containing each point (x, y), scalars or arrays; points on
+        internal lines go to the higher-index cell, points on the domain
+        boundary are clamped."""
+        i = np.clip(np.floor((np.asarray(x) - self.domain.x0) / self.dx), 0, self.nx - 1)
+        j = np.clip(np.floor((np.asarray(y) - self.domain.y0) / self.dy), 0, self.ny - 1)
+        return self.element_index(i.astype(np.int64), j.astype(np.int64))
 
     def locate_candidates(self, x: float, y: float, tol: float) -> list[int]:
         """All elements whose closed box contains (x, y) within tol."""

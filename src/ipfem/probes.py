@@ -20,7 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fe_space import build_basis
-from .geometry import CutTopology, corners_farthest_first
+from .geometry import CutTopology, far_corners
 from .mesh import element_geometry
 from .quadrature import cut_cell_rule, segment_rule, tensor_gauss
 from .solver import diagonal_scale, factor
@@ -286,15 +286,15 @@ def probe_G(topology: CutTopology, curve, samples_per_segment: int = 64) -> Prob
     """min over segments and parameters of G(t)/h_K, where G is the distance
     function |(r-P) x r'|/|r'| with origin at the far corner P."""
     mesh = topology.mesh
-    per_element = {}
-    for seg in topology.segments:
-        p_far = corners_farthest_first(seg, mesh, curve)[0]
-        ts = np.linspace(seg.t_lo, seg.t_hi, samples_per_segment)
-        r = curve.point(ts) - p_far[None, :]
-        dr = curve.tangent(ts)
-        g = np.abs(r[:, 0] * dr[:, 1] - r[:, 1] * dr[:, 0]) / np.linalg.norm(dr, axis=-1)
-        h_e = element_geometry(mesh, seg.element).h_k
-        per_element[seg.element] = float(g.min() / h_e)
+    elements = np.array([seg.element for seg in topology.segments], dtype=np.int64)
+    t_lo = np.array([seg.t_lo for seg in topology.segments])
+    t_hi = np.array([seg.t_hi for seg in topology.segments])
+    p_far = far_corners(mesh, curve, elements, 0.5 * (t_lo + t_hi))[:, 0]
+    ts = np.linspace(t_lo, t_hi, samples_per_segment, axis=1)
+    r = curve.point(ts) - p_far[:, None, :]
+    dr = curve.tangent(ts)
+    g = np.abs(r[..., 0] * dr[..., 1] - r[..., 1] * dr[..., 0]) / np.linalg.norm(dr, axis=-1)
+    per_element = dict(zip(elements.tolist(), (g.min(axis=1) / mesh.h).tolist()))
     report = _report("far-point-distance", mesh, 0, per_element)
     report.extra["global_min"] = min(per_element.values())
     return report

@@ -344,6 +344,13 @@ def test_probe_errors_exit_2(tmp_path, capsys):
     rc = main(["probes", "--probe", "trace", "--case", "nope", "--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: unknown case 'nope'")
+    # topologies that classification rejects: a circle leaving the domain, and
+    # an open line that ends inside it
+    for curve, message in (("circle:0.9,0,0.5", "error: curve crosses the domain boundary"),
+                           ("vline:0,-0.5,0.5", "error: open curve ends at")):
+        rc = main(["probes", "--probe", "G", "--curve", curve, "--nx", "8", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(message)
 
 def test_aligned_edge_hosts_side1(tmp_path):
     cfg = StudyConfig(

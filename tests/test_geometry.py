@@ -10,12 +10,14 @@ from ipfem.cases import catalog
 from ipfem.geometry import (
     Circle,
     Ellipse,
+    GeometryError,
     MultiIntersection,
     OnInterface,
     TangencyUnresolved,
     UnresolvedTopology,
     VerticalLine,
     classify_elements,
+    far_corners,
     parse_curve,
     select_analysis_side,
     signed_side,
@@ -137,6 +139,10 @@ def test_far_corner_distance_at_least_half_min_side():
             rel = corners - p0
             dist = np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0])
             assert dist.max() >= 0.5 * min(mesh.dx, mesh.dy) - 1e-12
+            # the batched helper orders the corners the same way, farthest
+            # first with ties by smallest corner index
+            ordered = far_corners(mesh, curve, [seg.element], np.array([tm]))[0]
+            assert np.array_equal(ordered, corners[np.argsort(-dist, kind="stable")])
 
 
 def test_select_analysis_side_hand_case():
@@ -194,6 +200,39 @@ def test_vertical_line_edge_topology():
     assert len(top.cut_elements) == 0
     total = sum(s.t_hi - s.t_lo for s in top.segments)
     assert total == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("curve", [Circle(0.0625, 0.0625, 0.0625), Circle(0.125, 0.125, 0.125)])
+def test_loop_touching_only_its_element_boundary_rejected(curve):
+    # both loops lie in element 36 = [0, 0.25]^2 and touch x = 0 and y = 0
+    # (the larger one all four sides) tangentially; the grazing merge joins
+    # the intervals between the touches into one host
+    with pytest.raises(UnresolvedTopology, match="closed curve lies inside element 36, touching its boundary only"):
+        classify_elements(build_mesh(BIUNIT, 8, 8), curve)
+
+
+def test_touch_at_t0_merges_across_the_period():
+    # the circle touches x = 0 at t = 0, so the intervals on either side of
+    # t = 0 share a host and merge into one segment that runs across t = period
+    curve = Circle(-0.3, 0.013, 0.3)
+    top = classify_elements(build_mesh(BIUNIT, 4, 4), curve)
+    segments = top.segments
+    assert [s.element for s in segments] == [8, 4, 5, 9]
+    assert segments[-1].t_lo < curve.period < segments[-1].t_hi
+    # the four tile one period with no gap
+    assert [s.t_hi for s in segments[:-1]] == [s.t_lo for s in segments[1:]]
+    assert segments[-1].t_hi - curve.period == segments[0].t_lo
+    assert top.dropped_arclength == 0.0
+
+
+def test_open_curve_must_end_on_the_domain_boundary():
+    mesh = build_mesh(BIUNIT, 8, 8)
+    # both ends inside: the labels would split every row at x = 0 while the
+    # segments couple the two sides only on half of the line
+    for curve in (VerticalLine(0.0, -0.5, 0.5), VerticalLine(0.0, -1.0, 0.5)):
+        with pytest.raises(UnresolvedTopology, match="not both on the domain boundary"):
+            classify_elements(mesh, curve)
+    assert len(classify_elements(mesh, VerticalLine(0.0, -1.0, 1.0)).segments) == 8
 
 
 def test_vertex_tangent_circle_regression():
@@ -443,3 +482,183 @@ def test_batched_fractions_match_per_segment_green(curve, nx):
         if not seg.on_edge:
             f1 = _scalar_side1_fraction(mesh, curve, seg)
             assert top.fractions[seg.element].tolist() == [f1, 1.0 - f1]
+
+
+# ---------------------------------------------------------------------------
+# Reference for the array passes of classification: the same steps as one
+# Python loop over roots, intervals and records, and the analysis side from a
+# walk over the host corners, farthest from the midpoint tangent first.
+
+
+def _corner_walk_side(seg, mesh, curve):
+    p0 = curve.point(seg.t_mid)
+    d = curve.tangent(seg.t_mid)
+    d = d / np.linalg.norm(d)
+    corners = mesh.vertices[mesh.elements[seg.element]]
+    rel = corners - p0
+    dist = np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0])
+    for corner in corners[np.argsort(-dist, kind="stable")]:
+        try:
+            return signed_side(corner, curve, tol=1e-12 * mesh.h)
+        except OnInterface:
+            continue
+    raise GeometryError("all host-element corners lie on the interface")
+
+
+def _loop_classify(mesh, curve, cut_threshold=1e-12):
+    dom = mesh.domain
+    smin, smax = curve.speed_range()
+    min_side = min(mesh.dx, mesh.dy)
+    n_samp = int(min(max(1024, 16 * smax * curve.period / min_side), 2**18))
+    ts = np.linspace(0.0, curve.period, n_samp, endpoint=not curve.closed)
+    xtol = max(1e-14 * mesh.h / smin, 8 * np.finfo(float).eps * curve.period)
+    tol_edge, tol_geo = 1e-10 * mesh.h, 1e-12 * mesh.h
+    xs = dom.x0 + mesh.dx * np.arange(mesh.nx + 1)
+    ys = dom.y0 + mesh.dy * np.arange(mesh.ny + 1)
+    t_root, strength = geometry._grid_line_crossings(curve, ts, curve.point(ts), xs, ys, xtol, tol_edge)
+
+    t_micro = max(2e-7 * curve.period, 4 * xtol)
+    t_dedupe = max(1e-13 * curve.period, 2 * xtol)
+    if curve.closed:
+        t_root = t_root % curve.period
+    merged, cluster = [], []
+    for r, s in sorted(zip(t_root.tolist(), strength.tolist())):
+        if cluster and r - cluster[-1][0] > t_micro:
+            merged.append(max(cluster, key=lambda item: item[1])[0])
+            cluster = []
+        cluster.append((r, s))
+    if cluster:
+        merged.append(max(cluster, key=lambda item: item[1])[0])
+    if curve.closed and len(merged) >= 2 and (merged[0] + curve.period) - merged[-1] <= t_micro:
+        merged.pop()
+    if curve.closed:
+        ends = merged[1:] + [merged[0] + curve.period] if merged else [curve.period]
+        intervals = list(zip(merged or [0.0], ends))
+    else:
+        knots = [0.0] + [r for r in merged if t_dedupe < r < curve.period - t_dedupe] + [curve.period]
+        intervals = [(a, b) for a, b in zip(knots[:-1], knots[1:]) if b - a > t_dedupe]
+    if not intervals:
+        raise UnresolvedTopology("curve produced no parameter intervals")
+
+    records = []  # (t_lo, t_hi, host, on_edge, neighbor)
+    any_inside = any_outside = False
+    for a, b in intervals:
+        tm = 0.5 * (a + b)
+        pm = curve.point(tm)
+        if not bool(dom.contains(pm[0], pm[1], tol=-tol_geo)):
+            any_outside = True
+            continue
+        any_inside = True
+        p_check = curve.point(np.linspace(a, b, 7)[1:-1])
+        dist_v = np.min(np.abs(p_check[:, 0][:, None] - xs[None, :]), axis=1)
+        dist_h = np.min(np.abs(p_check[:, 1][:, None] - ys[None, :]), axis=1)
+        long_enough = curve.arclength(a, b, npts=8) >= 0.1 * min_side
+        if long_enough and (np.all(dist_v < tol_edge) or np.all(dist_h < tol_edge)):
+            nrm = curve.normal(tm)
+            p_host = pm - min_side / 3.0 * nrm
+            p_nb = pm + min_side / 3.0 * nrm
+            if not (dom.contains(p_host[0], p_host[1]) and dom.contains(p_nb[0], p_nb[1])):
+                raise UnresolvedTopology("edge-aligned interface runs along the domain boundary")
+            records.append((a, b, int(mesh.locate(*p_host)), True, int(mesh.locate(*p_nb))))
+        else:
+            host = int(mesh.locate(pm[0], pm[1]))
+            box = mesh.element_box(host)
+            pad = 10.0 * tol_geo + tol_edge
+            ok = ((p_check[:, 0] >= box[0] - pad) & (p_check[:, 0] <= box[2] + pad)
+                  & (p_check[:, 1] >= box[1] - pad) & (p_check[:, 1] <= box[3] + pad))
+            if not np.all(ok):
+                raise TangencyUnresolved(
+                    f"interval [{a:.6g},{b:.6g}] leaves element {host} without a "
+                    "bracketed crossing; refine the mesh"
+                )
+            records.append((a, b, host, False, host))
+    if any_outside and any_inside:
+        raise UnresolvedTopology("curve crosses the domain boundary; unsupported")
+    if not any_inside:
+        return geometry.CutTopology(mesh, curve, *geometry._label_by_centre(mesh, curve), ())
+    if curve.closed and not merged:
+        raise UnresolvedTopology(
+            "closed curve never crosses a mesh line (interior loop inside one element); refine the mesh"
+        )
+
+    joined = []
+    for rec in records:
+        if joined and joined[-1][2:4] == rec[2:4] and abs(joined[-1][1] - rec[0]) <= t_dedupe:
+            prev = joined.pop()
+            rec = (prev[0], rec[1], prev[2], prev[3], prev[4])
+        joined.append(rec)
+    if curve.closed and len(joined) >= 2:
+        first, last = joined[0], joined[-1]
+        if first[2:4] == last[2:4] and abs((last[1] % curve.period) - first[0]) <= t_dedupe:
+            joined = joined[1:-1] + [(last[0], last[1] + (first[1] - first[0]), last[2], last[3], last[4])]
+    if curve.closed and len(joined) == 1:
+        raise UnresolvedTopology(
+            f"closed curve lies inside element {joined[0][2]}, touching its boundary only; refine the mesh"
+        )
+    seen = {}
+    for rec in joined:
+        seen[rec[2]] = seen.get(rec[2], 0) + 1
+    bad = [k for k, c in seen.items() if c > 1]
+    if bad:
+        raise MultiIntersection(f"element(s) {bad} meet the curve in more than two boundary points; refine the mesh")
+
+    labels, fractions = geometry._label_by_centre(mesh, curve)
+    inner = [rec for rec in joined if not rec[3]]
+    f_side1 = iter(geometry._side1_fractions(
+        mesh, curve, np.array([r[0] for r in inner]), np.array([r[1] for r in inner]),
+        np.array([r[2] for r in inner], dtype=np.int64)).tolist())
+    segments, dropped = [], 0.0
+    for a, b, host, on_edge, nb in joined:
+        if not on_edge:
+            f1 = next(f_side1)
+            if f1 < cut_threshold or (1.0 - f1) < cut_threshold:
+                dropped += curve.arclength(a, b)
+                continue
+            labels[host] = 0
+            fractions[host] = (f1, 1.0 - f1)
+        segments.append(geometry.InterfaceSegment(host, a, b, on_edge, nb))
+    segments = tuple(dataclasses.replace(s, analysis_side=_corner_walk_side(s, mesh, curve)) for s in segments)
+    if not curve.closed:
+        for t in (0.0, curve.period):
+            x, y = curve.point(t)
+            if dom.contains(x, y, tol=-tol_geo) or not dom.contains(x, y, tol=tol_geo):
+                ends = curve.point(np.array([0.0, curve.period]))
+                raise UnresolvedTopology(
+                    f"open curve ends at {ends[0].tolist()} and {ends[1].tolist()}, not both on the "
+                    "domain boundary; unsupported"
+                )
+    return geometry.CutTopology(mesh, curve, labels, fractions, segments, dropped_arclength=dropped)
+
+
+def _outcome(classify, curve, nx):
+    try:
+        return _topology_bits(classify(build_mesh(BIUNIT, nx, nx), curve))
+    except GeometryError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _grid_tangent_conics(nx):
+    """Circles touching each interior grid line from either side, and
+    ellipses touching it from the left or from below: the inputs that reach
+    the grazing merge and the merge across t = period."""
+    for v in (-1.0 + 2.0 * np.arange(1, nx) / nx).tolist():
+        for r, off in ((0.2, 0.0), (0.3, 0.013), (0.45, -0.021)):
+            yield Circle(v - r, off, r), Circle(v + r, off, r), Ellipse(v - r, off, r, 0.7 * r)
+            yield Circle(off, v - r, r), Circle(off, v + r, r), Ellipse(off, v - r, 0.8 * r, r)
+
+
+LOOP_CASES = (
+    [(c, nx) for _, c, nx in CROSSING_CASES[:10]]
+    + [(Circle(0.0625, 0.0625, 0.0625), 8), (Circle(0.125, 0.125, 0.125), 8), (Circle(-0.3, 0.013, 0.3), 4)]
+    + [(VerticalLine(x0, -1.0, 1.0), 8) for x0 in (-1.0, -1.0 + 1e-11, 0.25, 0.3, 1.0 - 1e-11)]
+    + [(VerticalLine(0.0, -0.5, 0.5), 8), (VerticalLine(0.0, -1.0, 0.5), 8), (Circle(0.9, 0.0, 0.5), 8)]
+    + [(c, nx) for nx in (4, 8) for group in _grid_tangent_conics(nx) for c in group]
+)
+
+
+def test_array_passes_match_the_interval_loop():
+    outcomes = [(_outcome(classify_elements, c, nx), _outcome(_loop_classify, c, nx)) for c, nx in LOOP_CASES]
+    assert [got for got, _ in outcomes] == [want for _, want in outcomes]
+    kinds = {got[0] if isinstance(got[0], str) else "ok" for got, _ in outcomes}
+    # every branch the inputs are there for is reached
+    assert kinds == {"ok", "UnresolvedTopology", "MultiIntersection"}

@@ -76,6 +76,12 @@ def test_locate_and_candidates():
     mesh = build_mesh(BIUNIT, 4, 4)
     assert mesh.locate(-0.9, -0.9) == 0
     assert mesh.locate(0.9, 0.9) == 15
+    # arrays: interior lines go to the higher-index cell, the boundary and
+    # points beyond it are clamped, each as the scalar call does
+    x = np.array([-0.9, 0.0, -1.0, 1.0, 1.5, -0.5])
+    y = np.array([-0.9, 0.0, -1.0, 1.0, 0.2, -3.0])
+    assert mesh.locate(x, y).tolist() == [0, 10, 0, 15, 11, 1]
+    assert mesh.locate(x, y).tolist() == [mesh.locate(a, b) for a, b in zip(x, y)]
     # a point on an interior mesh line belongs to two candidate cells
     cands = mesh.locate_candidates(0.0, -0.7, tol=1e-12)
     assert len(cands) == 2
