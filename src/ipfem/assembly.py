@@ -47,6 +47,28 @@ clique from the shared (q, n_loc^2) reference table (``_volume_table``).  A cut
 group takes its full cliques from one batched product G^T diag(a w) G of its
 sides' physical gradients.
 
+The trace blocks of a segment on a mesh edge are sparse in the same way.
+Take the edge vertical (a horizontal edge swaps xi and eta), so each copy's
+basis function is l_a(xi) l_b(eta).  On the edge a value trace is nonzero
+only for the normal-direction hat that sits on it (a = 1 for the host on the
+left, a = 0 for the host on the right), a normal flux for every a, and each
+tangential product integrates to the 1-D mass M[b, b'].  Over the joint
+(copy, a, b) index, J1 is nonzero only where M[b, b'] is, J0 only where both
+factors are also trace hats, and the interface block only where at least
+one is.  ``_trace_patterns`` derives these pairs once per (p, edge axis,
+side of the copy-1 host) from the 1-D patterns (``_patterns_1d``) that the
+stiffness pattern uses too.  The plan groups by that key the segments the
+pattern holds for (``_edge_groups``): on a mesh edge, with the edge normal
+as unit normal, and with a rule that is the affine image of a Gauss rule of
+at least p + 1 nodes on the whole edge, so that the degree-2p tangential
+products are integrated exactly.  A partial edge or a non-affine
+parametrisation keeps its full clique, and so does a segment along which a
+side's a varies, in the interface and J1 blocks.  The three trace functions
+scatter the pattern entries of the grouped segments, taken from the full
+local products, and the full cliques of all other segments, in one
+conversion.  At p = 8 on the nx = 16 mesh of a straight interface, J1 keeps
+140,940 of its 404,028 entries, J0 1,740 and the interface block 29,580.
+
 Each block is one COO -> CSR conversion of all its local matrices, and each
 load term one ``np.bincount`` of all its local vectors.  scipy's conversion
 sums the duplicate entries in an order fixed by the input, and bincount adds
@@ -64,7 +86,7 @@ import scipy.sparse as sp
 
 from .fe_space import DoubledSpace
 from .geometry import CutTopology, InterfaceSegment
-from .quadrature import SegmentRule, cut_cell_rule, segment_rule, tensor_gauss
+from .quadrature import SegmentRule, cut_cell_rule, gauss_1d, segment_rule, tensor_gauss
 
 
 @dataclass
@@ -358,7 +380,8 @@ class IntegrationPlan:
     ``groups`` are the uncut elements of side 1 and of side 2, then the cut
     sides stacked by (side, node count); every consumer takes them in that
     order.  ``rule`` and ``traces`` hold the rule and the unit-coefficient
-    trace operators of every segment, stacked along a leading segment axis.
+    trace operators of every segment, stacked along a leading segment axis,
+    and ``edge_groups`` the segments with structurally sparse trace blocks.
     Every rule is built exactly once.
     """
 
@@ -367,6 +390,7 @@ class IntegrationPlan:
     groups: tuple
     rule: SegmentRule
     traces: SegmentTraces
+    edge_groups: tuple = ()  # (segment indices, pattern key) (``_edge_groups``)
 
     @property
     def n(self) -> int:
@@ -412,10 +436,10 @@ def _cut_groups(space: DoubledSpace, topology: CutTopology, quad_order: int) -> 
 
 
 @lru_cache(maxsize=None)
-def _stiffness_pattern(p: int):
-    """Local (row, col) pairs, row-major, of the structural nonzeros of the
-    constant-coefficient stiffness S (x) M + M (x) S of the degree-p basis
-    (see the module docstring), or None for p = 1, where it is full."""
+def _patterns_1d(p: int) -> tuple:
+    """Structural nonzeros (S, M), as (p+1, p+1) boolean arrays, of the 1-D
+    stiffness and mass matrices of the two hats and the bubbles up to degree
+    p (see the module docstring)."""
     k = np.arange(p + 1)
     hat = k < 2
     both_hats = hat[:, None] & hat[None, :]
@@ -427,12 +451,90 @@ def _stiffness_pattern(p: int):
         | (hat[None, :] & (k[:, None] <= 3))
         | (~hat[:, None] & ~hat[None, :] & ((gap == 0) | (gap == 2)))
     )
-    rows, cols = np.nonzero(np.kron(s1d, m1d) | np.kron(m1d, s1d))
-    if len(rows) == (p + 1) ** 4:
-        return None
+    s1d.setflags(write=False)
+    m1d.setflags(write=False)
+    return s1d, m1d
+
+
+def _read_only_pairs(mask) -> tuple:
+    """Row-major (row, col) pairs of the True entries of ``mask``."""
+    rows, cols = np.nonzero(mask)
     rows.setflags(write=False)
     cols.setflags(write=False)
     return rows, cols
+
+
+@lru_cache(maxsize=None)
+def _stiffness_pattern(p: int):
+    """Local (row, col) pairs, row-major, of the structural nonzeros of the
+    constant-coefficient stiffness S (x) M + M (x) S of the degree-p basis
+    (see the module docstring), or None for p = 1, where it is full."""
+    s1d, m1d = _patterns_1d(p)
+    mask = np.kron(s1d, m1d) | np.kron(m1d, s1d)
+    return None if mask.all() else _read_only_pairs(mask)
+
+
+@lru_cache(maxsize=None)
+def _trace_patterns(p: int, axis: int, copy1_low: bool) -> dict:
+    """Joint (row, col) pairs, row-major over the (copy, a, b) index, of the
+    structural nonzeros of the interface, J0 and J1 blocks of a segment on a
+    mesh edge normal to ``axis`` (0: x, 1: y), the copy-1 host on the low
+    side of the edge when ``copy1_low`` (see the module docstring)."""
+    n = p + 1
+    a, b = np.divmod(np.arange(n * n), n)
+    normal, tangent = (a, b) if axis == 0 else (b, a)
+    # the edge is at +1 of the host below it, at -1 of the host above it
+    hat1 = 1 if copy1_low else 0
+    trace = np.concatenate([normal == hat1, normal == 1 - hat1])
+    tangent = np.concatenate([tangent, tangent])
+    mass = _patterns_1d(p)[1][tangent[:, None], tangent[None, :]]
+    return {
+        "interface": _read_only_pairs(mass & (trace[:, None] | trace[None, :])),
+        "j0": _read_only_pairs(mass & trace[:, None] & trace[None, :]),
+        "j1": _read_only_pairs(mass),
+    }
+
+
+def _edge_groups(space: DoubledSpace, topology: CutTopology, rule: SegmentRule) -> tuple:
+    """Segments whose trace blocks have the pattern of ``_trace_patterns``,
+    as (segment indices, (p, axis, copy1_low)) per pattern key.
+
+    A segment qualifies when it lies on a mesh edge, its unit normal is the
+    edge normal, and its rule is the affine image of a Gauss rule of at least
+    p + 1 nodes on the whole edge, seen from each of its two hosts: then it
+    integrates the degree-2p tangential products exactly.  A partial edge or
+    a non-affine parametrisation does not qualify.  Coordinates and weights
+    are compared within 64 ulps of their magnitude: the segment ends come
+    from a root search on the curve parameter, which leaves the nodes of a
+    fine mesh's segments some 30 ulps off the grid (nx = 128 on (-1, 1)^2).
+    """
+    on_edge = np.flatnonzero([s.on_edge for s in topology.segments])
+    p = space.basis.p
+    g = gauss_1d(rule.weights.shape[-1])
+    if not on_edge.size or len(g.points) < p + 1:
+        return ()
+    ulps = 64 * np.finfo(float).eps
+    points, normals, w = rule.points[on_edge], rule.normals[on_edge], rule.weights[on_edge]
+    rows = np.arange(len(on_edge))
+    axis = np.argmax(np.abs(normals[:, 0]), axis=-1)  # 0: a vertical edge
+    tangent = 1 - axis
+    copy1_low = normals[rows, 0, axis] > 0.0  # n points from side 1 into side 2
+    along = points[rows, :, tangent]
+    direction = np.where(along[:, -1] < along[:, 0], -1.0, 1.0)
+    ok = (np.abs(normals[rows, :, tangent]) <= ulps).all(axis=1)
+    for hosts, edge_at in zip(_segment_hosts([topology.segments[k] for k in on_edge]), (1.0, -1.0)):
+        centers, half = _element_map(space.mesh, hosts)
+        c_n, c_t, h_n, h_t = centers[rows, axis], centers[rows, tangent], half[axis], half[tangent]
+        edge = c_n + np.where(copy1_low, edge_at, -edge_at) * h_n
+        nodes = c_t[:, None] + (direction * h_t)[:, None] * g.points
+        ok &= (np.abs(points[rows, :, axis] - edge[:, None]) <= ulps * (np.abs(c_n) + h_n)[:, None]).all(axis=1)
+        ok &= (np.abs(along - nodes) <= ulps * (np.abs(c_t) + h_t)[:, None]).all(axis=1)
+        ok &= (np.abs(w - h_t[:, None] * g.weights) <= ulps * h_t[:, None]).all(axis=1)
+    groups = []
+    for key in sorted(set(zip(axis[ok].tolist(), copy1_low[ok].tolist()))):
+        sel = ok & (axis == key[0]) & (copy1_low == key[1])
+        groups.append((on_edge[sel], (p, *key)))
+    return tuple(groups)
 
 
 def build_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: int) -> IntegrationPlan:
@@ -501,6 +603,7 @@ def _new_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: in
         groups=tuple(groups + _cut_groups(space, topology, quad_order)),
         rule=rule,
         traces=traces,
+        edge_groups=_edge_groups(space, topology, rule),
     )
 
 
@@ -535,20 +638,58 @@ def assemble_volume(plan: IntegrationPlan, problem: Problem) -> sp.csr_matrix:
     return _csr([g.idx for g in plan.groups], local, plan.n, pairs)
 
 
+def _segment_constant(plan: IntegrationPlan, problem: Problem, segs) -> np.ndarray:
+    """Which of the segments ``segs`` see each side's a equal at all their nodes."""
+    x, y = plan.rule.points[segs, :, 0], plan.rule.points[segs, :, 1]
+    ok = np.ones(len(segs), dtype=bool)
+    for fn in problem.a:
+        a = _evaluate(fn, x, y)
+        ok &= (a == a[:, :1]).all(axis=1)
+    return ok
+
+
+def _trace_csr(plan: IntegrationPlan, local, block: str, problem: Problem | None = None) -> sp.csr_matrix:
+    """One COO -> CSR conversion of a trace block's (segment, 2m, 2m) local
+    matrices: the ``block`` pattern entries of each edge group, then the full
+    cliques of the other segments in segment order.  With ``problem``, an
+    edge segment keeps its full clique unless both sides' a are constant
+    along it, since a varying a enters the tangential integrals."""
+    idx = plan.traces.joint_idx
+    idx_chunks, local_chunks, pairs = [], [], []
+    full = np.ones(len(idx), dtype=bool)
+    for segs, key in plan.edge_groups:
+        if problem is not None:
+            segs = segs[_segment_constant(plan, problem, segs)]
+        if not segs.size:
+            continue
+        rows, cols = at = _trace_patterns(*key)[block]
+        idx_chunks.append(idx[segs])
+        local_chunks.append(local[segs[:, None], rows, cols])
+        pairs.append(at)
+        full[segs] = False
+    if not idx_chunks:
+        return _csr(idx, local, plan.n)
+    if full.any():
+        idx_chunks.append(idx[full])
+        local_chunks.append(local[full])
+        pairs.append(None)
+    return _csr(idx_chunks, local_chunks, plan.n, pairs)
+
+
 def assemble_interface(plan: IntegrationPlan, problem: Problem, params: PenaltyParams) -> sp.csr_matrix:
     """Consistency terms: -sum_e int_e avg(a grad u . n)[v] + beta [u] avg(a grad v . n)."""
     tr = plan.segment_traces(problem)
     jump = tr.jump
     avg = tr.avg_flux
     w = plan.rule.weights[..., None]
-    return _csr(tr.joint_idx, -(_T(jump) @ (w * avg) + params.beta * _T(avg) @ (w * jump)), plan.n)
+    return _trace_csr(plan, -(_T(jump) @ (w * avg) + params.beta * _T(avg) @ (w * jump)), "interface", problem)
 
 
 def assemble_J0(plan: IntegrationPlan, params: PenaltyParams) -> sp.csr_matrix:
     """Jump penalty  sum_e (gamma0 p^2 / h_K) int_e [u][v]."""
     scale = params.j0_weight(plan.h)
     jump = plan.traces.jump
-    return _csr(plan.traces.joint_idx, scale * (_T(jump) @ (plan.rule.weights[..., None] * jump)), plan.n)
+    return _trace_csr(plan, scale * (_T(jump) @ (plan.rule.weights[..., None] * jump)), "j0")
 
 
 def assemble_J1(plan: IntegrationPlan, problem: Problem, params: PenaltyParams) -> sp.csr_matrix:
@@ -556,7 +697,7 @@ def assemble_J1(plan: IntegrationPlan, problem: Problem, params: PenaltyParams) 
     tr = plan.segment_traces(problem)
     scale = params.j1_weight(plan.h)
     jf = tr.jump_flux
-    return _csr(tr.joint_idx, scale * (_T(jf) @ (plan.rule.weights[..., None] * jf)), plan.n)
+    return _trace_csr(plan, scale * (_T(jf) @ (plan.rule.weights[..., None] * jf)), "j1", problem)
 
 
 def assemble_load(plan: IntegrationPlan, problem: Problem, params: PenaltyParams):

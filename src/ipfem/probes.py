@@ -83,17 +83,17 @@ def _analysis_region_rule(geo, crule, order):
     return (x, y, crule.weights, *geo.to_reference(x, y))
 
 
-def _side_norm_matrices(topology, seg, crule, p, quad_order):
+def _side_norm_matrices(topology, seg, points, weights, crule, p, quad_order):
     """Edge and region Gram matrices of the local degree-p tensor basis on the
-    host element, the edge over the segment, the region over the analysis
-    side (``crule`` as in ``_analysis_region_rule``)."""
+    host element, the edge over the segment with its rule's ``points`` and
+    ``weights``, the region over the analysis side (``crule`` as in
+    ``_analysis_region_rule``)."""
     basis = build_basis(p)
     geo = element_geometry(topology.mesh, seg.element)
 
-    srule = segment_rule(seg, topology.curve, max(quad_order, 8))
-    xi, eta = geo.to_reference(srule.points[:, 0], srule.points[:, 1])
+    xi, eta = geo.to_reference(points[:, 0], points[:, 1])
     vals_e = basis.values(xi, eta)
-    m_edge = vals_e.T @ (srule.weights[:, None] * vals_e)
+    m_edge = vals_e.T @ (weights[:, None] * vals_e)
 
     _, _, w, xi_k, eta_k = _analysis_region_rule(geo, crule, quad_order)
     vals_k = basis.values(xi_k, eta_k)
@@ -109,8 +109,10 @@ def probe_inverse_trace(mesh, curve, topology: CutTopology, p: int, samples: int
     quad_order = p + 3
     sampled = {}
     refined = {}
-    for seg, crule in zip(topology.segments, _analysis_rules(topology, quad_order)):
-        m_edge, m_region, geo = _side_norm_matrices(topology, seg, crule, p, quad_order)
+    srule = segment_rule(topology.segments, topology.curve, max(quad_order, 8))
+    for seg, points, weights, crule in zip(topology.segments, srule.points, srule.weights,
+                                           _analysis_rules(topology, quad_order)):
+        m_edge, m_region, geo = _side_norm_matrices(topology, seg, points, weights, crule, p, quad_order)
         best = 0.0
         for _ in range(samples):
             c = rng.standard_normal(m_edge.shape[0])
@@ -169,13 +171,14 @@ def probe_trace(mesh, curve, topology: CutTopology, samples: int = 20, seed: int
     rng = np.random.default_rng(seed)
     quad_order = 8
     per_element = {}
-    for seg, crule in zip(topology.segments, _analysis_rules(topology, quad_order)):
+    srule = segment_rule(topology.segments, topology.curve, 12)
+    for seg, points, weights, crule in zip(topology.segments, srule.points, srule.weights,
+                                           _analysis_rules(topology, quad_order)):
         geo = element_geometry(mesh, seg.element)
-        srule = segment_rule(seg, topology.curve, 12)
         x, y, w, _, _ = _analysis_region_rule(geo, crule, quad_order)
         best = 0.0
         for val, grad in _random_smooth_fields(rng, samples, mesh.h):
-            ve = np.sqrt(np.sum(srule.weights * val(srule.points[:, 0], srule.points[:, 1]) ** 2))
+            ve = np.sqrt(np.sum(weights * val(points[:, 0], points[:, 1]) ** 2))
             vk = np.sqrt(np.sum(w * val(x, y) ** 2))
             gx, gy = grad(x, y)
             gk = np.sqrt(np.sum(w * (gx**2 + gy**2)))

@@ -16,9 +16,9 @@ orders the columns by minimum degree on the pattern of A + A^T (Liu, ACM TOMS
 mode, which prefers the diagonal pivot unless it is below 0.1 of the column
 maximum (Demmel, Eisenstat, Gilbert, Li and Liu, SIMAX 20, 1999).  SuperLU's
 default COLAMD ordering is meant for unsymmetric patterns: on the p = 8,
-nx = 16 aligned-edge system (16,256 unknowns, 0.50 M nonzeros) it gives
-4.1 M L+U nonzeros against 1.27 M for this ordering, and a factorization
-more than three times as slow.  Weaker pivots would show as refinement
+nx = 16 aligned-edge system (NIP, 16,256 unknowns, 0.24 M nonzeros) it
+gives 3.3 M L+U nonzeros against 1.12 M for this ordering, and a
+factorization more than three times as slow.  Weaker pivots would show as refinement
 steps in ``SolveReport.iterations``.
 """
 

@@ -22,7 +22,7 @@ from ipfem.assembly import (
 from ipfem.cases import DOMAIN, catalog
 from ipfem.errors import _squared_parts, compute_errors, energy_norm_squared
 from ipfem.fe_space import build_dof_map, build_doubled_space
-from ipfem.geometry import Circle, InterfaceSegment, VerticalLine, classify_elements
+from ipfem.geometry import Circle, InterfaceCurve, InterfaceSegment, VerticalLine, classify_elements
 from ipfem.mesh import Rectangle, build_mesh, element_geometry
 from ipfem.quadrature import cut_cell_rule, segment_rule, tensor_gauss
 
@@ -556,6 +556,160 @@ def test_volume_block_omits_only_round_off(name):
         diff = (full - got).tocoo()
         diag = np.abs(full.diagonal())
         assert np.all(np.abs(diff.data) <= 1e-13 * np.sqrt(diag[diff.row] * diag[diff.col]))
+
+
+def _trace_blocks(plan, problem, params):
+    return {
+        "interface": assemble_interface(plan, problem, params),
+        "j0": assemble_J0(plan, params),
+        "j1": assemble_J1(plan, problem, params),
+    }
+
+
+class _HorizontalLine(InterfaceCurve):
+    """Open straight interface y = y0 across the domain, run left to right;
+    side 1 is y > y0, so the copy-1 host sits above each edge."""
+
+    closed, period, length_scale, name = False, 2.0, 2.0, "hline"
+
+    def __init__(self, y0):
+        self.y0 = y0
+
+    def point(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([-1.0 + t, np.full_like(t, self.y0)], axis=-1)
+
+    def tangent(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([np.ones_like(t), np.zeros_like(t)], axis=-1)
+
+    def signed_distance(self, x, y):
+        return self.y0 - np.asarray(y, dtype=float) + 0.0 * np.asarray(x)
+
+
+@pytest.mark.parametrize("beta", [1, -1])
+@pytest.mark.parametrize("name", ["circle-jump", "aligned-edge", "p-sweep-seed0", "horizontal"])
+def test_trace_blocks_omit_only_round_off(name, beta):
+    if name == "p-sweep-seed0":
+        (curve, problem), nx, degrees = PSWEEP_SEED0, 16, range(2, 9)
+    elif name == "horizontal":
+        curve, problem, nx, degrees = _HorizontalLine(-0.25), PSWEEP_SEED0[1], 8, range(1, 9)
+    else:
+        curve, problem, nx, degrees = catalog()[name].curve, catalog()[name].problem, 8, range(1, 9)
+    mesh = build_mesh(DOMAIN, nx, nx)
+    top = classify_elements(mesh, curve)
+    for p in degrees:
+        space = build_doubled_space(build_dof_map(mesh, p), top)
+        plan = build_plan(space, top, p + 2, p)
+        full_plan = replace(_full_clique(plan), edge_groups=())
+        params = PenaltyParams(beta, 10.0, 1.0, p)
+        got, full = _trace_blocks(plan, problem, params), _trace_blocks(full_plan, problem, params)
+        if name == "circle-jump":
+            # no segment on a mesh edge: every block is the full-clique one
+            assert plan.edge_groups == ()
+            for key in full:
+                for field in ("data", "indices", "indptr"):
+                    assert getattr(got[key], field).tobytes() == getattr(full[key], field).tobytes()
+            continue
+        assert sum(len(segs) for segs, _ in plan.edge_groups) == len(top.segments)
+        diag = np.abs((assemble_volume(full_plan, problem) + sum(full.values())).diagonal())
+        for key in full:
+            if not (key == "j1" and p <= 2):  # M_1, and so the J1 pattern, is full
+                assert got[key].nnz < full[key].nnz
+            # every stored entry is one of the full block's, and every omitted
+            # or changed entry is round-off against the full matrix's diagonal
+            stored = [sp.csr_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape) for a in (got[key], full[key])]
+            assert (stored[0] + stored[1]).nnz == full[key].nnz
+            diff = (full[key] - got[key]).tocoo()
+            assert np.all(np.abs(diff.data) <= 1e-13 * np.sqrt(diag[diff.row] * diag[diff.col]))
+
+
+class _NonAffineLine(VerticalLine):
+    """x = 0 with y(t) = (2/3)(2^t - 1) - 1, t in [0, 2]: monotone, ending on
+    the boundary, but not an affine map of t."""
+
+    def __init__(self):
+        super().__init__(0.0, -1.0, 1.0)
+
+    def point(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([np.zeros_like(t), (2.0 / 3.0) * (2.0**t - 1.0) - 1.0], axis=-1)
+
+    def tangent(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([np.zeros_like(t), (2.0 / 3.0) * np.log(2.0) * 2.0**t], axis=-1)
+
+
+class _LeavingLine(InterfaceCurve):
+    """x = -1e-17 up to y = 0.1, then x = -1e-17 + (y - 0.1)^3 / 2: on the
+    mesh line x = 0 within round-off until it crosses it at y ~ 0.1 and
+    bends into the elements on the right, so the last on-edge segment covers
+    only [0, 0.1] of its edge."""
+
+    closed, period, length_scale, name = False, 2.0, 2.0, "leaving"
+
+    def point(self, t):
+        y = -1.0 + np.asarray(t, dtype=float)
+        return np.stack([-1e-17 + 0.5 * np.maximum(y - 0.1, 0.0) ** 3, y], axis=-1)
+
+    def tangent(self, t):
+        y = -1.0 + np.asarray(t, dtype=float)
+        return np.stack([1.5 * np.maximum(y - 0.1, 0.0) ** 2, np.ones_like(y)], axis=-1)
+
+    def signed_distance(self, x, y):
+        return np.asarray(x, dtype=float) + 1e-17 - 0.5 * np.maximum(np.asarray(y, dtype=float) - 0.1, 0.0) ** 3
+
+
+@pytest.mark.parametrize("name", ["non-affine", "partial-edge"])
+def test_trace_pattern_needs_an_exact_rule_on_the_whole_edge(name):
+    mesh = build_mesh(DOMAIN, 8, 8)
+    if name == "non-affine":
+        top = classify_elements(mesh, _NonAffineLine())
+        qualifying, inexact = [], list(range(8))
+    else:
+        # four whole edges below y = 0, then [0, 0.1] of the fifth, then cuts
+        top = classify_elements(mesh, _LeavingLine())
+        qualifying, inexact = [0, 1, 2, 3], [4]
+        assert (top.segments[4].t_lo, top.segments[4].t_hi) == pytest.approx((1.0, 1.1), abs=1e-5)
+        assert not top.segments[5].on_edge
+    assert all(top.segments[k].on_edge for k in qualifying + inexact)
+    problem = PSWEEP_SEED0[1]
+    for p in (2, 5):
+        space = build_doubled_space(build_dof_map(mesh, p), top)
+        plan = build_plan(space, top, p + 2, p)
+        assert sorted(k for segs, _ in plan.edge_groups for k in segs.tolist()) == qualifying
+        idx = plan.traces.joint_idx
+        # entries that a qualifying segment's clique touches
+        touched = _csr(idx[qualifying], np.ones((len(qualifying),) + idx.shape[1:] * 2), space.n_unknowns)
+        inexact_clique = _csr(idx[inexact], np.ones((len(inexact),) + idx.shape[1:] * 2), space.n_unknowns)
+        params = PenaltyParams(-1, 10.0, 1.0, p)
+        got = _trace_blocks(plan, problem, params)
+        full = _trace_blocks(replace(plan, edge_groups=()), problem, params)
+        for key in full:
+            # the inexact segments' cliques are stored in full, and every
+            # entry no qualifying clique touches has the full path's bits
+            stored = sp.csr_matrix((np.ones(got[key].nnz), got[key].indices, got[key].indptr), shape=got[key].shape)
+            assert (stored + inexact_clique).nnz == got[key].nnz
+            diff = got[key] - full[key]
+            assert (diff - diff.multiply(touched != 0)).count_nonzero() == 0
+
+
+def test_trace_pattern_needs_a_constant_coefficient_along_the_edge():
+    mesh = build_mesh(DOMAIN, 8, 8)
+    top = classify_elements(mesh, VerticalLine(0.0, -1.0, 1.0))
+    problem = Problem(a=(_const(1.0), lambda x, y: 2.0 + np.cos(y)), f=PSWEEP_SEED0[1].f)
+    p = 4
+    space = build_doubled_space(build_dof_map(mesh, p), top)
+    plan = build_plan(space, top, p + 2, p)
+    assert plan.edge_groups
+    params = PenaltyParams(-1, 10.0, 1.0, p)
+    got = _trace_blocks(plan, problem, params)
+    full = _trace_blocks(replace(plan, edge_groups=()), problem, params)
+    # a varying a enters the flux blocks' tangential integrals; J0 has no a
+    for key in ("interface", "j1"):
+        for field in ("data", "indices", "indptr"):
+            assert getattr(got[key], field).tobytes() == getattr(full[key], field).tobytes()
+    assert got["j0"].nnz < full["j0"].nnz
 
 
 def _scan_space(case, p, nx):

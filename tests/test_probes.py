@@ -126,6 +126,24 @@ def test_probe_determinism():
     assert r1.extra["sampled_max"] == r2.extra["sampled_max"]
 
 
+@pytest.mark.parametrize("probe", [probe_inverse_trace, probe_trace])
+def test_trace_probes_build_one_segment_rule(probe, monkeypatch):
+    import ipfem.probes as probes
+
+    calls = []
+
+    def counted(segments, *args):
+        calls.append(len(segments))
+        return segment_rule(segments, *args)
+
+    monkeypatch.setattr(probes, "segment_rule", counted)
+    curve = catalog()["circle-jump"].curve
+    mesh, top = _topology(curve, 8)
+    args = (2, 5) if probe is probe_inverse_trace else (5,)
+    probe(mesh, curve, top, *args)
+    assert calls == [len(top.segments)]
+
+
 def _coercivity_builder(p, nx=8):
     case = catalog()["circle-jump"]
     mesh = build_mesh(DOMAIN, nx, nx)

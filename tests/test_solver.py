@@ -124,7 +124,7 @@ def test_solve_factors_once_with_condition_estimate(monkeypatch):
 
 
 def test_factor_uses_a_symmetric_fill_reducing_ordering():
-    # measured: 588,476 L+U nonzeros against 1,791,079 for SuperLU's default
+    # measured: 549,466 L+U nonzeros against 1,944,720 for SuperLU's default
     # COLAMD ordering of the same matrix
     case = catalog()["aligned-edge"]
     _, _, _, _, system = build_pipeline(case, 6, 16, beta=-1)
