@@ -184,6 +184,7 @@ class AssembledSystem:
     symmetric: bool
     params: PenaltyParams
     blocks: dict = field(default_factory=dict)
+    order: np.ndarray | None = None  # the space's elimination order (``DoubledSpace.order``)
 
     @property
     def n(self) -> int:
@@ -277,15 +278,19 @@ def _element_map(mesh, elems) -> tuple:
     return centers, np.array([mesh.dx / 2.0, mesh.dy / 2.0])
 
 
-def _basis_at(space: DoubledSpace, elems, points) -> tuple:
+def _basis_at(space: DoubledSpace, elems, points, rows: bool = False) -> tuple:
     """Basis values (..., q, n_loc) and physical gradients (..., q, n_loc, 2)
     at the nodes ``points`` (..., q, 2), each row of nodes mapped into its
-    element in ``elems`` (shape ...)."""
+    element in ``elems`` (shape ...).  With ``rows`` the gradients come as
+    (..., 2q, n_loc), row 2k + d holding component d at node k."""
     c, half = _element_map(space.mesh, elems)
     xi = ((points[..., 0] - c[..., None, 0]) / half[0]).ravel()
     eta = ((points[..., 1] - c[..., None, 1]) / half[1]).ravel()
     shape = points.shape[:-1] + (space.basis.n_local,)
-    grads = space.basis.gradients(xi, eta)
+    grads = space.basis.gradients(xi, eta, rows)
+    if rows:
+        grads /= half[:, None]
+        return space.basis.values(xi, eta).reshape(shape), grads.reshape(shape[:-2] + (-1, shape[-1]))
     grads /= half
     return space.basis.values(xi, eta).reshape(shape), grads.reshape(shape + (2,))
 
@@ -355,7 +360,9 @@ class ElementGroup:
     y: np.ndarray
     w: np.ndarray  # physical weights: (q,) shared, or (E, q)
     vals: np.ndarray  # basis values: (q, n_loc) shared, or (E, q, n_loc)
-    grads: np.ndarray  # physical basis gradients: (q, n_loc, 2) shared, or (E, q, n_loc, 2)
+    # physical basis gradients: (q, n_loc, 2) shared, or (E, 2q, n_loc) per
+    # element, row 2k + d holding component d at node k: the G of G^T diag(a w) G
+    grads: np.ndarray
     idx: np.ndarray  # (E, n_loc) unknown ids, -1 where constrained or inactive
     # uncut groups with a structurally sparse stiffness: its local (row, col)
     # pairs (``_stiffness_pattern``) and the volume table's columns at them
@@ -420,7 +427,7 @@ def _cut_groups(space: DoubledSpace, topology: CutTopology, quad_order: int) -> 
         sel = np.flatnonzero(keys == key)
         side = int(sides[sel[0]])
         points = np.stack([rules[k].points for k in sel])
-        vals, grads = _basis_at(space, elems[sel], points)
+        vals, grads = _basis_at(space, elems[sel], points, rows=True)
         groups.append(
             ElementGroup(
                 side=side,
@@ -630,10 +637,8 @@ def assemble_volume(plan: IntegrationPlan, problem: Problem) -> sp.csr_matrix:
         elif g.w.ndim == 1:  # uncut: the shared reference table
             local.append(aw @ _volume_table(g))
             pairs.append(None)
-        else:
-            # G^T diag(a w) G with G the (2q, n_loc) gradients of each cut side
-            grads = _T(g.grads).reshape(len(aw), -1, g.grads.shape[-2])
-            local.append(_T(grads) @ (np.repeat(aw, 2, axis=1)[..., None] * grads))
+        else:  # G^T diag(a w) G per cut side
+            local.append(_T(g.grads) @ (np.repeat(aw, 2, axis=1)[..., None] * g.grads))
             pairs.append(None)
     return _csr([g.idx for g in plan.groups], local, plan.n, pairs)
 
@@ -758,4 +763,5 @@ def assemble(
         symmetric=(params.beta == 1),
         params=params,
         blocks=blocks,
+        order=space.order,
     )

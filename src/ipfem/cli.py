@@ -25,7 +25,7 @@ from .geometry import GeometryError, classify_elements, parse_curve
 from .mesh import build_mesh
 from .probes import ProbeError, probe_coercivity, probe_G, probe_inverse_trace, probe_trace
 from .quadrature import cut_cell_rule
-from .solver import solve
+from .solver import colamd_solve, solve
 
 CSV_HEADER = "case,method,p,nx,h,dofs,gamma0,gamma1,l2,h1_broken,normA,normB,j0,j1,residual"
 
@@ -42,6 +42,7 @@ class StudyConfig:
     seed: int = 0
     out_dir: str = "study-out"
     estimate_cond: bool = False
+    check_spread: bool = False
     dump_matrix: bool = False
     dump_quadrature: bool = False
     cut_threshold: float = 1e-12
@@ -72,7 +73,7 @@ def _fmt(x) -> str:
 class StudyResult:
     rows: list = field(default_factory=list)
     condition_estimates: list = field(default_factory=list)  # per row; None unless estimate_cond
-    stats: list = field(default_factory=list)  # per row, see _run_stats
+    stats: list = field(default_factory=list)  # per row, see _run_stats and _spread
     rates: dict = field(default_factory=dict)  # p -> RateSummary
     failures: list = field(default_factory=list)
 
@@ -94,19 +95,33 @@ def run_single(case: ManufacturedCase, method: str, p: int, nx: int,
     return mesh, topology, space, system, report, err
 
 
-def _run_stats(topology, space, system, report) -> dict:
+def _spread(space, topology, problem, system, err, quad_order: int) -> float:
+    """Pivot-order spread of one run: the largest relative change of l2 and
+    normA when the system is solved through SuperLU's default COLAMD LU
+    instead (``solver.colamd_solve``).  The residual cannot show how much an
+    ill-conditioned system's errors depend on the pivot order; this does."""
+    other = compute_errors(space, topology, problem, colamd_solve(system).solution, system.params,
+                           quad_order=quad_order)
+    return max(abs(other.l2 - err.l2) / err.l2, abs(other.norm_a - err.norm_a) / err.norm_a)
+
+
+def _run_stats(topology, space, system, report, spread=None) -> dict:
     """Deterministic size and health figures of one run: unknowns, matrix
-    nonzeros, cut elements, segments, the smallest cut-side area fraction
-    (None when nothing is cut), dropped arclength and refinement steps."""
+    nonzeros, L + U entries of the solve's LU, cut elements, segments, the
+    smallest cut-side area fraction (None when nothing is cut), dropped
+    arclength, refinement steps and the pivot-order spread (None unless
+    checked)."""
     cut = topology.cut_elements
     return {
         "unknowns": int(space.n_unknowns),
         "nnz": int(system.matrix.nnz),
+        "factor_nnz": int(report.factor_nnz),
         "cut_elements": int(len(cut)),
         "segments": len(topology.segments),
         "min_cut_fraction": float(topology.fractions[cut].min()) if len(cut) else None,
         "dropped_arclength": float(topology.dropped_arclength),
         "refine_steps": int(report.iterations),
+        "spread": spread,
     }
 
 
@@ -144,6 +159,9 @@ def run_study(config: StudyConfig) -> StudyResult:
                     cut_threshold=config.cut_threshold,
                     estimate_cond=config.estimate_cond,
                 )
+                spread = None
+                if config.check_spread:
+                    spread = _spread(space, topology, case.problem, system, err, p + 4 + config.quad_extra)
             except Exception as exc:  # noqa: BLE001 - annotate and keep sweeping
                 result.failures.append((config.case, p, nx, f"{type(exc).__name__}: {exc}"))
                 continue
@@ -168,7 +186,7 @@ def run_study(config: StudyConfig) -> StudyResult:
             )
             result.rows.append(row)
             result.condition_estimates.append(rep.condition_estimate)
-            result.stats.append(_run_stats(topology, space, system, rep))
+            result.stats.append(_run_stats(topology, space, system, rep, spread))
             reports_by_p[p].append(err)
             if config.dump_matrix:
                 _dump_matrix(out, config, p, nx, system)
@@ -331,6 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int)
     run.add_argument("--out")
     run.add_argument("--estimate-cond", action="store_true", default=None)
+    run.add_argument("--check-spread", action="store_true", default=None)
     run.add_argument("--dump-matrix", action="store_true", default=None)
     run.add_argument("--dump-quadrature", action="store_true", default=None)
     run.add_argument("--cut-threshold", type=float)
@@ -380,6 +399,7 @@ def _config_from_args(args) -> StudyConfig:
         seed=int(pick(args.seed, "seed", 0)),
         out_dir=pick(args.out, "out", "study-out"),
         estimate_cond=bool(pick(args.estimate_cond, "estimate_cond", False)),
+        check_spread=bool(pick(args.check_spread, "check_spread", False)),
         dump_matrix=bool(pick(args.dump_matrix, "dump_matrix", False)),
         dump_quadrature=bool(pick(args.dump_quadrature, "dump_quadrature", False)),
         cut_threshold=float(pick(args.cut_threshold, "cut_threshold", 1e-12)),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import IntegrationPlan, PenaltyParams, Problem, _contract, _evaluate, _shaped, _T, build_plan
+from .assembly import ElementGroup, IntegrationPlan, PenaltyParams, Problem, _contract, _evaluate, _shaped, _T, build_plan
 from .fe_space import DoubledSpace, gather
 from .geometry import CutTopology
 
@@ -75,7 +75,7 @@ def _squared_parts(plan: IntegrationPlan, problem: Problem, params: PenaltyParam
         ue, gx, gy = exact_at(g.side, g.x, g.y)
         aq = _evaluate(problem.a[g.side - 1], g.x, g.y)
         err = ue - _contract(local, _T(g.vals))
-        gerr_sq = (gx - _contract(local, _T(g.grads[..., 0]))) ** 2 + (gy - _contract(local, _T(g.grads[..., 1]))) ** 2
+        gerr_sq = (gx - _gradient(local, g, 0)) ** 2 + (gy - _gradient(local, g, 1)) ** 2
         l2_parts.append(integrate(err**2, g.w))
         h1_parts.append(integrate(aq * gerr_sq, g.w))
 
@@ -104,6 +104,21 @@ def _squared_parts(plan: IntegrationPlan, problem: Problem, params: PenaltyParam
     if params.gamma0 > 0.0:
         favg_err = 0.5 * (f1 + f2) - 0.5 * (f1_h + f2_h)
         out["avg"] = plan.h / (params.gamma0 * p**2) * float(np.sum(w * favg_err**2))
+    return out
+
+
+def _gradient(local, g: ElementGroup, d: int) -> np.ndarray:
+    """Component d of grad u_h at the nodes of group ``g``, (E, q), where u_h
+    has the local coefficients ``local``.  A cut group's (E, 2q, n_loc)
+    gradient rows are summed over the local functions in order, one
+    multiply-add each, so the sum does not depend on how a BLAS kernel
+    blocks it."""
+    if g.w.ndim == 1:
+        return _contract(local, _T(g.grads[..., d]))
+    rows = g.grads[:, d::2]
+    out = local[:, None, 0] * rows[..., 0]
+    for k in range(1, rows.shape[-1]):
+        out += local[:, None, k] * rows[..., k]
     return out
 
 

@@ -78,17 +78,23 @@ class BasisSet:
         sy = shape_1d(eta, self.p)
         return np.einsum("qa,qb->qab", sx, sy).reshape(len(sx), self.n_local)
 
-    def gradients(self, xi, eta):
-        """(npts, n_local, 2) array of reference-coordinate gradients."""
+    def gradients(self, xi, eta, rows: bool = False):
+        """(npts, n_local, 2) array of reference-coordinate gradients, or with
+        ``rows`` the same values as (npts, 2, n_local), one row per component."""
         sx = shape_1d(xi, self.p)
         sy = shape_1d(eta, self.p)
         dx = shape_1d_deriv(xi, self.p)
         dy = shape_1d_deriv(eta, self.p)
-        out = np.empty((len(sx), self.n_local, 2))
+        m = self.p + 1
         # written in place: no per-component copies of a table over many points
-        tensor = out.reshape(len(sx), self.p + 1, self.p + 1, 2)
-        np.einsum("qa,qb->qab", dx, sy, out=tensor[..., 0])
-        np.einsum("qa,qb->qab", sx, dy, out=tensor[..., 1])
+        if rows:
+            out = np.empty((len(sx), 2, self.n_local))
+            component = out.reshape(len(sx), 2, m, m).swapaxes(0, 1)
+        else:
+            out = np.empty((len(sx), self.n_local, 2))
+            component = np.moveaxis(out.reshape(len(sx), m, m, 2), -1, 0)
+        np.einsum("qa,qb->qab", dx, sy, out=component[0])
+        np.einsum("qa,qb->qab", sx, dy, out=component[1])
         return out
 
 
@@ -190,6 +196,9 @@ class DoubledSpace:
         self.n_unknowns = int(active.sum())
         self.active.setflags(write=False)
         self.unknown_of.setflags(write=False)
+        # elimination order of the unknowns for the sparse LU, or None for the
+        # solver's default (see the solver module docstring)
+        self.order = _grid_dissection(self.mesh, np.nonzero(active)[1]) if dofmap.p == 1 else None
         # (quad_order, p) -> the geometry-only integration plan that
         # assembly.build_plan keeps from the key's second request on, or None
         # while the key has been requested only once
@@ -204,6 +213,42 @@ class DoubledSpace:
         """Local coefficient vector of copy ``side`` on one element; entries
         for constrained or inactive DOFs are zero."""
         return gather(coeffs, self.element_unknowns(element, side))
+
+
+def _grid_dissection(mesh: Mesh, vertex_dofs: np.ndarray) -> np.ndarray:
+    """Nested-dissection order of degree-1 unknowns sitting at the vertex
+    DOFs ``vertex_dofs`` (A. George, SIAM J. Numer. Anal. 10, 1973).
+
+    Each box of interior vertex lines is bisected on the middle line of its
+    longer side (x on a tie), down to boxes of one element; the unknowns of
+    a box come in the order [lower half, upper half, separator line],
+    recursively, and the two copies of a vertex share its place.  Built in
+    array passes, one per level: the boxes of a level are stored as arrays
+    (box b's halves become boxes 2b and 2b + 1), each unknown holds the
+    index of its box, and appends one base-3 digit to a sort key, 0 for the
+    lower half, 1 for the upper, 2 once placed on a separator or in a
+    finished box.  A stable argsort of the key gives the order."""
+    x, y = vertex_dofs % (mesh.nx + 1), vertex_dofs // (mesh.nx + 1)
+    # first and last interior vertex line of each box, per axis
+    lo, hi = np.array([[1, 1]]), np.array([[mesh.nx - 1, mesh.ny - 1]])
+    box = np.zeros(len(x), dtype=np.int64)  # -1 once placed
+    key = np.zeros(len(x), dtype=np.int64)
+    while not (box < 0).all():
+        boxes = np.arange(len(lo))
+        width = hi - lo
+        axis = (width[:, 1] > width[:, 0]).astype(np.int64)
+        first, last = lo[boxes, axis], hi[boxes, axis]
+        # each box's middle line, -1 for a finished box and, at index -1,
+        # for the placed unknowns
+        mid = np.append(np.where(last - first >= 2, (first + last) // 2, -1), -1)
+        m, c = mid[box], np.where(np.append(axis, 0)[box] == 1, y, x)
+        lower, upper = c < m, (c > m) & (m >= 0)
+        key = 3 * key + 2 - 2 * lower - upper
+        box = np.where(lower, 2 * box, np.where(upper, 2 * box + 1, -1))
+        lo, hi = np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0)
+        hi[2 * boxes, axis] = mid[:-1] - 1
+        lo[2 * boxes + 1, axis] = mid[:-1] + 1
+    return np.argsort(key, kind="stable")
 
 
 def build_doubled_space(dofmap: DofMap, topology: CutTopology) -> DoubledSpace:

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from ipfem.assembly import (
     ElementGroup,
     PenaltyParams,
+    _T,
     Problem,
     _csr,
     _vector,
@@ -443,7 +444,7 @@ def _one_group_per_side(plan, space, top, quad_order):
                     y=crule.points[None, :, 1],
                     w=crule.weights[None],
                     vals=basis.values(xi, eta)[None],
-                    grads=(basis.gradients(xi, eta) / geo.half[None, None, :])[None],
+                    grads=_T(basis.gradients(xi, eta) / geo.half[None, None, :]).reshape(1, -1, basis.n_local),
                     idx=space.element_unknowns(e, side)[None, :],
                 )
             )

@@ -111,12 +111,14 @@ def test_summary_records_run_stats(tmp_path):
         summaries.append((out / "summary.json").read_bytes())
     assert summaries[0] == summaries[1]
     stats = json.loads(summaries[0])["stats"]
-    common = {"cut_elements": 20, "segments": 20, "dropped_arclength": 0.0, "refine_steps": 0}
+    common = {"cut_elements": 20, "segments": 20, "dropped_arclength": 0.0, "refine_steps": 0, "spread": None}
     # at p = 2 the uncut elements store only their structural nonzeros: the
     # hat-bubble couplings that are zero for a constant coefficient are dropped
     assert stats == [
-        {**common, "unknowns": 89, "nnz": 1081, "min_cut_fraction": pytest.approx(0.031499995393823255, rel=1e-12)},
-        {**common, "unknowns": 345, "nnz": 6881, "min_cut_fraction": pytest.approx(0.031499995393823255, rel=1e-12)},
+        {**common, "unknowns": 89, "nnz": 1081, "factor_nnz": 2364,
+         "min_cut_fraction": pytest.approx(0.031499995393823255, rel=1e-12)},
+        {**common, "unknowns": 345, "nnz": 6881, "factor_nnz": 18416,
+         "min_cut_fraction": pytest.approx(0.031499995393823255, rel=1e-12)},
     ]
     out = tmp_path / "uncut"
     run_study(StudyConfig(case="aligned-edge", method="nip", p_list=[1], nx_list=[4], out_dir=str(out)))
@@ -124,6 +126,29 @@ def test_summary_records_run_stats(tmp_path):
     assert uncut["cut_elements"] == 0 and uncut["min_cut_fraction"] is None
     assert uncut["segments"] == 4
     assert (out / "results.csv").read_text().split("\n")[0] == CSV_HEADER
+
+
+def test_pivot_order_spread_is_small_where_the_system_is_well_conditioned(tmp_path):
+    files = {}
+    for flag in (False, True):
+        out = tmp_path / str(flag)
+        run_study(StudyConfig(case="circle-jump", method="sip", p_list=[1, 2], nx_list=[8, 16],
+                              out_dir=str(out), check_spread=flag))
+        files[flag] = {name: (out / name).read_bytes() for name in ("results.csv", "rates.csv", "summary.json")}
+    spreads = [row["spread"] for row in json.loads(files[True]["summary.json"])["stats"]]
+    assert len(spreads) == 4
+    assert all(np.isfinite(v) and 0.0 <= v <= 1e-8 for v in spreads)
+    # the check only adds the spreads: every other output byte is that of a run without it
+    assert files[True]["results.csv"] == files[False]["results.csv"]
+    assert files[True]["rates.csv"] == files[False]["rates.csv"]
+    summary = json.loads(files[True]["summary.json"])
+    for row in summary["stats"]:
+        row["spread"] = None
+    assert (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode() == files[False]["summary.json"]
+    out = tmp_path / "cli"
+    assert main(["run", "--case", "circle-jump", "--p", "1", "--nx", "8", "--check-spread", "--out", str(out)]) == 0
+    (row,) = json.loads((out / "summary.json").read_text())["stats"]
+    assert row["spread"] == spreads[0]
 
 
 def test_byte_reproducibility(tmp_path):

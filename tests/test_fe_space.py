@@ -273,3 +273,57 @@ def test_auto_side_on_interface_raises():
     pt = curve.point(0.3)
     with pytest.raises(OnInterface):
         evaluate_discrete(space, np.zeros(space.n_unknowns), pt, side="auto")
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_only_degree_one_spaces_carry_an_elimination_order(p):
+    mesh = build_mesh(BIUNIT, 8, 8)
+    space = build_doubled_space(build_dof_map(mesh, p), classify_elements(mesh, Circle(0.0, 0.0, 0.6)))
+    if p == 1:
+        assert space.order is not None
+    else:
+        assert space.order is None
+
+
+ORDER_MESHES = [(16, 16, Circle(0.0, 0.0, 0.6)), (13, 9, Circle(0.1, 0.0, 0.5)), (8, 8, Circle(0.0, 0.0, 50.0))]
+
+
+@pytest.mark.parametrize("nx, ny, curve", ORDER_MESHES)
+def test_elimination_order_is_a_permutation_of_the_unknowns(nx, ny, curve):
+    mesh = build_mesh(BIUNIT, nx, ny)
+    space = build_doubled_space(build_dof_map(mesh, 1), classify_elements(mesh, curve))
+    assert space.order.dtype.kind == "i"
+    assert np.array_equal(np.sort(space.order), np.arange(space.n_unknowns))
+
+
+def _recursive_dissection(space):
+    """Nested dissection by recursion over boxes of interior vertex lines:
+    split on the middle line of the longer side (x on a tie), down to boxes
+    of one element, emitting [lower half, upper half, separator]."""
+    dofs = np.nonzero(space.active)[1]
+    pos = (dofs % (space.mesh.nx + 1), dofs // (space.mesh.nx + 1))
+    out = []
+
+    def visit(ids, box):
+        axis = 1 if box[1][1] - box[1][0] > box[0][1] - box[0][0] else 0
+        lo, hi = box[axis]
+        if hi - lo < 2:
+            out.extend(ids)
+            return
+        mid = (lo + hi) // 2
+        c = pos[axis][ids]
+        for part, bounds in ((c < mid, (lo, mid - 1)), (c > mid, (mid + 1, hi))):
+            sub = list(box)
+            sub[axis] = bounds
+            visit(ids[part], sub)
+        out.extend(ids[c == mid])
+
+    visit(np.arange(len(dofs)), [(1, space.mesh.nx - 1), (1, space.mesh.ny - 1)])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("nx, ny, curve", ORDER_MESHES)
+def test_elimination_order_matches_recursive_dissection(nx, ny, curve):
+    mesh = build_mesh(BIUNIT, nx, ny)
+    space = build_doubled_space(build_dof_map(mesh, 1), classify_elements(mesh, curve))
+    assert np.array_equal(space.order, _recursive_dissection(space))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -6,6 +8,7 @@ import scipy.sparse.linalg as spla
 
 import ipfem.solver as solver
 from ipfem.cases import catalog
+from ipfem.geometry import Ellipse
 from ipfem.solver import (
     ConvergenceFailure,
     SolverError,
@@ -51,8 +54,12 @@ def test_direct_solve_matches_dense_solve(beta, gamma0, gamma1):
     rep = solve(system)
     dense = np.linalg.solve(system.matrix.toarray(), system.load)
     assert np.linalg.norm(rep.solution - dense) <= 1e-10 * np.linalg.norm(dense)
+    # a (matrix, load) pair carries no elimination order: it takes the same
+    # path as a system without one, and the degree-1 grid order of ``system``
+    # moves the solution only at round-off
     pair = solve((system.matrix, system.load))
-    assert np.array_equal(pair.solution, rep.solution)
+    assert np.array_equal(pair.solution, solve(replace(system, order=None)).solution)
+    assert np.linalg.norm(pair.solution - rep.solution) <= 1e-12 * np.linalg.norm(rep.solution)
 
 
 def test_refinement_stall_raises():
@@ -112,9 +119,9 @@ def test_solve_factors_once_with_condition_estimate(monkeypatch):
     _, _, _, _, system = build_pipeline(case, 1, 8, beta=1)
     calls = []
 
-    def counted(matrix):
+    def counted(matrix, order=None):
         calls.append(matrix.shape)
-        return factor(matrix)
+        return factor(matrix, order)
 
     monkeypatch.setattr(solver, "factor", counted)
     rep = solve(system, estimate_cond=True)
@@ -134,3 +141,46 @@ def test_factor_uses_a_symmetric_fill_reducing_ordering():
     assert lu.L.nnz + lu.U.nnz <= 0.6 * (colamd.L.nnz + colamd.U.nnz)
     x = np.ones(scaled.shape[0])
     assert np.linalg.norm(scaled @ lu.solve(x) - x) <= 1e-10 * np.linalg.norm(x)
+
+
+def test_top_level_dissection_halves_share_no_stored_entry():
+    # nx = 16: the interior vertex columns are 1..15, and the square box is
+    # first split on column 8, so the order is [x < 8, x > 8, x = 8]
+    case = catalog()["circle-jump"]
+    _, _, space, _, system = build_pipeline(case, 1, 16)
+    column = np.nonzero(space.active)[1] % 17
+    ranked = column[system.order]
+    n_low, n_up = int(np.sum(column < 8)), int(np.sum(column > 8))
+    assert np.all(ranked[:n_low] < 8)
+    assert np.all(ranked[n_low : n_low + n_up] > 8)
+    assert np.all(ranked[n_low + n_up :] == 8)
+    permuted = system.matrix[system.order][:, system.order]
+    low, up = slice(0, n_low), slice(n_low, n_low + n_up)
+    assert permuted[low, low].nnz > 0 and permuted[up, up].nnz > 0
+    assert permuted[low, up].nnz == 0 and permuted[up, low].nnz == 0
+
+
+def test_grid_order_fills_less_than_minimum_degree_at_degree_one():
+    # measured: 1,126,082 against 1,303,526 stored L + U entries (0.86)
+    ellipse = Ellipse(0.0023643249400513433, 0.09009273926518707, 0.49324788381589013, 0.7067521161841098)
+    case = replace(catalog()["circle-jump"], curve=ellipse)
+    _, _, _, _, system = build_pipeline(case, 1, 128)
+    rep = solve(system)
+    mmd = factor(jacobi_scale(system).matrix.T)
+    assert rep.iterations == 0
+    assert rep.factor_nnz <= 0.9 * mmd.nnz
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_higher_degrees_keep_the_minimum_degree_lu(p):
+    case = catalog()["circle-jump"]
+    _, _, _, _, system = build_pipeline(case, p, 8)
+    assert system.order is None
+    rep = solve(system)
+    assert rep.iterations == 0
+    scaled = jacobi_scale(system)
+    lu = spla.splu(
+        scaled.matrix.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True}
+    )
+    assert np.array_equal(rep.solution, scaled.scale * lu.solve(scaled.load, trans="T"))
+    assert rep.factor_nnz == lu.nnz
