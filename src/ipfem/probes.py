@@ -8,6 +8,9 @@ bound on the distance function G built from the far corner of each segment's
 host element.  A Rayleigh quotient is reduced exactly to the unknowns of
 the segment hosts: one LU per topology for the volume Schur complement, then
 one small LU and one Lanczos run per penalty point (see ``_point_quotient``).
+The Schur complement's correction V_IR V_RR^(-1) V_RI is formed one block of
+b columns at a time, b = ``SCHUR_BLOCK_ENTRIES // |R|``, so its dense work
+arrays take O(|R| b) memory, not O(|R| |I|) (see ``_volume_schur``).
 """
 
 from __future__ import annotations
@@ -32,6 +35,12 @@ class ProbeError(Exception):
 
 # relative diagonal shift of both matrices in the Rayleigh-quotient solve
 REGULARIZATION = 1e-14
+# float64 entries (1 MiB) of each dense column block of V_RR^(-1) V_RI in
+# ``_volume_schur``: 69 columns on the penalty-scan mesh, 15 on circle-jump at
+# nx = 48, p = 2.  On circle-jump at nx = 48, 2^16 to 2^20 took the same time
+# within the noise, and 2^15 about half as long again at p = 3 (1.29 against
+# 0.71-0.99 s); larger blocks only hold more memory.
+SCHUR_BLOCK_ENTRIES = 2**17
 
 
 @dataclass
@@ -269,8 +278,12 @@ def _volume_schur(volume, on_interface):
     """S_V = V_II - V_IR V_RR^(-1) V_RI from one LU of V_RR, shifted as G is
     and Jacobi-scaled; V_RR is definite, as no nonzero constant vanishes on
     every segment host.  Only the columns of I that V_RI touches are solved
-    for.  V never couples the two copies, so the solves keep exact zeros
-    across them and the correction, stored without zeros, is block-diagonal."""
+    for, one block of b = ``SCHUR_BLOCK_ENTRIES // |R|`` columns (at least
+    one) at a time, so the dense work arrays take O(|R| b) memory, and b
+    shrinks as the mesh grows; each block keeps only the nonzero entries of
+    its correction columns, and the CSR is built once from all of them.
+    V never couples the two copies, so the solves keep exact zeros across
+    them and the correction is block-diagonal."""
     iface, rest = np.flatnonzero(on_interface), np.flatnonzero(~on_interface)
     v_i, v_r = volume[iface], volume[rest]  # the rows of I and of R
     v_rr = v_r[:, rest]
@@ -279,9 +292,19 @@ def _volume_schur(volume, on_interface):
     v_rr = v_rr + sp.diags(REGULARIZATION * v_rr.diagonal())
     d = 1.0 / np.sqrt(v_rr.diagonal())
     lu = factor(diagonal_scale(v_rr, d).tocsc())
-    x = d[:, None] * lu.solve(d[:, None] * v_ri[:, touched].toarray())  # V_RR^(-1) V_RI
-    corr = sp.coo_matrix(v_i[touched][:, rest] @ x)
-    corr = sp.csr_matrix((corr.data, (touched[corr.row], touched[corr.col])), shape=(iface.size,) * 2)
+    v_ir = v_i[touched][:, rest]
+    width = max(1, SCHUR_BLOCK_ENTRIES // rest.size)
+    rows, cols, vals = [], [], []
+    for start in range(0, touched.size, width):
+        block = touched[start:start + width]
+        x = d[:, None] * lu.solve(d[:, None] * v_ri[:, block].toarray())  # V_RR^(-1) V_RI
+        corr = v_ir @ x
+        r, c = np.nonzero(corr)
+        rows.append(touched[r])
+        cols.append(block[c])
+        vals.append(corr[r, c])
+    corr = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(iface.size,) * 2)
     return v_i[:, iface] - corr
 
 

@@ -55,25 +55,30 @@ class QuadRule:
 
 
 def _self_test(rule: QuadRule):
-    """Verify exactness on monomials up to the declared order."""
+    """Verify exactness on monomials up to the declared order, all of them in
+    one weighted product: w^T V for a 1-D rule, V_x^T diag(w) V_y for a
+    tensor rule, where V holds the powers 0..order of the node coordinates.
+    The first failing monomial (in (a, b) order for a tensor rule) is
+    reported with its integral taken on its own."""
+    powers = np.arange(rule.order + 1)
+    want_1d = np.where(powers % 2, 0.0, 2.0 / (powers + 1))
     if rule.dim == 1:
-        for k in range(rule.order + 1):
+        got = rule.weights @ rule.points[:, None] ** powers
+        fail = np.abs(got - want_1d) > 1e-13 * np.maximum(1.0, np.abs(want_1d))
+        if fail.any():
+            k = int(np.argmax(fail))
             got = float(np.dot(rule.weights, rule.points**k))
-            want = 0.0 if k % 2 else 2.0 / (k + 1)
-            if abs(got - want) > 1e-13 * max(1.0, abs(want)):
-                raise QuadratureError(f"1D rule fails monomial x^{k}: {got} vs {want}")
+            raise QuadratureError(f"1D rule fails monomial x^{k}: {got} vs {float(want_1d[k])}")
     else:
         x, y = rule.points[:, 0], rule.points[:, 1]
-        for a in range(rule.order + 1):
-            for b in range(rule.order + 1 - a):
-                got = float(np.dot(rule.weights, x**a * y**b))
-                wa = 0.0 if a % 2 else 2.0 / (a + 1)
-                wb = 0.0 if b % 2 else 2.0 / (b + 1)
-                want = wa * wb
-                if abs(got - want) > 1e-13 * max(1.0, abs(want)):
-                    raise QuadratureError(
-                        f"tensor rule fails monomial x^{a} y^{b}: {got} vs {want}"
-                    )
+        got = (rule.weights[:, None] * x[:, None] ** powers).T @ y[:, None] ** powers
+        want = np.outer(want_1d, want_1d)
+        fail = np.abs(got - want) > 1e-13 * np.maximum(1.0, np.abs(want))
+        fail &= powers[:, None] + powers <= rule.order
+        if fail.any():
+            a, b = (int(i) for i in np.argwhere(fail)[0])
+            got = float(np.dot(rule.weights, x**a * y**b))
+            raise QuadratureError(f"tensor rule fails monomial x^{a} y^{b}: {got} vs {float(want[a, b])}")
 
 
 @functools.lru_cache(maxsize=64)

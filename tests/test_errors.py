@@ -157,3 +157,69 @@ def test_energy_norm_matches_block_quadratic_form():
     direct = float(v @ (gram @ v))
     indep = energy_norm_squared(space, top, case.problem, params, v)
     assert direct == pytest.approx(indep, rel=1e-9)
+
+
+def _block_cases():
+    """(space, topology, problem, params, coefficients): circle-jump solutions at
+    p = 1..3 on nx = 8, and random coefficients on a cut ellipse at nx = 16."""
+    from ipfem.geometry import Ellipse
+
+    case = catalog()["circle-jump"]
+    for p in (1, 2, 3):
+        _, top, space, params, system = build_pipeline(case, p, 8)
+        yield space, top, case.problem, params, solve(system).solution
+    mesh = build_mesh(BIUNIT, 16, 16)
+    top = classify_elements(mesh, Ellipse(0.1, -0.05, 0.55, 0.35))
+    for p in (1, 2, 3):
+        space = build_doubled_space(build_dof_map(mesh, p), top)
+        coeffs = np.random.default_rng(p).standard_normal(space.n_unknowns)
+        yield space, top, case.problem, PenaltyParams(beta=1, gamma0=20.0, gamma1=1.0, p=p), coeffs
+
+
+def test_error_reports_do_not_depend_on_the_element_block_size(monkeypatch):
+    # One element per block against one block per group.  Cut groups take one
+    # product per element either way; an uncut group's BLAS products round a
+    # row differently as the number of rows changes, so the reports agree to
+    # round-off, not bitwise: measured at most 5.0e-15 relative (circle-jump
+    # l2 at p = 3, where u - u_h is 1e-4 of u), and 0 on the ellipse.
+    import ipfem.errors as errors
+
+    for space, top, problem, params, coeffs in _block_cases():
+        out = []
+        for entries in (1, 2**62):
+            monkeypatch.setattr(errors, "ERROR_BLOCK_ENTRIES", entries)
+            out.append((compute_errors(space, top, problem, coeffs, params),
+                        energy_norm_squared(space, top, problem, params, coeffs)))
+        (one, one_energy), (whole, whole_energy) = out
+        for field in ("l2", "h1_broken", "norm_a", "norm_b", "j0_value", "j1_value", "dofs"):
+            assert getattr(one, field) == pytest.approx(getattr(whole, field), rel=1e-12, abs=0.0), field
+        assert one_energy == pytest.approx(whole_energy, rel=1e-12, abs=0.0)
+
+
+def test_error_pass_memory_does_not_grow_with_whole_group_tables():
+    # perfbench's h-sweep seed-1 ellipse at nx = 128, p = 1.  The tracemalloc
+    # peak inside compute_errors was 31.6 MiB while each group's (E, q) tables
+    # of exact values, coefficients and errors were live at once, and is
+    # 15.4 MiB with element blocks of ERROR_BLOCK_ENTRIES entries; most of
+    # the rest is the plan's own (E, q) node arrays.
+    import tracemalloc
+
+    from ipfem.geometry import Ellipse
+
+    u = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+    grad = lambda x, y: (np.pi * np.cos(np.pi * x) * np.sin(np.pi * y), np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
+    one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
+    ten = lambda x, y: 10.0 * np.ones_like(np.asarray(x, dtype=float))
+    problem = Problem(a=(one, ten), f=(u, u), exact=(u, u), exact_grad=(grad, grad))
+    mesh = build_mesh(BIUNIT, 128, 128)
+    top = classify_elements(mesh, Ellipse(0.0023643249400513433, 0.09009273926518707, 0.49324788381589013, 0.7067521161841098))
+    space = build_doubled_space(build_dof_map(mesh, 1), top)
+    params = PenaltyParams(beta=1, gamma0=20.0, gamma1=1.0, p=1)
+    coeffs = np.zeros(space.n_unknowns)
+    tracemalloc.start()
+    try:
+        compute_errors(space, top, problem, coeffs, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, peak / 2**20

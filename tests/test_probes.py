@@ -320,6 +320,80 @@ def test_coercivity_recomputes_the_volume_schur_complement_when_the_volume_chang
     assert len(set(grid.values())) == len(grid)
 
 
+def _volume_schur_inputs(system, monkeypatch):
+    """The (volume, on_interface) that ``_point_quotient`` passes to ``_volume_schur``."""
+    import ipfem.probes as probes
+
+    class Seen(Exception):
+        pass
+
+    seen = []
+
+    def record(*args):
+        seen.append(args)
+        raise Seen
+
+    with monkeypatch.context() as m:
+        m.setattr(probes, "_volume_schur", record)
+        with pytest.raises(Seen):
+            probes._point_quotient(system)
+    return seen[0]
+
+
+def _scan_ellipse_system():
+    # the ellipse of the penalty-scan benchmark at seed 1 (nx = 24, p = 2)
+    from ipfem.geometry import Ellipse
+
+    curve = Ellipse(0.0023643249400513433, 0.09009273926518707, 0.49324788381589013, 0.7067521161841098)
+    mesh, top = _topology(curve, 24)
+    space = build_doubled_space(build_dof_map(mesh, 2), top)
+    one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
+    ten = lambda x, y: 10.0 * np.ones_like(np.asarray(x, dtype=float))
+    zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
+    problem = Problem(a=(one, ten), f=(zero, zero))
+    return assemble(space, top, problem, PenaltyParams(beta=1, gamma0=1000.0, gamma1=1.0, p=2))
+
+
+@pytest.mark.parametrize("which", ["scan-ellipse", "circle-jump-16"])
+def test_volume_schur_does_not_depend_on_the_column_block_width(which, monkeypatch):
+    # one column per block against one block for every touched column: the
+    # same CSR pattern and, on these two inputs, the same bits.  Bitwise
+    # equality is not general: SuperLU's solve with several right-hand sides
+    # rounds differently as their number changes, and on circle-jump at
+    # nx = 48, p = 2 the two widths differ by 3e-19 of S_V's largest entry.
+    import ipfem.probes as probes
+
+    system = _scan_ellipse_system() if which == "scan-ellipse" else _coercivity_builder(2, nx=16)(1000.0, 1.0)
+    volume, on_interface = _volume_schur_inputs(system, monkeypatch)
+    out = []
+    for entries in (1, volume.shape[0] ** 2):
+        monkeypatch.setattr(probes, "SCHUR_BLOCK_ENTRIES", entries)
+        out.append(probes._volume_schur(volume, on_interface))
+    one, whole = out
+    assert one.indptr.tobytes() == whole.indptr.tobytes()
+    assert one.indices.tobytes() == whole.indices.tobytes()
+    assert one.data.tobytes() == whole.data.tobytes()
+
+
+def test_volume_schur_memory_does_not_grow_with_the_touched_columns(monkeypatch):
+    # circle-jump at nx = 48, p = 2 (|R| = 8,329, 1,392 interface unknowns):
+    # the tracemalloc peak inside _volume_schur was 63.4 MiB while
+    # V_RR^(-1) V_RI was one dense |R| x |touched| array, and is 10.8 MiB with
+    # column blocks of SCHUR_BLOCK_ENTRIES entries.
+    import tracemalloc
+
+    import ipfem.probes as probes
+
+    volume, on_interface = _volume_schur_inputs(_coercivity_builder(2, nx=48)(1000.0, 1.0), monkeypatch)
+    tracemalloc.start()
+    try:
+        probes._volume_schur(volume, on_interface)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak / 2**20
+
+
 def test_coercivity_is_one_without_an_interface(monkeypatch):
     # a circle outside the domain leaves no segment, so C = A - G vanishes:
     # the quotient is exactly 1 and nothing is factored or iterated

@@ -514,3 +514,53 @@ def test_doctored_sliver_in_a_batch_raises_like_the_oracle():
     with pytest.raises(QuadratureError) as info:
         cut_cell_rule(both, e_p, s_p, 3)
     assert (type(info.value), str(info.value)) == want
+
+
+def _first_failing_monomial(points, weights, order):
+    """Message of the first monomial, in (a, b) order, that a rule fails,
+    from a loop over the monomials with one dot product each; None if none."""
+    if points.ndim == 1:
+        for k in range(order + 1):
+            got = float(np.dot(weights, points**k))
+            want = 0.0 if k % 2 else 2.0 / (k + 1)
+            if abs(got - want) > 1e-13 * max(1.0, abs(want)):
+                return f"1D rule fails monomial x^{k}: {got} vs {want}"
+        return None
+    x, y = points[:, 0], points[:, 1]
+    for a in range(order + 1):
+        for b in range(order + 1 - a):
+            got = float(np.dot(weights, x**a * y**b))
+            want = (0.0 if a % 2 else 2.0 / (a + 1)) * (0.0 if b % 2 else 2.0 / (b + 1))
+            if abs(got - want) > 1e-13 * max(1.0, abs(want)):
+                return f"tensor rule fails monomial x^{a} y^{b}: {got} vs {want}"
+    return None
+
+
+@pytest.mark.parametrize("rule", ["1d-4", "1d-22", "tensor-3", "tensor-12"])
+@pytest.mark.parametrize("perturbation", ["scale", "x", "y", "random"])
+def test_self_test_reports_the_first_monomial_a_perturbed_rule_fails(rule, perturbation):
+    # weights perturbed by 1e-12 (relative) fail the exactness check; the
+    # weighted-product check raises the message of the first failing monomial
+    # of a monomial-by-monomial loop.  An x (y) perturbation keeps every
+    # monomial of degree 0 in x (in y) exact, so the first failure is x^1
+    # (x^0 y^1 in a tensor rule), later in (a, b) order.
+    from ipfem.quadrature import QuadRule
+
+    kind, n = rule.split("-")
+    good = gauss_1d(int(n)) if kind == "1d" else tensor_gauss(int(n))
+    points = np.array(good.points)
+    x = points if kind == "1d" else points[:, 0]
+    y = x if kind == "1d" else points[:, 1]
+    factor = {
+        "scale": np.ones(len(x)),
+        "x": x,
+        "y": y,
+        "random": np.random.default_rng(int(n)).standard_normal(len(x)),
+    }[perturbation]
+    weights = good.weights * (1.0 + 1e-12 * factor)
+    want = _first_failing_monomial(points, weights, good.order)
+    assert want is not None
+    with pytest.raises(QuadratureError) as info:
+        QuadRule(points=points, weights=weights, order=good.order)
+    assert str(info.value) == want
+    assert _first_failing_monomial(points, np.array(good.weights), good.order) is None
