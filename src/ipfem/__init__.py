@@ -13,10 +13,9 @@ from .geometry import (
     InterfaceSegment,
     VerticalLine,
     classify_elements,
-    select_analysis_side,
     signed_side,
 )
-from .mesh import Mesh, Rectangle, build_mesh, element_geometry
+from .mesh import Mesh, Rectangle, build_mesh
 from .quadrature import CutCellRule, QuadRule, cut_cell_rule, gauss_1d, segment_rule
 from .solver import SolveReport, jacobi_scale, solve
 
@@ -43,12 +42,10 @@ __all__ = [
     "InterfaceSegment",
     "VerticalLine",
     "classify_elements",
-    "select_analysis_side",
     "signed_side",
     "Mesh",
     "Rectangle",
     "build_mesh",
-    "element_geometry",
     "CutCellRule",
     "QuadRule",
     "cut_cell_rule",

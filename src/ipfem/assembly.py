@@ -86,6 +86,7 @@ import scipy.sparse as sp
 
 from .fe_space import DoubledSpace
 from .geometry import CutTopology, InterfaceSegment
+from .mesh import element_map
 from .quadrature import SegmentRule, cut_cell_rule, gauss_1d, segment_rule, tensor_gauss
 
 
@@ -270,20 +271,12 @@ class SegmentTraces:
         return np.concatenate([self.flux1, -self.flux2], axis=-1)
 
 
-def _element_map(mesh, elems) -> tuple:
-    """Centres (elems.shape + (2,)) and half-widths (2,) of the affine maps
-    x = c + half * xi of the elements ``elems``, computed as
-    ``element_geometry`` does."""
-    centers = 0.5 * (mesh.vertices[mesh.elements[elems, 0]] + mesh.vertices[mesh.elements[elems, 2]])
-    return centers, np.array([mesh.dx / 2.0, mesh.dy / 2.0])
-
-
 def _basis_at(space: DoubledSpace, elems, points, rows: bool = False) -> tuple:
     """Basis values (..., q, n_loc) and physical gradients (..., q, n_loc, 2)
     at the nodes ``points`` (..., q, 2), each row of nodes mapped into its
     element in ``elems`` (shape ...).  With ``rows`` the gradients come as
     (..., 2q, n_loc), row 2k + d holding component d at node k."""
-    c, half = _element_map(space.mesh, elems)
+    c, half = element_map(space.mesh, elems)
     xi = ((points[..., 0] - c[..., None, 0]) / half[0]).ravel()
     eta = ((points[..., 1] - c[..., None, 1]) / half[1]).ravel()
     shape = points.shape[:-1] + (space.basis.n_local,)
@@ -530,7 +523,7 @@ def _edge_groups(space: DoubledSpace, topology: CutTopology, rule: SegmentRule) 
     direction = np.where(along[:, -1] < along[:, 0], -1.0, 1.0)
     ok = (np.abs(normals[rows, :, tangent]) <= ulps).all(axis=1)
     for hosts, edge_at in zip(_segment_hosts([topology.segments[k] for k in on_edge]), (1.0, -1.0)):
-        centers, half = _element_map(space.mesh, hosts)
+        centers, half = element_map(space.mesh, hosts)
         c_n, c_t, h_n, h_t = centers[rows, axis], centers[rows, tangent], half[axis], half[tangent]
         edge = c_n + np.where(copy1_low, edge_at, -edge_at) * h_n
         nodes = c_t[:, None] + (direction * h_t)[:, None] * g.points
@@ -571,7 +564,7 @@ def _new_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: in
     mesh = space.mesh
     basis = space.basis
     ref = tensor_gauss(quad_order)
-    _, half = _element_map(mesh, 0)  # the same for every element
+    _, half = element_map(mesh, 0)  # the same for every element
     ref_vals = basis.values(ref.points[:, 0], ref.points[:, 1])
     ref_grads = basis.gradients(ref.points[:, 0], ref.points[:, 1]) / half
     ref_w = ref.weights * (half[0] * half[1])
@@ -587,7 +580,7 @@ def _new_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: in
     groups = []
     for side in (1, 2):
         elems = np.flatnonzero(topology.labels == side)
-        centers, _ = _element_map(mesh, elems)
+        centers, _ = element_map(mesh, elems)
         groups.append(
             ElementGroup(
                 side=side,

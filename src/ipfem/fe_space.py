@@ -10,12 +10,10 @@ are +1 and no sign array is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .geometry import CutTopology, OnInterface
-from .mesh import Mesh, element_geometry
+from .geometry import CutTopology, signed_side
+from .mesh import Mesh, element_map
 
 
 class InactiveEvaluation(Exception):
@@ -266,10 +264,7 @@ def evaluate_discrete(space: DoubledSpace, coeffs, point, side="auto"):
     mesh = space.mesh
     x, y = float(point[0]), float(point[1])
     if side == "auto":
-        side = 1 if float(space.topology.curve.signed_distance(x, y)) < 0.0 else 2
-        d = abs(float(space.topology.curve.signed_distance(x, y)))
-        if d <= 1e-12 * mesh.h:
-            raise OnInterface(f"cannot infer side at {point}; specify side=1 or 2")
+        side = signed_side((x, y), space.topology.curve, tol=1e-12 * mesh.h)
     side = int(side)
     candidates = mesh.locate_candidates(x, y, tol=1e-12 * mesh.h)
     elem = next(
@@ -277,12 +272,12 @@ def evaluate_discrete(space: DoubledSpace, coeffs, point, side="auto"):
     )
     if elem is None:
         raise InactiveEvaluation(f"copy {side} is inactive at {point}")
-    geo = element_geometry(mesh, elem)
-    xi, eta = geo.to_reference(x, y)
+    center, half = element_map(mesh, elem)
+    xi, eta = (x - center[0]) / half[0], (y - center[1]) / half[1]
     local = space.gather(np.asarray(coeffs, dtype=float), elem, side)
     vals = space.basis.values(np.atleast_1d(xi), np.atleast_1d(eta))[0]
     grads = space.basis.gradients(np.atleast_1d(xi), np.atleast_1d(eta))[0]
     value = float(vals @ local)
     grad = grads.T @ local
-    grad = np.array([grad[0] / geo.half[0], grad[1] / geo.half[1]])
+    grad = np.array([grad[0] / half[0], grad[1] / half[1]])
     return value, grad

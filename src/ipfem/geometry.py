@@ -518,12 +518,6 @@ def _analysis_sides(mesh, curve, elements, t_mid) -> np.ndarray:
     return np.where(np.take_along_axis(d, off.argmax(axis=1)[:, None], axis=1)[:, 0] < 0.0, 1, 2)
 
 
-def select_analysis_side(segment: InterfaceSegment, mesh: Mesh, curve: InterfaceCurve) -> int:
-    """Side of the host element containing the corner farthest from the tangent
-    line at the segment midpoint (ties broken by smallest corner index)."""
-    return int(_analysis_sides(mesh, curve, [segment.element], np.array([segment.t_mid]))[0])
-
-
 def _label_by_centre(mesh, curve):
     """Labels (1 or 2) and full-side fractions of every element from the side
     of its centre, from one signed-distance evaluation on all centres."""

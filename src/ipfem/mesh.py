@@ -42,34 +42,6 @@ class Rectangle:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class ElementGeometry:
-    """Geometry of one rectangular element.
-
-    The reference map sends [-1,1]^2 to the element with a constant diagonal
-    Jacobian diag(half_x, half_y).
-    """
-
-    corners: np.ndarray  # (4, 2), counterclockwise from the lower-left corner
-    center: np.ndarray  # (2,)
-    half: np.ndarray  # (2,) half-widths (dx/2, dy/2)
-    h_k: float  # element diagonal
-
-    def to_physical(self, xi, eta):
-        return self.center[0] + self.half[0] * np.asarray(xi), self.center[
-            1
-        ] + self.half[1] * np.asarray(eta)
-
-    def to_reference(self, x, y):
-        return (np.asarray(x) - self.center[0]) / self.half[0], (
-            np.asarray(y) - self.center[1]
-        ) / self.half[1]
-
-    @property
-    def jacobian_det(self) -> float:
-        return float(self.half[0] * self.half[1])
-
-
 class Mesh:
     """Uniform nx-by-ny partition of a rectangle into axis-aligned elements.
 
@@ -155,11 +127,9 @@ def build_mesh(domain: Rectangle, nx: int, ny: int) -> Mesh:
     return Mesh(domain, nx, ny)
 
 
-def element_geometry(mesh: Mesh, k: int) -> ElementGeometry:
-    """Corner coordinates, diagonal h_K and the affine reference map of element k."""
-    if not 0 <= k < mesh.n_elements:
-        raise IndexError(f"element index {k} out of range [0, {mesh.n_elements})")
-    corners = mesh.vertices[mesh.elements[k]]
-    center = 0.5 * (corners[0] + corners[2])
-    half = np.array([mesh.dx / 2.0, mesh.dy / 2.0])
-    return ElementGeometry(corners=corners, center=center, half=half, h_k=mesh.h)
+def element_map(mesh: Mesh, elems) -> tuple:
+    """Centres (elems.shape + (2,)) and half-widths (2,) of the affine maps
+    x = c + half * xi from [-1, 1]^2 onto the elements ``elems``, the one
+    reference map of the package."""
+    centers = 0.5 * (mesh.vertices[mesh.elements[elems, 0]] + mesh.vertices[mesh.elements[elems, 2]])
+    return centers, np.array([mesh.dx / 2.0, mesh.dy / 2.0])

@@ -5,8 +5,14 @@ trace and inverse-trace constants on the analysis side of each cut element,
 the smallest Rayleigh quotient of the symmetric form against the energy Gram
 matrix (the empirical coercivity region in the penalty plane), and the lower
 bound on the distance function G built from the far corner of each segment's
-host element.  A Rayleigh quotient is reduced exactly to the unknowns of
-the segment hosts: one LU per topology for the volume Schur complement, then
+host element.  The two trace probes run in array passes over all segments,
+one block of segments at a time (``TRACE_BLOCK_ENTRIES`` entries in each
+per-node table): every host's analysis side is one row of padded node and
+weight arrays (``_analysis_rules``), the random coefficients are drawn in
+the order of a loop over the segments, the cubic fields are summed by one
+product with the monomial tables of the nodes, and each inverse-trace
+constant comes from a batched Cholesky reduction and ``eigvalsh``.  A
+Rayleigh quotient is reduced exactly to the unknowns of the segment hosts: one LU per topology for the volume Schur complement, then
 one small LU and one Lanczos run per penalty point (see ``_point_quotient``).
 The Schur complement's correction V_IR V_RR^(-1) V_RI is formed one block of
 b columns at a time, b = ``SCHUR_BLOCK_ENTRIES // |R|``, so its dense work
@@ -18,13 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fe_space import build_basis
 from .geometry import CutTopology, far_corners
-from .mesh import element_geometry
+from .mesh import element_map
 from .quadrature import cut_cell_rule, segment_rule, tensor_gauss
 from .solver import diagonal_scale, factor
 
@@ -41,6 +46,9 @@ REGULARIZATION = 1e-14
 # within the noise, and 2^15 about half as long again at p = 3 (1.29 against
 # 0.71-0.99 s); larger blocks only hold more memory.
 SCHUR_BLOCK_ENTRIES = 2**17
+# float64 entries (1 MiB) of each per-node table, (segments, nodes, basis
+# functions or fields), of a block of segments in the two trace probes
+TRACE_BLOCK_ENTRIES = 2**17
 
 
 @dataclass
@@ -70,135 +78,127 @@ def _report(name, mesh, p, per_element, extra=None) -> ProbeReport:
     )
 
 
-def _analysis_rules(topology, order) -> list:
-    """Per segment, the cut-cell rule of its host's analysis side (None on a
-    mesh edge), all from one batched ``cut_cell_rule`` call."""
-    cut = [seg for seg in topology.segments if not seg.on_edge]
-    rules = iter(cut_cell_rule(topology, np.array([seg.element for seg in cut], dtype=int),
-                               np.array([seg.analysis_side for seg in cut], dtype=int), order))
-    return [None if seg.on_edge else next(rules) for seg in topology.segments]
+def _analysis_rules(topology, order) -> tuple:
+    """Physical nodes (n, q, 2), reference nodes (n, q, 2) and weights (n, q)
+    of the analysis side of every segment's host, n = len(segments): the
+    order^2 Gauss rule of the whole element for a mesh-edge segment, else
+    its cut-cell rule, all from one batched ``cut_cell_rule`` call.  Rows
+    shorter than the longest rule q are padded with zero-weight nodes at the
+    host's centre."""
+    segments = topology.segments
+    hosts = np.array([seg.element for seg in segments], dtype=np.int64)
+    on_edge = np.array([seg.on_edge for seg in segments], dtype=bool)
+    cut = np.flatnonzero(~on_edge)
+    rules = cut_cell_rule(topology, hosts[cut], np.array([segments[k].analysis_side for k in cut], dtype=int),
+                          order)
+    whole = tensor_gauss(order)
+    q = max([len(whole.weights)] + [len(r.weights) for r in rules])
+    centers, half = element_map(topology.mesh, hosts)
+    ref = np.zeros((len(segments), q, 2))
+    weights = np.zeros((len(segments), q))
+    ref[on_edge, :len(whole.weights)] = whole.points
+    weights[on_edge, :len(whole.weights)] = whole.weights * (half[0] * half[1])
+    points = centers[:, None, :] + half * ref
+    for k, rule in zip(cut, rules):
+        n = len(rule.weights)
+        points[k, :n], weights[k, :n] = rule.points, rule.weights
+        ref[k, :n] = (rule.points - centers[k]) / half
+    return points, ref, weights
 
 
-def _analysis_region_rule(geo, crule, order):
-    """Quadrature over the analysis side of a segment's host: the whole element
-    if ``crule`` is None (a mesh-edge segment), else the cut-cell rule
-    ``crule``.  Returns physical nodes x, y, weights, reference nodes xi, eta."""
-    if crule is None:
-        rule = tensor_gauss(order)
-        xi, eta = rule.points[:, 0], rule.points[:, 1]
-        x, y = geo.to_physical(xi, eta)
-        return x, y, rule.weights * geo.jacobian_det, xi, eta
-    x, y = crule.points[:, 0], crule.points[:, 1]
-    return (x, y, crule.weights, *geo.to_reference(x, y))
-
-
-def _side_norm_matrices(topology, seg, points, weights, crule, p, quad_order):
-    """Edge and region Gram matrices of the local degree-p tensor basis on the
-    host element, the edge over the segment with its rule's ``points`` and
-    ``weights``, the region over the analysis side (``crule`` as in
-    ``_analysis_region_rule``)."""
-    basis = build_basis(p)
-    geo = element_geometry(topology.mesh, seg.element)
-
-    xi, eta = geo.to_reference(points[:, 0], points[:, 1])
-    vals_e = basis.values(xi, eta)
-    m_edge = vals_e.T @ (weights[:, None] * vals_e)
-
-    _, _, w, xi_k, eta_k = _analysis_region_rule(geo, crule, quad_order)
-    vals_k = basis.values(xi_k, eta_k)
-    m_region = vals_k.T @ (w[:, None] * vals_k)
-    return m_edge, m_region, geo
+def _segment_blocks(n, per_segment) -> list:
+    """Consecutive slices of the n segments, each of at most
+    max(1, TRACE_BLOCK_ENTRIES // per_segment) segments."""
+    width = max(1, TRACE_BLOCK_ENTRIES // per_segment)
+    return [slice(start, start + width) for start in range(0, n, width)]
 
 
 def probe_inverse_trace(mesh, curve, topology: CutTopology, p: int, samples: int = 20, seed: int = 0) -> ProbeReport:
     """Constant in  ||v_h||_e <= C (p / h^(1/2)) ||v_h||_{K_ie}  over degree-p
-    polynomials: per segment host, both the max over random samples and an
-    exact dense solve of the generalized eigenproblem (m_edge, m_region)."""
+    polynomials: per segment host, both the max over random samples and the
+    exact constant, from the largest eigenvalue of the pencil (m_edge,
+    m_region) of edge and region Gram matrices reduced by the Cholesky
+    factor of m_region."""
+    if not topology.segments:
+        return _report("inverse-trace", mesh, p, {})  # raises ProbeError
     rng = np.random.default_rng(seed)
     quad_order = p + 3
-    sampled = {}
-    refined = {}
+    basis = build_basis(p)
+    hosts = np.array([seg.element for seg in topology.segments], dtype=np.int64)
     srule = segment_rule(topology.segments, topology.curve, max(quad_order, 8))
-    for seg, points, weights, crule in zip(topology.segments, srule.points, srule.weights,
-                                           _analysis_rules(topology, quad_order)):
-        m_edge, m_region, geo = _side_norm_matrices(topology, seg, points, weights, crule, p, quad_order)
-        best = 0.0
-        for _ in range(samples):
-            c = rng.standard_normal(m_edge.shape[0])
-            num = float(c @ (m_edge @ c))
-            den = float(c @ (m_region @ c))
-            if den <= 0.0:
-                continue
-            best = max(best, np.sqrt(num / den))
-        scale = np.sqrt(geo.h_k) / p
-        sampled[seg.element] = best * scale
-        lam = la.eigh(m_edge, m_region, eigvals_only=True)[-1]
-        refined[seg.element] = float(np.sqrt(max(lam, 0.0)) * scale)
-    return _report("inverse-trace", mesh, p, refined, extra={"sampled_max": sampled})
+    centers, half = element_map(mesh, hosts)
+    edge = (srule.points - centers[:, None, :]) / half
+    _, ref, w = _analysis_rules(topology, quad_order)
+    best, lam = [], []
+    for at in _segment_blocks(len(hosts), ref.shape[1] * basis.n_local):
+        m_edge = _gram(basis, edge[at], srule.weights[at])
+        m_region = _gram(basis, ref[at], w[at])
+        # c^T (M c) per sample, as one matrix-vector product and one dot each
+        c = rng.standard_normal((len(m_edge), samples, basis.n_local, 1))
+        num, den = ((c.swapaxes(-1, -2) @ (m[:, None] @ c))[..., 0, 0] for m in (m_edge, m_region))
+        best.append(np.divide(num, den, out=np.zeros_like(num), where=den > 0.0).max(axis=1, initial=0.0))
+        lower = np.linalg.cholesky(m_region)
+        reduced = np.linalg.solve(lower, np.linalg.solve(lower, m_edge).swapaxes(-1, -2))  # L^-1 m_edge L^-T
+        lam.append(np.linalg.eigvalsh(reduced)[:, -1])
+    scale = np.sqrt(mesh.h) / p
+    sampled = np.sqrt(np.concatenate(best)) * scale
+    refined = np.sqrt(np.maximum(np.concatenate(lam), 0.0)) * scale
+    return _report("inverse-trace", mesh, p, dict(zip(hosts.tolist(), refined.tolist())),
+                   extra={"sampled_max": dict(zip(hosts.tolist(), sampled.tolist()))})
 
 
-def _random_smooth_fields(rng, n, h):
-    """Cubic polynomials with analytic gradients, plus one oscillatory field."""
-    fields = []
-    for _ in range(n):
-        coef = rng.standard_normal((4, 4))
+def _gram(basis, nodes, weights) -> np.ndarray:
+    """Gram matrices (n, n_local, n_local) of the reference basis over the
+    reference nodes (n, q, 2) with weights (n, q)."""
+    vals = basis.values(nodes[..., 0].ravel(), nodes[..., 1].ravel()).reshape(nodes.shape[:2] + (-1,))
+    return vals.swapaxes(-1, -2) @ (weights[..., None] * vals)
 
-        def val(x, y, c=coef):
-            return sum(
-                c[i, j] * x**i * y**j for i in range(4) for j in range(4)
-            )
 
-        def grad(x, y, c=coef):
-            gx = sum(
-                i * c[i, j] * x ** (i - 1) * y**j
-                for i in range(1, 4)
-                for j in range(4)
-            )
-            gy = sum(
-                j * c[i, j] * x**i * y ** (j - 1)
-                for i in range(4)
-                for j in range(1, 4)
-            )
-            return gx, gy
+def _cubic_tables(x, y) -> np.ndarray:
+    """Monomials x^i y^j, i, j < 4, and their x- and y-derivatives at the
+    nodes (..., q), as (3, ..., q, 16), column 4 i + j."""
+    def powers(t):  # t^0..t^3 and their derivatives, (..., q, 4) each
+        one, zero = np.ones_like(t), np.zeros_like(t)
+        return np.stack([one, t, t * t, t * t * t], axis=-1), np.stack([zero, one, 2 * t, 3 * t * t], axis=-1)
 
-        fields.append((val, grad))
-    k = min(4.0 / h, 64.0)
+    (xp, dx), (yp, dy) = powers(x), powers(y)
+    outer = [a[..., :, None] * b[..., None, :] for a, b in ((xp, yp), (dx, yp), (xp, dy))]
+    return np.stack(outer).reshape(3, *x.shape, 16)
 
-    def osc(x, y, k=k):
-        return np.sin(k * x) * np.cos(k * y)
 
-    def osc_grad(x, y, k=k):
-        return k * np.cos(k * x) * np.cos(k * y), -k * np.sin(k * x) * np.sin(k * y)
-
-    fields.append((osc, osc_grad))
-    return fields
+def _field_norms(nodes, weights, coef, k) -> tuple:
+    """L2 norms (n, f) of the value and of the gradient of each field over the
+    nodes (n, q, 2) with weights (n, q): the cubics sum_ij coef[:, 4 i + j]
+    x^i y^j, coef (n, 16, f - 1), then sin(kx) cos(ky)."""
+    x, y = nodes[..., 0], nodes[..., 1]
+    sx, sy, cx, cy = np.sin(k * x), np.sin(k * y), np.cos(k * x), np.cos(k * y)
+    osc = np.stack([sx * cy, k * cx * cy, -k * sx * sy])[..., None]
+    val, gx, gy = np.concatenate([_cubic_tables(x, y) @ coef, osc], axis=-1)
+    return (np.sqrt(np.einsum("nq,nqf->nf", weights, val**2)),
+            np.sqrt(np.einsum("nq,nqf->nf", weights, gx**2 + gy**2)))
 
 
 def probe_trace(mesh, curve, topology: CutTopology, samples: int = 20, seed: int = 0) -> ProbeReport:
     """Constant in  ||v||_e <= C (h^(-1/2)||v|| + ||v||^(1/2)||grad v||^(1/2))
-    over random smooth fields on the analysis side."""
+    over random smooth fields on the analysis side: per segment host,
+    ``samples`` cubics with standard normal coefficients, drawn segment by
+    segment, and sin(kx) cos(ky), k = min(4/h, 64)."""
+    if not topology.segments:
+        return _report("trace", mesh, 0, {})  # raises ProbeError
     rng = np.random.default_rng(seed)
-    quad_order = 8
-    per_element = {}
+    hosts = [seg.element for seg in topology.segments]
     srule = segment_rule(topology.segments, topology.curve, 12)
-    for seg, points, weights, crule in zip(topology.segments, srule.points, srule.weights,
-                                           _analysis_rules(topology, quad_order)):
-        geo = element_geometry(mesh, seg.element)
-        x, y, w, _, _ = _analysis_region_rule(geo, crule, quad_order)
-        best = 0.0
-        for val, grad in _random_smooth_fields(rng, samples, mesh.h):
-            ve = np.sqrt(np.sum(weights * val(points[:, 0], points[:, 1]) ** 2))
-            vk = np.sqrt(np.sum(w * val(x, y) ** 2))
-            gx, gy = grad(x, y)
-            gk = np.sqrt(np.sum(w * (gx**2 + gy**2)))
-            if vk == 0.0:
-                continue
-            denom = vk / np.sqrt(geo.h_k) + np.sqrt(vk) * np.sqrt(gk)
-            if denom == 0.0:
-                continue
-            best = max(best, ve / denom)
-        per_element[seg.element] = best
-    return _report("trace", mesh, 0, per_element)
+    points, _, w = _analysis_rules(topology, 8)
+    k = min(4.0 / mesh.h, 64.0)
+    best = []
+    for at in _segment_blocks(len(hosts), points.shape[1] * (samples + 1)):
+        coef = rng.standard_normal((len(w[at]), samples, 16)).swapaxes(-1, -2)
+        ve, _ = _field_norms(srule.points[at], srule.weights[at], coef, k)
+        vk, gk = _field_norms(points[at], w[at], coef, k)
+        denom = vk / np.sqrt(mesh.h) + np.sqrt(vk) * np.sqrt(gk)
+        ok = (vk != 0.0) & (denom != 0.0)
+        best.append(np.divide(ve, denom, out=np.zeros_like(ve), where=ok).max(axis=1, initial=0.0))
+    return _report("trace", mesh, 0, dict(zip(hosts, np.concatenate(best).tolist())))
 
 
 def probe_coercivity(

@@ -8,7 +8,7 @@ from ipfem.assembly import PenaltyParams, assemble
 from ipfem.cases import DOMAIN
 from ipfem.fe_space import build_dof_map, build_doubled_space, shape_1d
 from ipfem.geometry import classify_elements
-from ipfem.mesh import build_mesh, element_geometry
+from ipfem.mesh import build_mesh, element_map
 from ipfem.quadrature import gauss_1d, tensor_gauss
 
 
@@ -105,8 +105,8 @@ def interpolate_pair(space, fns):
                 "q,ql,qm->lm", rule2.weights, vals2[:, interior], vals2[:, interior]
             )
             for e in range(mesh.n_elements):
-                geo = element_geometry(mesh, e)
-                x, y = geo.to_physical(rule2.points[:, 0], rule2.points[:, 1])
+                center, half = element_map(mesh, e)
+                x, y = (center + half * rule2.points).T
                 known = dofvals[dm.element_dofs[e]].copy()
                 for l in interior:
                     known[l] = 0.0

@@ -24,7 +24,7 @@ from ipfem.cases import DOMAIN, catalog
 from ipfem.errors import _squared_parts, compute_errors, energy_norm_squared
 from ipfem.fe_space import build_dof_map, build_doubled_space
 from ipfem.geometry import Circle, InterfaceCurve, InterfaceSegment, VerticalLine, classify_elements
-from ipfem.mesh import Rectangle, build_mesh, element_geometry
+from ipfem.mesh import Rectangle, build_mesh, element_map
 from ipfem.quadrature import cut_cell_rule, segment_rule, tensor_gauss
 
 from helpers import build_pipeline
@@ -310,19 +310,19 @@ def _element_sides(space, top, quad_order):
     mesh, basis = space.mesh, space.basis
     rule = tensor_gauss(quad_order)
     for e in range(mesh.n_elements):
-        geo = element_geometry(mesh, e)
+        center, half = element_map(mesh, e)
         for side in (1, 2):
             if top.fractions[e, side - 1] <= 0.0:
                 continue
             if top.labels[e] != 0:
-                x, y = geo.to_physical(rule.points[:, 0], rule.points[:, 1])
-                w = rule.weights * geo.jacobian_det
+                x, y = (center + half * rule.points).T
+                w = rule.weights * float(half[0] * half[1])
             else:
                 crule = cut_cell_rule(top, e, side, order=quad_order)
                 x, y = crule.points[:, 0], crule.points[:, 1]
                 w = crule.weights
-            xi, eta = geo.to_reference(x, y)
-            grads = basis.gradients(xi, eta) / geo.half[None, None, :]
+            xi, eta = (x - center[0]) / half[0], (y - center[1]) / half[1]
+            grads = basis.gradients(xi, eta) / half[None, None, :]
             yield e, side, x, y, w, basis.values(xi, eta), grads
 
 
@@ -431,12 +431,12 @@ def _one_group_per_side(plan, space, top, quad_order):
     basis = space.basis
     groups = []
     for e in top.cut_elements:
-        geo = element_geometry(space.mesh, e)
+        center, half = element_map(space.mesh, e)
         for side in (1, 2):
             if top.fractions[e, side - 1] <= 0.0:
                 continue
             crule = cut_cell_rule(top, int(e), side, quad_order)
-            xi, eta = geo.to_reference(crule.points[:, 0], crule.points[:, 1])
+            xi, eta = ((crule.points - center) / half).T
             groups.append(
                 ElementGroup(
                     side=side,
@@ -444,7 +444,7 @@ def _one_group_per_side(plan, space, top, quad_order):
                     y=crule.points[None, :, 1],
                     w=crule.weights[None],
                     vals=basis.values(xi, eta)[None],
-                    grads=_T(basis.gradients(xi, eta) / geo.half[None, None, :]).reshape(1, -1, basis.n_local),
+                    grads=_T(basis.gradients(xi, eta) / half[None, None, :]).reshape(1, -1, basis.n_local),
                     idx=space.element_unknowns(e, side)[None, :],
                 )
             )

@@ -16,8 +16,10 @@ from ipfem.cli import (
     main,
     run_study,
 )
-from ipfem.cases import catalog
+from ipfem.cases import DOMAIN, catalog
 from ipfem.errors import InsufficientData
+from ipfem.geometry import classify_elements
+from ipfem.mesh import build_mesh
 
 
 def test_list_cases_catalog():
@@ -357,6 +359,22 @@ def test_probes_subcommand(tmp_path):
     assert rc == 0
     text = (tmp_path / "probe_coercivity.csv").read_text()
     assert "coercivity" in text
+
+
+@pytest.mark.parametrize("probe, name", [("trace", "trace"), ("G", "far-point-distance")])
+def test_probes_subcommand_trace_and_g(tmp_path, probe, name):
+    rc = main(["probes", "--probe", probe, "--case", "circle-jump", "--nx", "8", "--samples", "5",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / f"probe_{probe}.csv").read_text().splitlines()
+    assert lines[0] == "probe,nx,p,element,value"
+    mesh = build_mesh(DOMAIN, 8, 8)
+    hosts = sorted({seg.element for seg in classify_elements(mesh, catalog()["circle-jump"].curve).segments})
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[:3] for row in rows] == [[name, "8", "0"]] * (len(hosts) + 2)
+    assert [row[3] for row in rows] == [str(e) for e in hosts] + ["max", "median"]
+    values = [float(row[4]) for row in rows]
+    assert values[-2] == max(values[:-2]) and min(values[:-2]) <= values[-1] <= values[-2]
 
 
 

@@ -16,10 +16,10 @@ from ipfem.geometry import (
     TangencyUnresolved,
     UnresolvedTopology,
     VerticalLine,
+    _analysis_sides,
     classify_elements,
     far_corners,
     parse_curve,
-    select_analysis_side,
     signed_side,
 )
 from ipfem.mesh import Rectangle, build_mesh
@@ -163,7 +163,7 @@ def test_select_analysis_side_hand_case():
     far = corners[int(np.argmax(dist))]
     expected = 1 if curve.signed_distance(far[0], far[1]) < 0 else 2
     assert seg.analysis_side == expected == 1
-    assert select_analysis_side(seg, mesh, curve) == expected
+    assert _analysis_sides(mesh, curve, [seg.element], np.array([tm])).tolist() == [expected]
 
 
 def test_all_segments_have_valid_side():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ipfem.mesh import Rectangle, build_mesh, element_geometry
+from ipfem.mesh import Rectangle, build_mesh, element_map
 
 UNIT = Rectangle(0.0, 0.0, 1.0, 1.0)
 BIUNIT = Rectangle(-1.0, -1.0, 1.0, 1.0)
@@ -23,16 +23,17 @@ def test_uniform_diagonal():
     mesh = build_mesh(BIUNIT, 8, 8)
     expected = (2.0 / 8.0) * np.sqrt(2.0)
     for k in range(mesh.n_elements):
-        assert element_geometry(mesh, k).h_k == pytest.approx(expected, rel=1e-14)
+        _, half = element_map(mesh, k)
+        assert float(np.hypot(*(2.0 * half))) == pytest.approx(expected, rel=1e-14)
     assert mesh.h == pytest.approx(expected, rel=1e-14)
 
 
 def test_reference_map_unit_cell():
     mesh = build_mesh(UNIT, 1, 1)
-    geo = element_geometry(mesh, 0)
+    center, half = element_map(mesh, 0)
     xi = np.array([-1.0, 0.3, 1.0])
     eta = np.array([-1.0, -0.4, 1.0])
-    x, y = geo.to_physical(xi, eta)
+    x, y = center[0] + half[0] * xi, center[1] + half[1] * eta
     assert np.allclose(x, (xi + 1) / 2)
     assert np.allclose(y, (eta + 1) / 2)
 
@@ -40,22 +41,24 @@ def test_reference_map_unit_cell():
 def test_map_lower_left_corner():
     mesh = build_mesh(Rectangle(-2.0, 1.0, 4.0, 3.0), 5, 3)
     for k in (0, 7, mesh.n_elements - 1):
-        geo = element_geometry(mesh, k)
-        x, y = geo.to_physical(-1.0, -1.0)
-        assert np.allclose([x, y], geo.corners[0])
+        center, half = element_map(mesh, k)
+        x, y = center - half
+        assert np.allclose([x, y], mesh.vertices[mesh.elements[k, 0]])
 
 
 def test_row_major_corner_enumeration():
     mesh = build_mesh(BIUNIT, 2, 2)
-    geo = element_geometry(mesh, 3)
+    center, half = element_map(mesh, 3)
     expected = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    assert np.allclose(geo.corners, expected)
+    corners = center + half * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    assert np.allclose(corners, expected)
+    assert np.allclose(mesh.vertices[mesh.elements[3]], expected)
 
 
 def test_area_partition():
     mesh = build_mesh(Rectangle(0.3, -0.7, 2.9, 1.1), 7, 5)
     total = sum(
-        4.0 * element_geometry(mesh, k).jacobian_det for k in range(mesh.n_elements)
+        4.0 * float(np.prod(element_map(mesh, k)[1])) for k in range(mesh.n_elements)
     )
     assert total == pytest.approx(mesh.domain.area, rel=1e-13)
 
@@ -69,7 +72,7 @@ def test_invalid_arguments():
         build_mesh(Rectangle(0.0, 0.0, 0.0, 1.0), 2, 2)
     mesh = build_mesh(UNIT, 2, 2)
     with pytest.raises(IndexError):
-        element_geometry(mesh, 4)
+        element_map(mesh, 4)
 
 
 def test_locate_and_candidates():

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from ipfem.assembly import PenaltyParams, Problem, assemble
 from ipfem.cases import DOMAIN, catalog
-from ipfem.fe_space import build_dof_map, build_doubled_space
+from ipfem.fe_space import build_basis, build_dof_map, build_doubled_space
 from ipfem.geometry import Circle, VerticalLine, classify_elements
-from ipfem.mesh import Rectangle, build_mesh, element_geometry
+from ipfem.mesh import Rectangle, build_mesh, element_map
 from ipfem.probes import (
     probe_coercivity,
     probe_G,
     probe_inverse_trace,
     probe_trace,
 )
-from ipfem.quadrature import segment_rule, tensor_gauss
+from ipfem.quadrature import cut_cell_rule, segment_rule, tensor_gauss
 
 
 def _topology(curve, nx):
@@ -26,13 +27,12 @@ def test_inverse_trace_constant_closed_form_on_edge_case():
     curve = VerticalLine(0.0, -1.0, 1.0)
     mesh, top = _topology(curve, 4)
     seg = top.segments[0]
-    geo = element_geometry(mesh, seg.element)
     srule = segment_rule(seg, curve, 8)
     edge_sq = float(srule.weights.sum())  # |e| for v = 1
     region_sq = mesh.dx * mesh.dy
     p = 1
-    hand = np.sqrt(edge_sq) * np.sqrt(geo.h_k) / (p * np.sqrt(region_sq))
-    assert hand == pytest.approx(np.sqrt(geo.h_k / mesh.dx) / p, rel=1e-12)
+    hand = np.sqrt(edge_sq) * np.sqrt(mesh.h) / (p * np.sqrt(region_sq))
+    assert hand == pytest.approx(np.sqrt(mesh.h / mesh.dx) / p, rel=1e-12)
     rep = probe_inverse_trace(mesh, curve, top, p, samples=10, seed=0)
     assert rep.per_element[seg.element] >= hand - 1e-10
 
@@ -69,8 +69,7 @@ def test_trace_probe_constant_bound_and_stability():
         from ipfem.quadrature import cut_cell_rule
 
         region = cut_cell_rule(top, seg.element, side, order=4).weights.sum()
-        geo = element_geometry(mesh, seg.element)
-        hand = np.sqrt(srule.weights.sum()) / (np.sqrt(region / geo.h_k))
+        hand = np.sqrt(srule.weights.sum()) / (np.sqrt(region / mesh.h))
         assert rep.per_element[seg.element] >= 0.0
         assert hand < 4.0  # computable bound stays desk-scale
     maxima = []
@@ -413,3 +412,176 @@ def test_coercivity_is_one_without_an_interface(monkeypatch):
         return assemble(space, top, case.problem, PenaltyParams(beta=1, gamma0=g0, gamma1=g1, p=1))
 
     assert probe_coercivity(builder, [1.0, 10.0], [1.0]) == {(1.0, 1.0): 1.0, (10.0, 1.0): 1.0}
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the two trace probes as loops over the segments, one
+# segment, sample and field at a time, each host's region rule from its own
+# scalar cut_cell_rule call.
+
+
+def _loop_region(mesh, seg, crule, order):
+    """Physical nodes, weights and reference nodes of a segment host's analysis
+    side: the whole element when ``crule`` is None, else ``crule``."""
+    center, half = element_map(mesh, seg.element)
+    if crule is None:
+        rule = tensor_gauss(order)
+        xi, eta = rule.points[:, 0], rule.points[:, 1]
+        x, y = center[0] + half[0] * xi, center[1] + half[1] * eta
+        return x, y, rule.weights * float(half[0] * half[1]), xi, eta
+    x, y = crule.points[:, 0], crule.points[:, 1]
+    return x, y, crule.weights, (x - center[0]) / half[0], (y - center[1]) / half[1]
+
+
+def _loop_rules(top, order):
+    return [None if seg.on_edge else cut_cell_rule(top, seg.element, seg.analysis_side, order)
+            for seg in top.segments]
+
+
+def _loop_inverse_trace(mesh, curve, top, p, samples=20, seed=0):
+    """(per_element, sampled_max) of the inverse-trace probe, segment by segment."""
+    rng = np.random.default_rng(seed)
+    quad_order = p + 3
+    basis = build_basis(p)
+    sampled, refined = {}, {}
+    srule = segment_rule(top.segments, top.curve, max(quad_order, 8))
+    for seg, points, weights, crule in zip(top.segments, srule.points, srule.weights,
+                                           _loop_rules(top, quad_order)):
+        center, half = element_map(mesh, seg.element)
+        vals_e = basis.values((points[:, 0] - center[0]) / half[0], (points[:, 1] - center[1]) / half[1])
+        m_edge = vals_e.T @ (weights[:, None] * vals_e)
+        _, _, w, xi_k, eta_k = _loop_region(mesh, seg, crule, quad_order)
+        vals_k = basis.values(xi_k, eta_k)
+        m_region = vals_k.T @ (w[:, None] * vals_k)
+        best = 0.0
+        for _ in range(samples):
+            c = rng.standard_normal(m_edge.shape[0])
+            num = float(c @ (m_edge @ c))
+            den = float(c @ (m_region @ c))
+            if den <= 0.0:
+                continue
+            best = max(best, np.sqrt(num / den))
+        scale = np.sqrt(mesh.h) / p
+        sampled[seg.element] = best * scale
+        lam = la.eigh(m_edge, m_region, eigvals_only=True)[-1]
+        refined[seg.element] = float(np.sqrt(max(lam, 0.0)) * scale)
+    return refined, sampled
+
+
+def _loop_fields(rng, n, h):
+    """``n`` random cubics and one oscillatory field, as (value, gradient)."""
+    fields = []
+    for _ in range(n):
+        coef = rng.standard_normal((4, 4))
+
+        def val(x, y, c=coef):
+            return sum(c[i, j] * x**i * y**j for i in range(4) for j in range(4))
+
+        def grad(x, y, c=coef):
+            gx = sum(i * c[i, j] * x ** (i - 1) * y**j for i in range(1, 4) for j in range(4))
+            gy = sum(j * c[i, j] * x**i * y ** (j - 1) for i in range(4) for j in range(1, 4))
+            return gx, gy
+
+        fields.append((val, grad))
+    k = min(4.0 / h, 64.0)
+    fields.append((lambda x, y: np.sin(k * x) * np.cos(k * y),
+                   lambda x, y: (k * np.cos(k * x) * np.cos(k * y), -k * np.sin(k * x) * np.sin(k * y))))
+    return fields
+
+
+def _loop_trace(mesh, curve, top, samples=20, seed=0):
+    """per_element of the trace probe, segment by segment and field by field."""
+    rng = np.random.default_rng(seed)
+    per_element = {}
+    srule = segment_rule(top.segments, top.curve, 12)
+    for seg, points, weights, crule in zip(top.segments, srule.points, srule.weights, _loop_rules(top, 8)):
+        x, y, w, _, _ = _loop_region(mesh, seg, crule, 8)
+        best = 0.0
+        for val, grad in _loop_fields(rng, samples, mesh.h):
+            ve = np.sqrt(np.sum(weights * val(points[:, 0], points[:, 1]) ** 2))
+            vk = np.sqrt(np.sum(w * val(x, y) ** 2))
+            gx, gy = grad(x, y)
+            gk = np.sqrt(np.sum(w * (gx**2 + gy**2)))
+            if vk == 0.0:
+                continue
+            denom = vk / np.sqrt(mesh.h) + np.sqrt(vk) * np.sqrt(gk)
+            if denom == 0.0:
+                continue
+            best = max(best, ve / denom)
+        per_element[seg.element] = best
+    return per_element
+
+
+def _rel_change(got, want):
+    a, b = np.array(list(got.values())), np.array(list(want.values()))
+    return float(np.max(np.abs(a - b) / np.abs(b)))
+
+
+_ORACLE_INPUTS = {
+    "circle-jump-8": (catalog()["circle-jump"].curve, 8),
+    "circle-jump-32": (catalog()["circle-jump"].curve, 32),
+    # every segment on a mesh edge, measured over the whole-element rule
+    "vertical-line-8": (VerticalLine(0.0, -1.0, 1.0), 8),
+}
+
+
+@pytest.mark.parametrize("which", sorted(_ORACLE_INPUTS))
+def test_batched_inverse_trace_probe_matches_the_per_segment_loop(which):
+    # the sampled forms keep the loop's float order (one matrix-vector
+    # product and one dot per sample), so they are bitwise equal; the exact
+    # constant comes from another reduction of the pencil than LAPACK's
+    # sygvd, and the region Gram matrices of small cut sides reach a
+    # condition number of 1e9 at p = 4: it moved by at most 3.9e-10 relative
+    # (circle-jump, nx = 32, p = 4), and by 2e-14 at p <= 2
+    curve, nx = _ORACLE_INPUTS[which]
+    mesh, top = _topology(curve, nx)
+    for p in (1, 2, 4):
+        rep = probe_inverse_trace(mesh, curve, top, p, 20, 0)
+        refined, sampled = _loop_inverse_trace(mesh, curve, top, p, 20, 0)
+        assert list(rep.per_element) == list(refined)
+        assert rep.extra["sampled_max"] == sampled
+        assert _rel_change(rep.per_element, refined) < 1e-8
+
+
+@pytest.mark.parametrize("which", sorted(_ORACLE_INPUTS))
+def test_batched_trace_probe_matches_the_per_segment_loop(which):
+    # the cubics are summed by one product with the monomial tables, not
+    # term by term: the constants moved by at most 7.3e-16 relative
+    curve, nx = _ORACLE_INPUTS[which]
+    mesh, top = _topology(curve, nx)
+    rep = probe_trace(mesh, curve, top, samples=20, seed=0)
+    want = _loop_trace(mesh, curve, top, samples=20, seed=0)
+    assert list(rep.per_element) == list(want)
+    assert _rel_change(rep.per_element, want) < 1e-13
+
+
+@pytest.mark.parametrize("probe", [probe_inverse_trace, probe_trace])
+def test_trace_probes_do_not_depend_on_the_segment_block_size(probe, monkeypatch):
+    import ipfem.probes as probes
+
+    curve = catalog()["circle-jump"].curve
+    mesh, top = _topology(curve, 16)
+    args = (4, 20, 0) if probe is probe_inverse_trace else (20, 0)
+    whole = probe(mesh, curve, top, *args)
+    monkeypatch.setattr(probes, "TRACE_BLOCK_ENTRIES", 1)  # one segment per block
+    single = probe(mesh, curve, top, *args)
+    assert single.per_element == whole.per_element
+    assert single.extra == whole.extra
+
+
+def test_trace_probe_memory_does_not_grow_with_the_fields_of_every_segment():
+    # circle-jump at nx = 64 (156 segments, 300 padded region nodes, 21
+    # fields): the tracemalloc peak of probe_trace is 48.8 MiB with every
+    # segment in one block, and 7.9 MiB with blocks of
+    # TRACE_BLOCK_ENTRIES entries
+    import tracemalloc
+
+    curve = catalog()["circle-jump"].curve
+    mesh, top = _topology(curve, 64)
+    tracemalloc.start()
+    try:
+        probe_trace(mesh, curve, top, samples=20, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, peak / 2**20
