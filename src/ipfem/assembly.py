@@ -35,17 +35,17 @@ zero patterns are exact: S is the 2 x 2 hat block plus the diagonal (bubble
 derivatives are Legendre polynomials, orthogonal to constants and to each
 other), and M is the hat block, the hat couplings of bubbles 2 and 3 only,
 and the bubble couplings with |k - l| in {0, 2}.  ``_stiffness_pattern``
-derives the local (row, col) pairs of that pattern once per p; the plan
-holds its reference-table columns for the two uncut groups when the rule
-integrates the products exactly (quad_order >= p + 1).  ``assemble_volume``
-then computes and scatters only those entries for an uncut group whose a is
-equal at every quadrature point of each element; the omitted entries are
-zero up to round-off.  At p = 8 on the nx = 16 mesh of a straight interface
-that keeps 111,260 of the volume block's 1,556,256 entries.  Coefficients that
-vary within an element and p = 1, whose pattern is full, take the full element
-clique from the shared (q, n_loc^2) reference table (``_volume_table``).  A cut
-group takes its full cliques from one batched product G^T diag(a w) G of its
-sides' physical gradients.
+derives the local (row, col) pairs of that pattern once per p.  For an uncut
+group whose rule integrates the products exactly (p + 1 or more Gauss points
+per axis) and whose a is equal at every quadrature point of each element,
+``assemble_volume`` forms the reference-table columns at those pairs from the
+group's shared gradients and computes and scatters only those entries; the
+omitted entries are zero up to round-off.  At p = 8 on the nx = 16 mesh of a
+straight interface that keeps 111,260 of the volume block's 1,556,256
+entries.  Coefficients that vary within an element and p = 1, whose pattern
+is full, take the full element clique from the shared (q, n_loc^2) reference
+table (``_volume_table``).  A cut group takes its full cliques from one
+batched product G^T diag(a w) G of its sides' physical gradients.
 
 The trace blocks of a segment on a mesh edge are sparse in the same way.
 Take the edge vertical (a horizontal edge swaps xi and eta), so each copy's
@@ -63,11 +63,12 @@ as unit normal, and with a rule that is the affine image of a Gauss rule of
 at least p + 1 nodes on the whole edge, so that the degree-2p tangential
 products are integrated exactly.  A partial edge or a non-affine
 parametrisation keeps its full clique, and so does a segment along which a
-side's a varies, in the interface and J1 blocks.  The three trace functions
-scatter the pattern entries of the grouped segments, taken from the full
-local products, and the full cliques of all other segments, in one
-conversion.  At p = 8 on the nx = 16 mesh of a straight interface, J1 keeps
-140,940 of its 404,028 entries, J0 1,740 and the interface block 29,580.
+side's a (``SegmentTraces.a``) varies, in the interface and J1 blocks.  The
+three trace functions scatter the pattern entries of the grouped segments,
+taken from the full local products, and the full cliques of all other
+segments, in one conversion.  At p = 8 on the nx = 16 mesh of a straight
+interface, J1 keeps 140,940 of its 404,028 entries, J0 1,740 and the
+interface block 29,580.
 
 Each block is one COO -> CSR conversion of all its local matrices, and each
 load term one ``np.bincount`` of all its local vectors.  scipy's conversion
@@ -242,7 +243,9 @@ def _shaped(values, shape):
 
 @dataclass(eq=False)
 class SegmentTraces:
-    """Per-copy trace operators of the local bases at segment quadrature nodes.
+    """Per-copy trace operators of the local bases at segment quadrature nodes,
+    with each side's coefficient at the nodes that scaled the fluxes (None for
+    unit-coefficient fluxes).
 
     Fields carry a leading segment axis when built for all segments at once.
     """
@@ -253,6 +256,7 @@ class SegmentTraces:
     vals2: np.ndarray
     flux1: np.ndarray  # (nq, nloc) a * grad(phi) . n
     flux2: np.ndarray
+    a: tuple | None = None  # (a1, a2), (nq,) each
 
     @property
     def joint_idx(self) -> np.ndarray:
@@ -308,10 +312,10 @@ def _unit_traces(space: DoubledSpace, hosts, points, normals) -> SegmentTraces:
 
 
 def _with_coefficient(unit: SegmentTraces, problem: Problem, points) -> SegmentTraces:
-    """Scale unit-coefficient fluxes by each side's a at the segment nodes."""
+    """Scale unit-coefficient fluxes by each side's a at the segment nodes, kept as ``a``."""
     a1 = _evaluate(problem.a[0], points[..., 0], points[..., 1])
     a2 = _evaluate(problem.a[1], points[..., 0], points[..., 1])
-    return replace(unit, flux1=a1[..., None] * unit.flux1, flux2=a2[..., None] * unit.flux2)
+    return replace(unit, flux1=a1[..., None] * unit.flux1, flux2=a2[..., None] * unit.flux2, a=(a1, a2))
 
 
 def _segment_hosts(segments) -> tuple:
@@ -357,10 +361,6 @@ class ElementGroup:
     # element, row 2k + d holding component d at node k: the G of G^T diag(a w) G
     grads: np.ndarray
     idx: np.ndarray  # (E, n_loc) unknown ids, -1 where constrained or inactive
-    # uncut groups with a structurally sparse stiffness: its local (row, col)
-    # pairs (``_stiffness_pattern``) and the volume table's columns at them
-    pattern: tuple | None = None
-    pattern_table: np.ndarray | None = None  # (q, K)
 
 
 def _contract(rows, table):
@@ -380,9 +380,9 @@ class IntegrationPlan:
     ``groups`` are the uncut elements of side 1 and of side 2, then the cut
     sides stacked by (side, node count); every consumer takes them in that
     order.  ``rule`` and ``traces`` hold the rule and the unit-coefficient
-    trace operators of every segment, stacked along a leading segment axis,
-    and ``edge_groups`` the segments with structurally sparse trace blocks.
-    Every rule is built exactly once.
+    trace operators of every segment (``traces.a`` is None), stacked along a
+    leading segment axis, and ``edge_groups`` the segments with structurally
+    sparse trace blocks.  Every rule is built exactly once.
     """
 
     space: DoubledSpace
@@ -397,7 +397,7 @@ class IntegrationPlan:
         return self.space.n_unknowns
 
     def segment_traces(self, problem: Problem) -> SegmentTraces:
-        """Segment traces with the normal fluxes a grad(phi) . n of ``problem``."""
+        """Segment traces with the fluxes a grad(phi) . n of ``problem``, and that a."""
         return _with_coefficient(self.traces, problem, self.rule.points)
 
 
@@ -568,15 +568,6 @@ def _new_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: in
     ref_vals = basis.values(ref.points[:, 0], ref.points[:, 1])
     ref_grads = basis.gradients(ref.points[:, 0], ref.points[:, 1]) / half
     ref_w = ref.weights * (half[0] * half[1])
-    # Gauss with quad_order >= p + 1 points per axis integrates the degree-2p
-    # 1-D products exactly, so the pattern's zeros are zero up to round-off
-    pattern = _stiffness_pattern(basis.p) if quad_order >= basis.p + 1 else None
-    pattern_table = None
-    if pattern is not None:
-        gx, gy = ref_grads[..., 0], ref_grads[..., 1]
-        rows, cols = pattern
-        pattern_table = gx[:, rows] * gx[:, cols] + gy[:, rows] * gy[:, cols]
-
     groups = []
     for side in (1, 2):
         elems = np.flatnonzero(topology.labels == side)
@@ -590,8 +581,6 @@ def _new_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: in
                 vals=ref_vals,
                 grads=ref_grads,
                 idx=space.element_unknowns(elems, side),
-                pattern=pattern,
-                pattern_table=pattern_table,
             )
         )
 
@@ -607,57 +596,53 @@ def _new_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: in
     )
 
 
-def _volume_table(g: ElementGroup) -> np.ndarray:
-    """B[q, (l, m)] = sum_d G[q, l, d] G[q, m, d] of an uncut group's shared
-    basis gradients G: the coefficient-free factor of its stiffness."""
-    table = np.einsum("qld,qmd->qlm", g.grads, g.grads)
-    return table.reshape(len(table), -1)
+def _volume_table(g: ElementGroup, pairs=None) -> np.ndarray:
+    """B[q, k] = sum_d G[q, l, d] G[q, m, d] of an uncut group's shared basis
+    gradients G at the local pairs (l, m) = pairs[k], by default every pair
+    in row-major order: the coefficient-free factor of its stiffness."""
+    if pairs is None:
+        table = np.einsum("qld,qmd->qlm", g.grads, g.grads)
+        return table.reshape(len(table), -1)
+    gx, gy = g.grads[..., 0], g.grads[..., 1]
+    rows, cols = pairs
+    return gx[:, rows] * gx[:, cols] + gy[:, rows] * gy[:, cols]
 
 
 def assemble_volume(plan: IntegrationPlan, problem: Problem) -> sp.csr_matrix:
     """Side-wise stiffness: sum_i int_{Omega_i} a grad u . grad v.
 
-    An uncut group whose a is equal at every quadrature point of each element
-    gets only its structural nonzeros (``_stiffness_pattern``); every other
-    group its full element cliques."""
+    An uncut group whose rule has p + 1 or more Gauss points per axis and
+    whose a is equal at every quadrature point of each element gets only its
+    structural nonzeros (``_stiffness_pattern``); every other group its full
+    element cliques."""
+    p = plan.space.basis.p
     local, pairs = [], []
     for g in plan.groups:
         a = _evaluate(problem.a[g.side - 1], g.x, g.y)
         aw = a * g.w
-        if g.pattern is not None and (a == a[:, :1]).all():
-            local.append(aw @ g.pattern_table)
-            pairs.append(g.pattern)
-        elif g.w.ndim == 1:  # uncut: the shared reference table
-            local.append(aw @ _volume_table(g))
-            pairs.append(None)
-        else:  # G^T diag(a w) G per cut side
+        if g.w.ndim == 2:  # G^T diag(a w) G per cut side
+            at = None
             local.append(_T(g.grads) @ (np.repeat(aw, 2, axis=1)[..., None] * g.grads))
-            pairs.append(None)
+        else:  # uncut: the shared reference table, at the pattern's pairs only
+            at = _stiffness_pattern(p) if len(g.w) >= (p + 1) ** 2 and (a == a[:, :1]).all() else None
+            local.append(aw @ _volume_table(g, at))
+        pairs.append(at)
     return _csr([g.idx for g in plan.groups], local, plan.n, pairs)
 
 
-def _segment_constant(plan: IntegrationPlan, problem: Problem, segs) -> np.ndarray:
-    """Which of the segments ``segs`` see each side's a equal at all their nodes."""
-    x, y = plan.rule.points[segs, :, 0], plan.rule.points[segs, :, 1]
-    ok = np.ones(len(segs), dtype=bool)
-    for fn in problem.a:
-        a = _evaluate(fn, x, y)
-        ok &= (a == a[:, :1]).all(axis=1)
-    return ok
-
-
-def _trace_csr(plan: IntegrationPlan, local, block: str, problem: Problem | None = None) -> sp.csr_matrix:
+def _trace_csr(plan: IntegrationPlan, local, block: str, a: tuple | None = None) -> sp.csr_matrix:
     """One COO -> CSR conversion of a trace block's (segment, 2m, 2m) local
     matrices: the ``block`` pattern entries of each edge group, then the full
-    cliques of the other segments in segment order.  With ``problem``, an
-    edge segment keeps its full clique unless both sides' a are constant
-    along it, since a varying a enters the tangential integrals."""
+    cliques of the other segments in segment order.  With the side
+    coefficients ``a`` at the nodes, an edge segment keeps its full clique
+    unless both are constant along it, since a varying a enters the
+    tangential integrals."""
     idx = plan.traces.joint_idx
     idx_chunks, local_chunks, pairs = [], [], []
     full = np.ones(len(idx), dtype=bool)
     for segs, key in plan.edge_groups:
-        if problem is not None:
-            segs = segs[_segment_constant(plan, problem, segs)]
+        if a is not None:
+            segs = segs[np.logical_and.reduce([(s[segs] == s[segs, :1]).all(axis=1) for s in a])]
         if not segs.size:
             continue
         rows, cols = at = _trace_patterns(*key)[block]
@@ -680,7 +665,7 @@ def assemble_interface(plan: IntegrationPlan, problem: Problem, params: PenaltyP
     jump = tr.jump
     avg = tr.avg_flux
     w = plan.rule.weights[..., None]
-    return _trace_csr(plan, -(_T(jump) @ (w * avg) + params.beta * _T(avg) @ (w * jump)), "interface", problem)
+    return _trace_csr(plan, -(_T(jump) @ (w * avg) + params.beta * _T(avg) @ (w * jump)), "interface", tr.a)
 
 
 def assemble_J0(plan: IntegrationPlan, params: PenaltyParams) -> sp.csr_matrix:
@@ -695,7 +680,7 @@ def assemble_J1(plan: IntegrationPlan, problem: Problem, params: PenaltyParams) 
     tr = plan.segment_traces(problem)
     scale = params.j1_weight(plan.h)
     jf = tr.jump_flux
-    return _trace_csr(plan, scale * (_T(jf) @ (plan.rule.weights[..., None] * jf)), "j1", problem)
+    return _trace_csr(plan, scale * (_T(jf) @ (plan.rule.weights[..., None] * jf)), "j1", tr.a)
 
 
 def assemble_load(plan: IntegrationPlan, problem: Problem, params: PenaltyParams):

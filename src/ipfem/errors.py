@@ -101,8 +101,7 @@ def _squared_parts(plan: IntegrationPlan, problem: Problem, params: PenaltyParam
     jump_h = np.sum(tr.vals1 * c1, axis=-1) - np.sum(tr.vals2 * c2, axis=-1)
     u1, g1x, g1y = exact_at(1, x, y)
     u2, g2x, g2y = exact_at(2, x, y)
-    a1 = _evaluate(problem.a[0], x, y)
-    a2 = _evaluate(problem.a[1], x, y)
+    a1, a2 = tr.a
     f1 = a1 * (g1x * nrm[..., 0] + g1y * nrm[..., 1])
     f2 = a2 * (g2x * nrm[..., 0] + g2y * nrm[..., 1])
     w = plan.rule.weights

@@ -5,18 +5,20 @@ trace and inverse-trace constants on the analysis side of each cut element,
 the smallest Rayleigh quotient of the symmetric form against the energy Gram
 matrix (the empirical coercivity region in the penalty plane), and the lower
 bound on the distance function G built from the far corner of each segment's
-host element.  The two trace probes run in array passes over all segments,
-one block of segments at a time (``TRACE_BLOCK_ENTRIES`` entries in each
-per-node table): every host's analysis side is one row of padded node and
-weight arrays (``_analysis_rules``), the random coefficients are drawn in
-the order of a loop over the segments, the cubic fields are summed by one
-product with the monomial tables of the nodes, and each inverse-trace
-constant comes from a batched Cholesky reduction and ``eigvalsh``.  A
-Rayleigh quotient is reduced exactly to the unknowns of the segment hosts: one LU per topology for the volume Schur complement, then
-one small LU and one Lanczos run per penalty point (see ``_point_quotient``).
+host element.  Dense tables are formed in blocks of at most
+``BLOCK_ENTRIES`` entries (``_blocks``).  The two trace probes run in array
+passes over all segments, one block of segments at a time: every host's
+analysis side is one row of padded node and weight arrays
+(``_analysis_rules``), the random coefficients are drawn in the order of a
+loop over the segments, the cubic fields are summed by one product with the
+monomial tables of the nodes, and each inverse-trace constant comes from a
+batched Cholesky reduction and ``eigvalsh`` (a host that does not factor
+reads nan).  A Rayleigh quotient is reduced exactly to the unknowns of the
+segment hosts: one LU per topology for the volume Schur complement, then one
+small LU and one Lanczos run per penalty point (see ``_point_quotient``).
 The Schur complement's correction V_IR V_RR^(-1) V_RI is formed one block of
-b columns at a time, b = ``SCHUR_BLOCK_ENTRIES // |R|``, so its dense work
-arrays take O(|R| b) memory, not O(|R| |I|) (see ``_volume_schur``).
+b = ``BLOCK_ENTRIES // |R|`` columns at a time, so its dense work arrays take
+O(|R| b) memory, not O(|R| |I|) (see ``_volume_schur``).
 """
 
 from __future__ import annotations
@@ -40,15 +42,16 @@ class ProbeError(Exception):
 
 # relative diagonal shift of both matrices in the Rayleigh-quotient solve
 REGULARIZATION = 1e-14
-# float64 entries (1 MiB) of each dense column block of V_RR^(-1) V_RI in
-# ``_volume_schur``: 69 columns on the penalty-scan mesh, 15 on circle-jump at
-# nx = 48, p = 2.  On circle-jump at nx = 48, 2^16 to 2^20 took the same time
-# within the noise, and 2^15 about half as long again at p = 3 (1.29 against
-# 0.71-0.99 s); larger blocks only hold more memory.
-SCHUR_BLOCK_ENTRIES = 2**17
-# float64 entries (1 MiB) of each per-node table, (segments, nodes, basis
-# functions or fields), of a block of segments in the two trace probes
-TRACE_BLOCK_ENTRIES = 2**17
+# Lanczos restarts and tolerance of each Rayleigh-quotient solve
+LANCZOS_MAXITER = 600
+LANCZOS_TOL = 1e-8
+# float64 entries (1 MiB) of each dense table of one block: the per-node
+# tables (segments, nodes, basis functions or fields) of the two trace
+# probes, and the column blocks of V_RR^(-1) V_RI in ``_volume_schur`` (69
+# columns on the penalty-scan mesh).  There, on circle-jump at nx = 48, 2^16
+# to 2^20 took the same time within the noise, and 2^15 about half as long
+# again at p = 3; larger blocks only hold more memory.
+BLOCK_ENTRIES = 2**17
 
 
 @dataclass
@@ -63,10 +66,13 @@ class ProbeReport:
 
 
 def _report(name, mesh, p, per_element, extra=None) -> ProbeReport:
-    """Report over the per-element constants, with their max and median."""
+    """Report over the per-element constants, with the max and median of those not nan."""
     if not per_element:
         raise ProbeError(f"no interface segments: the {name} probe has no element to measure")
     values = np.array(list(per_element.values()))
+    values = values[~np.isnan(values)]
+    if not values.size:
+        raise ProbeError(f"the {name} probe could not measure any element")
     return ProbeReport(
         name=name,
         h=mesh.h,
@@ -106,10 +112,10 @@ def _analysis_rules(topology, order) -> tuple:
     return points, ref, weights
 
 
-def _segment_blocks(n, per_segment) -> list:
-    """Consecutive slices of the n segments, each of at most
-    max(1, TRACE_BLOCK_ENTRIES // per_segment) segments."""
-    width = max(1, TRACE_BLOCK_ENTRIES // per_segment)
+def _blocks(n, per_item) -> list:
+    """Consecutive slices of n items, each of at most
+    max(1, BLOCK_ENTRIES // per_item) items."""
+    width = max(1, BLOCK_ENTRIES // per_item)
     return [slice(start, start + width) for start in range(0, n, width)]
 
 
@@ -118,7 +124,9 @@ def probe_inverse_trace(mesh, curve, topology: CutTopology, p: int, samples: int
     polynomials: per segment host, both the max over random samples and the
     exact constant, from the largest eigenvalue of the pencil (m_edge,
     m_region) of edge and region Gram matrices reduced by the Cholesky
-    factor of m_region."""
+    factor of m_region.  A host whose m_region is not positive definite to
+    working precision reads nan and is listed in
+    ``extra["not_positive_definite"]``, a key only present then."""
     if not topology.segments:
         return _report("inverse-trace", mesh, p, {})  # raises ProbeError
     rng = np.random.default_rng(seed)
@@ -130,21 +138,35 @@ def probe_inverse_trace(mesh, curve, topology: CutTopology, p: int, samples: int
     edge = (srule.points - centers[:, None, :]) / half
     _, ref, w = _analysis_rules(topology, quad_order)
     best, lam = [], []
-    for at in _segment_blocks(len(hosts), ref.shape[1] * basis.n_local):
+    for at in _blocks(len(hosts), ref.shape[1] * basis.n_local):
         m_edge = _gram(basis, edge[at], srule.weights[at])
         m_region = _gram(basis, ref[at], w[at])
         # c^T (M c) per sample, as one matrix-vector product and one dot each
         c = rng.standard_normal((len(m_edge), samples, basis.n_local, 1))
         num, den = ((c.swapaxes(-1, -2) @ (m[:, None] @ c))[..., 0, 0] for m in (m_edge, m_region))
         best.append(np.divide(num, den, out=np.zeros_like(num), where=den > 0.0).max(axis=1, initial=0.0))
-        lower = np.linalg.cholesky(m_region)
-        reduced = np.linalg.solve(lower, np.linalg.solve(lower, m_edge).swapaxes(-1, -2))  # L^-1 m_edge L^-T
-        lam.append(np.linalg.eigvalsh(reduced)[:, -1])
+        lam.append(_largest_eigenvalues(m_edge, m_region))
     scale = np.sqrt(mesh.h) / p
     sampled = np.sqrt(np.concatenate(best)) * scale
-    refined = np.sqrt(np.maximum(np.concatenate(lam), 0.0)) * scale
-    return _report("inverse-trace", mesh, p, dict(zip(hosts.tolist(), refined.tolist())),
-                   extra={"sampled_max": dict(zip(hosts.tolist(), sampled.tolist()))})
+    refined = np.sqrt(np.maximum(np.concatenate(lam), 0.0)) * scale  # keeps nan
+    extra = {"sampled_max": dict(zip(hosts.tolist(), sampled.tolist()))}
+    if np.isnan(refined).any():
+        extra["not_positive_definite"] = hosts[np.isnan(refined)].tolist()
+    return _report("inverse-trace", mesh, p, dict(zip(hosts.tolist(), refined.tolist())), extra=extra)
+
+
+def _largest_eigenvalues(m_edge, m_region) -> np.ndarray:
+    """Largest eigenvalue of each pencil (m_edge[k], m_region[k]), that of
+    L^-1 m_edge L^-T with L L^T = m_region; when the stack does not factor,
+    each pencil alone, nan for one that does not."""
+    try:
+        lower = np.linalg.cholesky(m_region)
+    except np.linalg.LinAlgError:
+        if len(m_region) == 1:
+            return np.full(1, np.nan)
+        return np.concatenate([_largest_eigenvalues(e[None], r[None]) for e, r in zip(m_edge, m_region)])
+    reduced = np.linalg.solve(lower, np.linalg.solve(lower, m_edge).swapaxes(-1, -2))
+    return np.linalg.eigvalsh(reduced)[:, -1]
 
 
 def _gram(basis, nodes, weights) -> np.ndarray:
@@ -191,7 +213,7 @@ def probe_trace(mesh, curve, topology: CutTopology, samples: int = 20, seed: int
     points, _, w = _analysis_rules(topology, 8)
     k = min(4.0 / mesh.h, 64.0)
     best = []
-    for at in _segment_blocks(len(hosts), points.shape[1] * (samples + 1)):
+    for at in _blocks(len(hosts), points.shape[1] * (samples + 1)):
         coef = rng.standard_normal((len(w[at]), samples, 16)).swapaxes(-1, -2)
         ve, _ = _field_norms(srule.points[at], srule.weights[at], coef, k)
         vk, gk = _field_norms(points[at], w[at], coef, k)
@@ -201,20 +223,13 @@ def probe_trace(mesh, curve, topology: CutTopology, samples: int = 20, seed: int
     return _report("trace", mesh, 0, dict(zip(hosts, np.concatenate(best).tolist())))
 
 
-def probe_coercivity(
-    system_builder,
-    gamma0_values,
-    gamma1_values,
-    iters: int = 30,
-    tol: float = 1e-8,
-    seed: int = 0,
-) -> dict:
+def probe_coercivity(system_builder, gamma0_values, gamma1_values, seed: int = 0) -> dict:
     """Smallest Rayleigh quotient of the symmetric matrix against the energy
     Gram matrix (volume + both penalties) on a (gamma0, gamma1) grid.
 
     Returns {(gamma0, gamma1): quotient}; nonpositive quotients are reported,
     not raised.  Each point costs one small LU and one Lanczos run (at most
-    ``max(200, 20 * iters)`` restarts, tolerance ``tol``, start vector from
+    ``LANCZOS_MAXITER`` restarts, tolerance ``LANCZOS_TOL``, start vector from
     ``seed``) on the interface unknowns; the volume Schur complement is kept
     while the volume block and those unknowns stay the same.
     """
@@ -223,11 +238,11 @@ def probe_coercivity(
     for g1 in gamma1_values:
         for g0 in gamma0_values:
             # the system and its factors are freed before the next build
-            out[(g0, g1)], kept = _point_quotient(system_builder(g0, g1), kept, iters, tol, seed)
+            out[(g0, g1)], kept = _point_quotient(system_builder(g0, g1), kept, seed)
     return out
 
 
-def _point_quotient(system, kept=None, iters=30, tol=1e-8, seed=0):
+def _point_quotient(system, kept=None, seed=0):
     """Leftmost eigenvalue of the pencil (A + s, G + s), G = volume + j0 + j1,
     s = REGULARIZATION * diag(G), and the S_V with its key (I and the volume
     block's CSR arrays) to pass as ``kept`` to the next point.
@@ -265,7 +280,7 @@ def _point_quotient(system, kept=None, iters=30, tol=1e-8, seed=0):
     try:
         mu = spla.eigsh(
             diagonal_scale(consistency[iface][:, iface], d), k=1, M=schur, which="SA",
-            maxiter=max(200, 20 * iters), tol=tol, return_eigenvectors=False,
+            maxiter=LANCZOS_MAXITER, tol=LANCZOS_TOL, return_eigenvectors=False,
             v0=np.random.default_rng(seed).standard_normal(m),
             Minv=spla.LinearOperator((m, m), matvec=lu.solve, dtype=float),
         )[0]
@@ -278,7 +293,7 @@ def _volume_schur(volume, on_interface):
     """S_V = V_II - V_IR V_RR^(-1) V_RI from one LU of V_RR, shifted as G is
     and Jacobi-scaled; V_RR is definite, as no nonzero constant vanishes on
     every segment host.  Only the columns of I that V_RI touches are solved
-    for, one block of b = ``SCHUR_BLOCK_ENTRIES // |R|`` columns (at least
+    for, one block of b = ``BLOCK_ENTRIES // |R|`` columns (at least
     one) at a time, so the dense work arrays take O(|R| b) memory, and b
     shrinks as the mesh grows; each block keeps only the nonzero entries of
     its correction columns, and the CSR is built once from all of them.
@@ -293,10 +308,9 @@ def _volume_schur(volume, on_interface):
     d = 1.0 / np.sqrt(v_rr.diagonal())
     lu = factor(diagonal_scale(v_rr, d).tocsc())
     v_ir = v_i[touched][:, rest]
-    width = max(1, SCHUR_BLOCK_ENTRIES // rest.size)
     rows, cols, vals = [], [], []
-    for start in range(0, touched.size, width):
-        block = touched[start:start + width]
+    for at in _blocks(touched.size, rest.size):
+        block = touched[at]
         x = d[:, None] * lu.solve(d[:, None] * v_ri[:, block].toarray())  # V_RR^(-1) V_RI
         corr = v_ir @ x
         r, c = np.nonzero(corr)

@@ -10,6 +10,7 @@ from ipfem.assembly import (
     _T,
     Problem,
     _csr,
+    _evaluate,
     _vector,
     assemble,
     assemble_interface,
@@ -522,9 +523,13 @@ def test_assembled_matrices_are_canonical_csr(name):
     assert _canonical(system.matrix)
 
 
-def _full_clique(plan):
-    """``plan`` with every group scattering its whole element clique."""
-    return replace(plan, groups=tuple(replace(g, pattern=None, pattern_table=None) for g in plan.groups))
+def _full_volume(plan, problem, monkeypatch):
+    """``assemble_volume`` with every group scattering its whole element clique."""
+    import ipfem.assembly as assembly
+
+    with monkeypatch.context() as m:
+        m.setattr(assembly, "_stiffness_pattern", lambda p: None)
+        return assemble_volume(plan, problem)
 
 
 # perfbench's p-sweep seed-0 input: the interface on mesh line 11 of the
@@ -533,7 +538,7 @@ PSWEEP_SEED0 = (VerticalLine(0.375, -1.0, 1.0), Problem(a=(_const(1.0), _const(1
 
 
 @pytest.mark.parametrize("name", ["circle-jump", "aligned-edge", "smooth-nojump", "p-sweep-seed0"])
-def test_volume_block_omits_only_round_off(name):
+def test_volume_block_omits_only_round_off(name, monkeypatch):
     if name == "p-sweep-seed0":
         (curve, problem), nx, degrees = PSWEEP_SEED0, 16, range(2, 9)
     else:
@@ -543,7 +548,7 @@ def test_volume_block_omits_only_round_off(name):
     for p in degrees:
         space = build_doubled_space(build_dof_map(mesh, p), top)
         plan = build_plan(space, top, p + 2, p)
-        got, full = assemble_volume(plan, problem), assemble_volume(_full_clique(plan), problem)
+        got, full = assemble_volume(plan, problem), _full_volume(plan, problem, monkeypatch)
         if name == "smooth-nojump" or p == 1:
             # a varies within the elements, or the pattern is the full clique
             for field in ("data", "indices", "indptr"):
@@ -590,7 +595,7 @@ class _HorizontalLine(InterfaceCurve):
 
 @pytest.mark.parametrize("beta", [1, -1])
 @pytest.mark.parametrize("name", ["circle-jump", "aligned-edge", "p-sweep-seed0", "horizontal"])
-def test_trace_blocks_omit_only_round_off(name, beta):
+def test_trace_blocks_omit_only_round_off(name, beta, monkeypatch):
     if name == "p-sweep-seed0":
         (curve, problem), nx, degrees = PSWEEP_SEED0, 16, range(2, 9)
     elif name == "horizontal":
@@ -602,7 +607,7 @@ def test_trace_blocks_omit_only_round_off(name, beta):
     for p in degrees:
         space = build_doubled_space(build_dof_map(mesh, p), top)
         plan = build_plan(space, top, p + 2, p)
-        full_plan = replace(_full_clique(plan), edge_groups=())
+        full_plan = replace(plan, edge_groups=())
         params = PenaltyParams(beta, 10.0, 1.0, p)
         got, full = _trace_blocks(plan, problem, params), _trace_blocks(full_plan, problem, params)
         if name == "circle-jump":
@@ -613,7 +618,7 @@ def test_trace_blocks_omit_only_round_off(name, beta):
                     assert getattr(got[key], field).tobytes() == getattr(full[key], field).tobytes()
             continue
         assert sum(len(segs) for segs, _ in plan.edge_groups) == len(top.segments)
-        diag = np.abs((assemble_volume(full_plan, problem) + sum(full.values())).diagonal())
+        diag = np.abs((_full_volume(full_plan, problem, monkeypatch) + sum(full.values())).diagonal())
         for key in full:
             if not (key == "j1" and p <= 2):  # M_1, and so the J1 pattern, is full
                 assert got[key].nnz < full[key].nnz
@@ -711,6 +716,46 @@ def test_trace_pattern_needs_a_constant_coefficient_along_the_edge():
         for field in ("data", "indices", "indptr"):
             assert getattr(got[key], field).tobytes() == getattr(full[key], field).tobytes()
     assert got["j0"].nnz < full["j0"].nnz
+
+
+@pytest.mark.parametrize("name", ["circle-jump", "smooth-nojump"])
+def test_segment_traces_carry_the_side_coefficients_that_scale_the_fluxes(name):
+    case, p = catalog()[name], 3
+    mesh = build_mesh(DOMAIN, 8, 8)
+    top = classify_elements(mesh, case.curve)
+    plan = build_plan(build_doubled_space(build_dof_map(mesh, p), top), top, p + 2, p)
+    assert plan.traces.a is None
+    tr = plan.segment_traces(case.problem)
+    x, y = plan.rule.points[..., 0], plan.rule.points[..., 1]
+    for a, fn, flux, unit in zip(tr.a, case.problem.a, (tr.flux1, tr.flux2), (plan.traces.flux1, plan.traces.flux2)):
+        want = _evaluate(fn, x, y)
+        assert a.shape == want.shape and a.tobytes() == want.tobytes()
+        assert flux.tobytes() == (a[..., None] * unit).tobytes()
+
+
+def test_each_pass_evaluates_the_coefficient_at_the_segment_nodes_once_per_consumer():
+    # aligned-edge: every segment is on a mesh edge and in one edge group, so
+    # a per-group coefficient test would also evaluate a at all segment nodes
+    case, p = catalog()["aligned-edge"], 2
+    mesh = build_mesh(DOMAIN, 8, 8)
+    top = classify_elements(mesh, case.curve)
+    space = build_doubled_space(build_dof_map(mesh, p), top)
+    nodes = [build_plan(space, top, q, p).rule.points[..., 0].ravel() for q in (p + 2, p + 4)]
+    calls = [0, 0]
+
+    def counted(side):
+        def a(x, y):
+            calls[side] += any(x.shape == n.shape and np.array_equal(x, n) for n in nodes)
+            return case.problem.a[side](x, y)
+        return a
+
+    problem = replace(case.problem, a=(counted(0), counted(1)))
+    params = PenaltyParams(1, 10.0, 1.0, p)
+    system = assemble(space, top, problem, params)
+    assert calls == [3, 3]  # the interface block, J1 and the load
+    calls[:] = [0, 0]
+    compute_errors(space, top, problem, np.zeros(system.n), params)
+    assert calls == [1, 1]
 
 
 def _scan_space(case, p, nx):

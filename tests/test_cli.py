@@ -377,6 +377,18 @@ def test_probes_subcommand_trace_and_g(tmp_path, probe, name):
     assert values[-2] == max(values[:-2]) and min(values[:-2]) <= values[-1] <= values[-2]
 
 
+def test_probes_subcommand_invtrace_lists_hosts_that_are_not_positive_definite(tmp_path):
+    # circle-jump at p = 8, nx = 32: one host's region Gram matrix does not
+    # factor; it reads nan, and the max and median are over the others
+    rc = main(["probes", "--probe", "invtrace", "--case", "circle-jump", "--nx", "32", "--p", "8",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    rows = [line.split(",") for line in (tmp_path / "probe_invtrace.csv").read_text().splitlines()[1:]]
+    values = {row[3]: float(row[4]) for row in rows}
+    measured = [v for k, v in values.items() if k not in ("max", "median") and not np.isnan(v)]
+    assert 0 < len(measured) < len(values) - 2
+    assert values["max"] == max(measured) and values["median"] == np.median(measured)
+
 
 def test_probe_errors_exit_2(tmp_path, capsys):
     # a circle outside the domain leaves no interface segment to measure

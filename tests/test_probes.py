@@ -366,7 +366,7 @@ def test_volume_schur_does_not_depend_on_the_column_block_width(which, monkeypat
     volume, on_interface = _volume_schur_inputs(system, monkeypatch)
     out = []
     for entries in (1, volume.shape[0] ** 2):
-        monkeypatch.setattr(probes, "SCHUR_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(probes, "BLOCK_ENTRIES", entries)
         out.append(probes._volume_schur(volume, on_interface))
     one, whole = out
     assert one.indptr.tobytes() == whole.indptr.tobytes()
@@ -378,7 +378,7 @@ def test_volume_schur_memory_does_not_grow_with_the_touched_columns(monkeypatch)
     # circle-jump at nx = 48, p = 2 (|R| = 8,329, 1,392 interface unknowns):
     # the tracemalloc peak inside _volume_schur was 63.4 MiB while
     # V_RR^(-1) V_RI was one dense |R| x |touched| array, and is 10.8 MiB with
-    # column blocks of SCHUR_BLOCK_ENTRIES entries.
+    # column blocks of BLOCK_ENTRIES entries.
     import tracemalloc
 
     import ipfem.probes as probes
@@ -563,7 +563,7 @@ def test_trace_probes_do_not_depend_on_the_segment_block_size(probe, monkeypatch
     mesh, top = _topology(curve, 16)
     args = (4, 20, 0) if probe is probe_inverse_trace else (20, 0)
     whole = probe(mesh, curve, top, *args)
-    monkeypatch.setattr(probes, "TRACE_BLOCK_ENTRIES", 1)  # one segment per block
+    monkeypatch.setattr(probes, "BLOCK_ENTRIES", 1)  # one segment per block
     single = probe(mesh, curve, top, *args)
     assert single.per_element == whole.per_element
     assert single.extra == whole.extra
@@ -573,7 +573,7 @@ def test_trace_probe_memory_does_not_grow_with_the_fields_of_every_segment():
     # circle-jump at nx = 64 (156 segments, 300 padded region nodes, 21
     # fields): the tracemalloc peak of probe_trace is 48.8 MiB with every
     # segment in one block, and 7.9 MiB with blocks of
-    # TRACE_BLOCK_ENTRIES entries
+    # BLOCK_ENTRIES entries
     import tracemalloc
 
     curve = catalog()["circle-jump"].curve
@@ -585,3 +585,62 @@ def test_trace_probe_memory_does_not_grow_with_the_fields_of_every_segment():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20, peak / 2**20
+
+
+def test_inverse_trace_probe_reports_the_hosts_that_are_not_positive_definite():
+    # circle-jump at p = 8, nx = 32: a host's region Gram matrix is not
+    # positive definite to working precision, so the Cholesky factor of its
+    # block fails; the other hosts keep the value of the batched reduction
+    import ipfem.probes as probes
+
+    curve, p = catalog()["circle-jump"].curve, 8
+    mesh, top = _topology(curve, 32)
+    rep = probe_inverse_trace(mesh, curve, top, p, 20, 0)
+    hosts = np.array([seg.element for seg in top.segments])
+    basis = build_basis(p)
+    srule = segment_rule(top.segments, curve, max(p + 3, 8))
+    centers, half = element_map(mesh, hosts)
+    _, ref, w = probes._analysis_rules(top, p + 3)
+    m_edge = probes._gram(basis, (srule.points - centers[:, None, :]) / half, srule.weights)
+    m_region = probes._gram(basis, ref, w)
+
+    def factors(k):
+        try:
+            np.linalg.cholesky(m_region[k])
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    failing = [k for k in range(len(hosts)) if not factors(k)]
+    assert failing and rep.extra["not_positive_definite"] == hosts[failing].tolist()
+    assert all(np.isnan(rep.per_element[e]) for e in hosts[failing])
+    values = [v for v in rep.per_element.values() if not np.isnan(v)]
+    assert len(values) == len(hosts) - len(failing)
+    assert rep.global_max == max(values) and rep.global_median == np.median(values)
+    assert list(rep.extra["sampled_max"]) == hosts.tolist()
+    scale = np.sqrt(mesh.h) / p
+    for at in probes._blocks(len(hosts), ref.shape[1] * basis.n_local):
+        block = np.arange(len(hosts))[at]
+        keep = np.setdiff1d(block, failing)
+        # the batched reduction of the block's hosts that factor
+        lower = np.linalg.cholesky(m_region[keep])
+        reduced = np.linalg.solve(lower, np.linalg.solve(lower, m_edge[keep]).swapaxes(-1, -2))
+        want = np.sqrt(np.maximum(np.linalg.eigvalsh(reduced)[:, -1], 0.0)) * scale
+        got = np.array([rep.per_element[e] for e in hosts[keep]])
+        if keep.size == block.size:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_inverse_trace_probe_raises_when_no_host_factors(monkeypatch):
+    import ipfem.probes as probes
+
+    def fail(m):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(probes.np.linalg, "cholesky", fail)
+    curve = catalog()["circle-jump"].curve
+    mesh, top = _topology(curve, 8)
+    with pytest.raises(probes.ProbeError, match="could not measure any element"):
+        probe_inverse_trace(mesh, curve, top, 2, 5, 0)
