@@ -63,12 +63,11 @@ as unit normal, and with a rule that is the affine image of a Gauss rule of
 at least p + 1 nodes on the whole edge, so that the degree-2p tangential
 products are integrated exactly.  A partial edge or a non-affine
 parametrisation keeps its full clique, and so does a segment along which a
-side's a (``SegmentTraces.a``) varies, in the interface and J1 blocks.  The
-three trace functions scatter the pattern entries of the grouped segments,
-taken from the full local products, and the full cliques of all other
-segments, in one conversion.  At p = 8 on the nx = 16 mesh of a straight
-interface, J1 keeps 140,940 of its 404,028 entries, J0 1,740 and the
-interface block 29,580.
+side's a varies, in the interface and J1 blocks.  The three trace functions
+scatter the pattern entries of the grouped segments, taken from the full
+local products, and the full cliques of all other segments, in one
+conversion.  At p = 8 on the nx = 16 mesh of a straight interface, J1 keeps
+140,940 of its 404,028 entries, J0 1,740 and the interface block 29,580.
 
 Each block is one COO -> CSR conversion of all its local matrices, and each
 load term one ``np.bincount`` of all its local vectors.  scipy's conversion
@@ -244,8 +243,7 @@ def _shaped(values, shape):
 @dataclass(eq=False)
 class SegmentTraces:
     """Per-copy trace operators of the local bases at segment quadrature nodes,
-    with each side's coefficient at the nodes that scaled the fluxes (None for
-    unit-coefficient fluxes).
+    with the side coefficients ``a`` there that scaled the fluxes.
 
     Fields carry a leading segment axis when built for all segments at once.
     """
@@ -256,7 +254,7 @@ class SegmentTraces:
     vals2: np.ndarray
     flux1: np.ndarray  # (nq, nloc) a * grad(phi) . n
     flux2: np.ndarray
-    a: tuple | None = None  # (a1, a2), (nq,) each
+    a: tuple | None = None  # (a1, a2), (nq,) each; None for unit-coefficient fluxes
 
     @property
     def joint_idx(self) -> np.ndarray:
@@ -601,6 +599,8 @@ def _volume_table(g: ElementGroup, pairs=None) -> np.ndarray:
     gradients G at the local pairs (l, m) = pairs[k], by default every pair
     in row-major order: the coefficient-free factor of its stiffness."""
     if pairs is None:
+        # the indexed form's entries, C-ordered: on that form's layout (a w) @ table
+        # takes another BLAS path and moves the full cliques (smooth-nojump) at round-off
         table = np.einsum("qld,qmd->qlm", g.grads, g.grads)
         return table.reshape(len(table), -1)
     gx, gy = g.grads[..., 0], g.grads[..., 1]
@@ -624,6 +624,7 @@ def assemble_volume(plan: IntegrationPlan, problem: Problem) -> sp.csr_matrix:
             at = None
             local.append(_T(g.grads) @ (np.repeat(aw, 2, axis=1)[..., None] * g.grads))
         else:  # uncut: the shared reference table, at the pattern's pairs only
+            # the shared rule is _new_plan's (quad_order)^2 Gauss: quad_order >= p + 1
             at = _stiffness_pattern(p) if len(g.w) >= (p + 1) ** 2 and (a == a[:, :1]).all() else None
             local.append(aw @ _volume_table(g, at))
         pairs.append(at)
@@ -633,10 +634,9 @@ def assemble_volume(plan: IntegrationPlan, problem: Problem) -> sp.csr_matrix:
 def _trace_csr(plan: IntegrationPlan, local, block: str, a: tuple | None = None) -> sp.csr_matrix:
     """One COO -> CSR conversion of a trace block's (segment, 2m, 2m) local
     matrices: the ``block`` pattern entries of each edge group, then the full
-    cliques of the other segments in segment order.  With the side
-    coefficients ``a`` at the nodes, an edge segment keeps its full clique
-    unless both are constant along it, since a varying a enters the
-    tangential integrals."""
+    cliques of the other segments in segment order.  With the coefficients
+    ``a`` at the nodes, an edge segment keeps its full clique unless both
+    sides' are constant along it, as a varying a enters the tangential sums."""
     idx = plan.traces.joint_idx
     idx_chunks, local_chunks, pairs = [], [], []
     full = np.ones(len(idx), dtype=bool)

@@ -29,8 +29,8 @@ class ManufacturedCase:
     a_ratio: float  # max(a)/min(a), used by the default penalty choice
 
 
-def _circle_jump(radius: float = 0.6) -> ManufacturedCase:
-    """The circle case at any radius in (0, 1); the catalog's is 0.6."""
+def _circle_jump() -> ManufacturedCase:
+    radius = 0.6
     curve = Circle(0.0, 0.0, radius)
     a1 = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
     a2 = lambda x, y: 10.0 * np.ones_like(np.asarray(x, dtype=float))
@@ -102,7 +102,7 @@ def _circle_jump(radius: float = 0.6) -> ManufacturedCase:
     )
     return ManufacturedCase(
         name="circle-jump",
-        description=f"circle R={radius:g}, a=(1,10), nontrivial jumps in value and flux",
+        description="circle R=0.6, a=(1,10), nontrivial jumps in value and flux",
         curve=curve,
         problem=problem,
         a_ratio=10.0,

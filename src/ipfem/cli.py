@@ -449,6 +449,9 @@ def _run_probes(args) -> int:
             )
         lines.append(f"{report.name},{nx},{report.p},max,{_fmt(report.global_max)}")
         lines.append(f"{report.name},{nx},{report.p},median,{_fmt(report.global_median)}")
+        if "not_positive_definite" in report.extra:
+            print(f"note: {report.name} nx={nx} p={report.p}: hosts {report.extra['not_positive_definite']}"
+                  " are not positive definite and left out of max and median", file=sys.stderr)
     (out / f"probe_{args.probe}.csv").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0

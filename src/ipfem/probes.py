@@ -45,12 +45,10 @@ REGULARIZATION = 1e-14
 # Lanczos restarts and tolerance of each Rayleigh-quotient solve
 LANCZOS_MAXITER = 600
 LANCZOS_TOL = 1e-8
-# float64 entries (1 MiB) of each dense table of one block: the per-node
-# tables (segments, nodes, basis functions or fields) of the two trace
-# probes, and the column blocks of V_RR^(-1) V_RI in ``_volume_schur`` (69
-# columns on the penalty-scan mesh).  There, on circle-jump at nx = 48, 2^16
-# to 2^20 took the same time within the noise, and 2^15 about half as long
-# again at p = 3; larger blocks only hold more memory.
+# float64 entries (1 MiB) of each dense table of a block: the trace probes'
+# (segments, nodes, functions or fields) tables and ``_volume_schur``'s column
+# blocks (69 columns on the penalty-scan mesh; on circle-jump at nx = 48, 2^16
+# to 2^20 took the same time and 2^15 half as long again at p = 3).
 BLOCK_ENTRIES = 2**17
 
 
@@ -113,8 +111,7 @@ def _analysis_rules(topology, order) -> tuple:
 
 
 def _blocks(n, per_item) -> list:
-    """Consecutive slices of n items, each of at most
-    max(1, BLOCK_ENTRIES // per_item) items."""
+    """Consecutive slices of n items, max(1, BLOCK_ENTRIES // per_item) in each at most."""
     width = max(1, BLOCK_ENTRIES // per_item)
     return [slice(start, start + width) for start in range(0, n, width)]
 
@@ -124,9 +121,8 @@ def probe_inverse_trace(mesh, curve, topology: CutTopology, p: int, samples: int
     polynomials: per segment host, both the max over random samples and the
     exact constant, from the largest eigenvalue of the pencil (m_edge,
     m_region) of edge and region Gram matrices reduced by the Cholesky
-    factor of m_region.  A host whose m_region is not positive definite to
-    working precision reads nan and is listed in
-    ``extra["not_positive_definite"]``, a key only present then."""
+    factor of m_region.  A host whose m_region does not factor reads nan and
+    is listed in ``extra["not_positive_definite"]``, a key only present then."""
     if not topology.segments:
         return _report("inverse-trace", mesh, p, {})  # raises ProbeError
     rng = np.random.default_rng(seed)

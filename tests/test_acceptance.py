@@ -157,14 +157,18 @@ def test_criterion_6_inverse_trace_stability():
     for nx in (8, 16, 32, 64):
         mesh = build_mesh(DOMAIN, nx, nx)
         top = classify_elements(mesh, curve)
-        by_nx[nx] = probe_inverse_trace(mesh, curve, top, 2, 20, 0).global_max
+        rep = probe_inverse_trace(mesh, curve, top, 2, 20, 0)
+        assert "not_positive_definite" not in rep.extra, rep.extra["not_positive_definite"]
+        by_nx[nx] = rep.global_max
     spread_h = max(by_nx.values()) / min(by_nx.values())
     assert spread_h <= 2.0, by_nx
     by_p = {}
     mesh = build_mesh(DOMAIN, 16, 16)
     top = classify_elements(mesh, curve)
     for p in (1, 2, 4):
-        by_p[p] = probe_inverse_trace(mesh, curve, top, p, 20, 0).global_max
+        rep = probe_inverse_trace(mesh, curve, top, p, 20, 0)
+        assert "not_positive_definite" not in rep.extra, rep.extra["not_positive_definite"]
+        by_p[p] = rep.global_max
     spread_p = max(by_p.values()) / min(by_p.values())
     assert spread_p <= 2.0, by_p
     print(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ipfem.cases import DOMAIN, _circle_jump, catalog
+from ipfem.cases import DOMAIN, catalog
 from ipfem.geometry import classify_elements
 from ipfem.mesh import build_mesh
 
@@ -95,20 +95,6 @@ def test_gradients_match_fd(name):
 def test_interface_data_consistent(name):
     case = catalog()[name]
     case.problem.validate(case.curve, n=50, seed=3, tol=1e-10)
-
-
-@pytest.mark.parametrize("radius", [0.55, 0.62, 0.6249])
-def test_circle_jump_data_hold_at_other_radii(radius):
-    case = _circle_jump(radius)
-    assert case.curve.radius == radius
-    assert case.description.startswith(f"circle R={radius:g},")
-    case.problem.validate(case.curve)
-
-
-def test_circle_jump_default_radius_is_the_catalog_case():
-    case, default = catalog()["circle-jump"], _circle_jump()
-    assert case.curve.radius == default.curve.radius == 0.6
-    assert case.description == default.description == "circle R=0.6, a=(1,10), nontrivial jumps in value and flux"
 
 
 def test_homogeneous_dirichlet_data():

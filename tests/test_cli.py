@@ -377,7 +377,7 @@ def test_probes_subcommand_trace_and_g(tmp_path, probe, name):
     assert values[-2] == max(values[:-2]) and min(values[:-2]) <= values[-1] <= values[-2]
 
 
-def test_probes_subcommand_invtrace_lists_hosts_that_are_not_positive_definite(tmp_path):
+def test_probes_subcommand_invtrace_lists_hosts_that_are_not_positive_definite(tmp_path, capsys):
     # circle-jump at p = 8, nx = 32: one host's region Gram matrix does not
     # factor; it reads nan, and the max and median are over the others
     rc = main(["probes", "--probe", "invtrace", "--case", "circle-jump", "--nx", "32", "--p", "8",
@@ -388,6 +388,8 @@ def test_probes_subcommand_invtrace_lists_hosts_that_are_not_positive_definite(t
     measured = [v for k, v in values.items() if k not in ("max", "median") and not np.isnan(v)]
     assert 0 < len(measured) < len(values) - 2
     assert values["max"] == max(measured) and values["median"] == np.median(measured)
+    failed = [int(k) for k, v in values.items() if np.isnan(v)]
+    assert f"hosts {failed} are not positive definite" in capsys.readouterr().err
 
 
 def test_probe_errors_exit_2(tmp_path, capsys):
