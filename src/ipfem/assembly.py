@@ -70,9 +70,12 @@ conversion.  At p = 8 on the nx = 16 mesh of a straight interface, J1 keeps
 140,940 of its 404,028 entries, J0 1,740 and the interface block 29,580.
 
 Each block is one COO -> CSR conversion of all its local matrices, and each
-load term one ``np.bincount`` of all its local vectors.  scipy's conversion
-sums the duplicate entries in an order fixed by the input, and bincount adds
-in input order, so reruns stay byte-identical.
+load term one ``np.bincount`` of all its local vectors.  ``_csr`` drops the
+entries at ids -1 chunk by chunk, as each chunk's triplets are formed, so the
+unfiltered triplets of the whole block are never held at once; the kept
+triplets stay in input order.  scipy's conversion sums the duplicate entries
+in an order fixed by the input, and bincount adds in input order, so reruns
+stay byte-identical.
 """
 
 from __future__ import annotations
@@ -203,24 +206,26 @@ def _csr(idx, local, n: int, pairs=None) -> sp.csr_matrix:
     or inactive) are dropped.  local[e] holds the entries at the local
     (row, col) positions ``pairs``, by default the full m x m clique in
     row-major order.  ``idx``, ``local`` and ``pairs`` may also be lists of
-    such chunks, converted together in list order."""
+    such chunks, converted together in list order.
+
+    Each chunk drops its -1 entries as its triplets are formed, so only the
+    kept triplets of all chunks are ever concatenated; they keep the
+    (chunk, element, local entry) order, which fixes the conversion's sums."""
     if not isinstance(idx, list):
         idx, local, pairs = [idx], [local], [pairs]
-    rows, cols = [], []
-    for chunk, at in zip(idx, pairs):
+    rows, cols, data = [], [], []
+    for chunk, values, at in zip(idx, local, pairs):
         # int32, the index type scipy stores: int64 coordinates raised p-sweep's peak RSS
         chunk = chunk.astype(np.int32)
-        if at is None:
-            m = chunk.shape[1]
-            rows.append(np.repeat(chunk, m, axis=1).ravel())
-            cols.append(np.tile(chunk, (1, m)).ravel())
-        else:
-            rows.append(chunk[:, at[0]].ravel())
-            cols.append(chunk[:, at[1]].ravel())
-    data = [v.ravel() for v in local]
-    rows, cols, data = (c[0] if len(c) == 1 else np.concatenate(c) for c in (rows, cols, data))
-    keep = (rows >= 0) & (cols >= 0)
-    return sp.coo_matrix((data[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+        # the full clique's (row, col) ids as broadcast views: an expanded
+        # (k, m, m) id copy per chunk raised h-sweep's peak RSS
+        r, c = (chunk[:, :, None], chunk[:, None, :]) if at is None else (chunk[:, at[0]], chunk[:, at[1]])
+        keep = (r >= 0) & (c >= 0)
+        rows.append(np.broadcast_to(r, keep.shape)[keep])
+        cols.append(np.broadcast_to(c, keep.shape)[keep])
+        data.append(values.reshape(keep.shape)[keep])
+    rows, cols, data = (t[0] if len(t) == 1 else np.concatenate(t) for t in (rows, cols, data))
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def _vector(idx, local, n: int) -> np.ndarray:
@@ -330,7 +335,11 @@ def segment_trace_operators(
     segment: InterfaceSegment,
     rule: SegmentRule,
 ) -> SegmentTraces:
-    """Evaluate both copies' traces and normal fluxes along one segment."""
+    """Evaluate both copies' traces and normal fluxes along one segment.
+
+    The one-segment entry point that the acceptance gate and the tests import
+    to check a segment's traces outside the integration plan; no consumer in
+    the package calls it, as each reads ``IntegrationPlan.segment_traces``."""
     hosts = tuple(h[0] for h in _segment_hosts([segment]))
     return _with_coefficient(_unit_traces(space, hosts, rule.points, rule.normals), problem, rule.points)
 

@@ -307,7 +307,10 @@ def _volume_schur(volume, on_interface):
     rows, cols, vals = [], [], []
     for at in _blocks(touched.size, rest.size):
         block = touched[at]
-        x = d[:, None] * lu.solve(d[:, None] * v_ri[:, block].toarray())  # V_RR^(-1) V_RI
+        x = v_ri[:, block].toarray()
+        x *= d[:, None]
+        x = lu.solve(x)  # V_RR^(-1) V_RI, scaled in place on both sides
+        x *= d[:, None]
         corr = v_ir @ x
         r, c = np.nonzero(corr)
         rows.append(touched[r])

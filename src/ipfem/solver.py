@@ -109,7 +109,8 @@ def diagonal_scale(matrix, s, order=None) -> sp.csr_matrix:
     matrix = sp.csr_matrix(matrix)
     indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
     if order is None:
-        scaled = (data * np.repeat(s, np.diff(indptr))) * s[indices]
+        scaled = data * np.repeat(s, np.diff(indptr))
+        scaled *= s[indices]
         return sp.csr_matrix((scaled, indices, indptr), shape=matrix.shape)
     lengths = np.diff(indptr)[order]
     new_indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(indptr.dtype)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from ipfem.assembly import PenaltyParams, assemble
@@ -28,6 +30,18 @@ def build_pipeline(case, p, nx, beta=1, gamma0=None, gamma1=None, quad_extra=0):
     )
     system = assemble(space, topology, case.problem, params, quad_order=p + 2 + quad_extra)
     return mesh, topology, space, params, system
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Run fn(*args, **kwargs) under tracemalloc; return its result and the
+    peak of the memory traced meanwhile, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def interpolate_pair(space, fns):

@@ -11,6 +11,8 @@ from ipfem.assembly import (
     Problem,
     _csr,
     _evaluate,
+    _stiffness_pattern,
+    _trace_patterns,
     _vector,
     assemble,
     assemble_interface,
@@ -513,6 +515,71 @@ def test_csr_and_vector_match_dense_accumulation(k):
     np.add.at(ref, idx[idx >= 0], vecs[idx >= 0])
     got = _vector(idx, vecs, n)
     assert got.shape == (n,) and np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def _expand_then_mask_csr(idx, local, n, pairs):
+    """``_csr`` as expand -> concatenate -> mask -> convert: every chunk's
+    (row, col, value) triplets, -1 ids included, are concatenated first and
+    the kept ones are then copied out by one mask."""
+    rows, cols = [], []
+    for chunk, at in zip(idx, pairs):
+        chunk = chunk.astype(np.int32)
+        if at is None:
+            m = chunk.shape[1]
+            rows.append(np.repeat(chunk, m, axis=1).ravel())
+            cols.append(np.tile(chunk, (1, m)).ravel())
+        else:
+            rows.append(chunk[:, at[0]].ravel())
+            cols.append(chunk[:, at[1]].ravel())
+    rows, cols, data = (np.concatenate(c) for c in (rows, cols, [v.ravel() for v in local]))
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix((data[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+
+
+def _no_segment_chunk():
+    """The (0, 2m) joint ids of a p = 2 plan whose curve misses the domain."""
+    mesh = build_mesh(BIUNIT, 8, 8)
+    top = classify_elements(mesh, Circle(3.0, 3.0, 0.5))
+    space = build_doubled_space(build_dof_map(mesh, 2), top)
+    plan = build_plan(space, top, 4, 2)
+    assert not top.segments and plan.traces.joint_idx.shape == (0, 18)
+    return plan.traces.joint_idx, plan.n
+
+
+@pytest.mark.parametrize("chunks", ["full", "stiffness-pattern", "trace-pattern", "mixed", "no-segment"])
+def test_csr_is_bitwise_the_expand_then_mask_conversion(chunks):
+    # dropping the -1 ids chunk by chunk keeps the triplet order, so scipy's
+    # conversion sums every duplicate in the same order
+    rng = np.random.default_rng(5)
+    n = 40
+
+    def chunk(k, m, at=None):
+        ids = rng.integers(-1, n, size=(k, m))
+        ids[rng.random((k, m)) < 0.2] = -1
+        shape = (k, m, m) if at is None else (k, len(at[0]))
+        return ids, rng.standard_normal(shape), at
+
+    if chunks == "no-segment":
+        empty, n = _no_segment_chunk()
+        parts = [(empty, np.zeros((0, 18, 18)), None)]
+    else:
+        stiffness, trace = _stiffness_pattern(3), _trace_patterns(2, 0, True)["j1"]
+        parts = {
+            "full": [chunk(30, 6)],
+            "stiffness-pattern": [chunk(30, 16, stiffness)],
+            "trace-pattern": [chunk(30, 18, trace)],
+            "mixed": [chunk(20, 16, stiffness), chunk(15, 18, trace), chunk(0, 18), chunk(25, 18), chunk(10, 16)],
+        }[chunks]
+        assert all((ids < 0).any() for ids, _, _ in parts if ids.size)
+    idx, local, pairs = (list(c) for c in zip(*parts))
+    want = _expand_then_mask_csr(idx, local, n, pairs)
+    got = [_csr(idx, local, n, pairs)]
+    if len(idx) == 1:  # the single-chunk call without lists
+        got.append(_csr(idx[0], local[0], n, pairs[0]))
+    for a in got:
+        assert a.shape == want.shape == (n, n)
+        for part in ("data", "indices", "indptr"):
+            assert getattr(a, part).tobytes() == getattr(want, part).tobytes(), part
 
 
 @pytest.mark.parametrize("name", ["circle-jump", "aligned-edge"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ipfem.assembly import PenaltyParams, Problem
+from ipfem.assembly import PenaltyParams, Problem, assemble
 from ipfem.cases import catalog
 from ipfem.errors import (
     ErrorReport,
@@ -16,7 +16,7 @@ from ipfem.geometry import Circle, classify_elements
 from ipfem.mesh import Rectangle, build_mesh
 from ipfem.solver import solve
 
-from helpers import build_pipeline, interpolate_pair
+from helpers import build_pipeline, interpolate_pair, traced_peak
 
 BIUNIT = Rectangle(-1.0, -1.0, 1.0, 1.0)
 
@@ -196,14 +196,9 @@ def test_error_reports_do_not_depend_on_the_element_block_size(monkeypatch):
         assert one_energy == pytest.approx(whole_energy, rel=1e-12, abs=0.0)
 
 
-def test_error_pass_memory_does_not_grow_with_whole_group_tables():
-    # perfbench's h-sweep seed-1 ellipse at nx = 128, p = 1.  The tracemalloc
-    # peak inside compute_errors was 31.6 MiB while each group's (E, q) tables
-    # of exact values, coefficients and errors were live at once, and is
-    # 15.4 MiB with element blocks of ERROR_BLOCK_ENTRIES entries; most of
-    # the rest is the plan's own (E, q) node arrays.
-    import tracemalloc
-
+def _h_sweep_ellipse():
+    """perfbench's h-sweep seed-1 ellipse at nx = 128, p = 1: the problem,
+    mesh, topology and penalties."""
     from ipfem.geometry import Ellipse
 
     u = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
@@ -213,13 +208,30 @@ def test_error_pass_memory_does_not_grow_with_whole_group_tables():
     problem = Problem(a=(one, ten), f=(u, u), exact=(u, u), exact_grad=(grad, grad))
     mesh = build_mesh(BIUNIT, 128, 128)
     top = classify_elements(mesh, Ellipse(0.0023643249400513433, 0.09009273926518707, 0.49324788381589013, 0.7067521161841098))
-    space = build_doubled_space(build_dof_map(mesh, 1), top)
     params = PenaltyParams(beta=1, gamma0=20.0, gamma1=1.0, p=1)
+    return problem, mesh, top, params
+
+
+def test_error_pass_memory_does_not_grow_with_whole_group_tables():
+    # perfbench's h-sweep seed-1 ellipse at nx = 128, p = 1.  The tracemalloc
+    # peak inside compute_errors was 31.6 MiB while each group's (E, q) tables
+    # of exact values, coefficients and errors were live at once, and is
+    # 15.4 MiB with element blocks of ERROR_BLOCK_ENTRIES entries; most of
+    # the rest is the plan's own (E, q) node arrays.
+    problem, mesh, top, params = _h_sweep_ellipse()
+    space = build_doubled_space(build_dof_map(mesh, 1), top)
     coeffs = np.zeros(space.n_unknowns)
-    tracemalloc.start()
-    try:
-        compute_errors(space, top, problem, coeffs, params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(compute_errors, space, top, problem, coeffs, params)
     assert peak < 24 * 2**20, peak / 2**20
+
+
+def test_assembly_memory_does_not_hold_every_unfiltered_triplet():
+    # the same input, one assemble on a fresh space (so a fresh plan).  The
+    # tracemalloc peak was 19.43 MiB while _csr concatenated the unfiltered
+    # (row, col, value) triplets of all chunks and then masked them, and is
+    # 16.02 MiB with each chunk's constrained entries dropped as its
+    # triplets are formed
+    problem, mesh, top, params = _h_sweep_ellipse()
+    space = build_doubled_space(build_dof_map(mesh, 1), top)
+    _, peak = traced_peak(assemble, space, top, problem, params)
+    assert peak < 17.5 * 2**20, peak / 2**20

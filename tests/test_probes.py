@@ -15,6 +15,8 @@ from ipfem.probes import (
 )
 from ipfem.quadrature import cut_cell_rule, segment_rule, tensor_gauss
 
+from helpers import traced_peak
+
 
 def _topology(curve, nx):
     mesh = build_mesh(DOMAIN, nx, nx)
@@ -387,17 +389,10 @@ def test_volume_schur_memory_does_not_grow_with_the_touched_columns(monkeypatch)
     # the tracemalloc peak inside _volume_schur was 63.4 MiB while
     # V_RR^(-1) V_RI was one dense |R| x |touched| array, and is 10.8 MiB with
     # column blocks of BLOCK_ENTRIES entries.
-    import tracemalloc
-
     import ipfem.probes as probes
 
     volume, on_interface = _volume_schur_inputs(_coercivity_builder(2, nx=48)(1000.0, 1.0), monkeypatch)
-    tracemalloc.start()
-    try:
-        probes._volume_schur(volume, on_interface)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(probes._volume_schur, volume, on_interface)
     assert peak < 32 * 2**20, peak / 2**20
 
 
@@ -582,16 +577,9 @@ def test_trace_probe_memory_does_not_grow_with_the_fields_of_every_segment():
     # fields): the tracemalloc peak of probe_trace is 48.8 MiB with every
     # segment in one block, and 7.9 MiB with blocks of
     # BLOCK_ENTRIES entries
-    import tracemalloc
-
     curve = catalog()["circle-jump"].curve
     mesh, top = _topology(curve, 64)
-    tracemalloc.start()
-    try:
-        probe_trace(mesh, curve, top, samples=20, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(probe_trace, mesh, curve, top, samples=20, seed=0)
     assert peak < 24 * 2**20, peak / 2**20
 
 
