@@ -15,7 +15,8 @@ monomial tables of the nodes, and each inverse-trace constant comes from a
 batched Cholesky reduction and ``eigvalsh`` (a host that does not factor
 reads nan).  A Rayleigh quotient is reduced exactly to the unknowns of the
 segment hosts: one LU per topology for the volume Schur complement, then one
-small LU and one Lanczos run per penalty point (see ``_point_quotient``).
+RFP Cholesky (a Cholesky factor in rectangular full packed storage) and one
+standard-mode Lanczos run per penalty point (see ``_point_quotient``).
 The Schur complement's correction V_IR V_RR^(-1) V_RI is formed one block of
 b = ``BLOCK_ENTRIES // |R|`` columns at a time, so its dense work arrays take
 O(|R| b) memory, not O(|R| |I|) (see ``_volume_schur``).
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import blas, lapack
 
 from .fe_space import build_basis
 from .geometry import CutTopology, far_corners
@@ -224,10 +226,11 @@ def probe_coercivity(system_builder, gamma0_values, gamma1_values, seed: int = 0
     Gram matrix (volume + both penalties) on a (gamma0, gamma1) grid.
 
     Returns {(gamma0, gamma1): quotient}; nonpositive quotients are reported,
-    not raised.  Each point costs one small LU and one Lanczos run (at most
-    ``LANCZOS_MAXITER`` restarts, tolerance ``LANCZOS_TOL``, start vector from
-    ``seed``) on the interface unknowns; the volume Schur complement is kept
-    while the volume block and those unknowns stay the same.
+    not raised.  Each point costs one RFP Cholesky and one standard-mode
+    Lanczos run (at most ``LANCZOS_MAXITER`` restarts, tolerance
+    ``LANCZOS_TOL``, start vector from ``seed``) on the interface unknowns;
+    the volume Schur complement is kept while the volume block and those
+    unknowns stay the same.
     """
     out = {}
     kept = None
@@ -240,8 +243,9 @@ def probe_coercivity(system_builder, gamma0_values, gamma1_values, seed: int = 0
 
 def _point_quotient(system, kept=None, seed=0):
     """Leftmost eigenvalue of the pencil (A + s, G + s), G = volume + j0 + j1,
-    s = REGULARIZATION * diag(G), and the S_V with its key (I and the volume
-    block's CSR arrays) to pass as ``kept`` to the next point.
+    s = REGULARIZATION * diag(G), and the lower triangle of S_V in RFP
+    positions (``_rfp_lower``) with its key (I and the volume block's CSR
+    arrays) to pass as ``kept`` to the next point.
 
     A sliver or a zero penalty weight leaves G singular to round-off; a shift
     of G alone would make its near-null vectors spurious large negative
@@ -249,9 +253,11 @@ def _point_quotient(system, kept=None, seed=0):
     is stored (with j0 + j1) only on the unknowns I of the segment hosts, so
     the quotient is 1 if I is empty, else min(1, 1 + mu) for the leftmost mu
     of C_II y = mu S y, with S the Schur complement of G + s onto I:
-    S_V (``_volume_schur``) + (j0 + j1)_II + s_I.  Lanczos runs on S^(-1) C_II
-    in the S inner product, the LU of the Jacobi-scaled S as ``Minv``; the
-    leftmost mu lies apart from the rest, so it needs no shift.
+    S_V (``_volume_schur``) + (j0 + j1)_II + s_I.  One RFP Cholesky
+    S = L L^T (``_packed_cholesky``) turns the pencil into the standard
+    problem for L^(-1) C_II L^(-T), so one standard-mode Lanczos run, with no
+    M and no shift, finds mu (Lehoucq, Sorensen and Yang, ARPACK Users'
+    Guide, SIAM 1998, section 3.2).
     """
     volume = system.blocks["volume"]
     jumps = system.blocks["j0"] + system.blocks["j1"]
@@ -266,23 +272,77 @@ def _point_quotient(system, kept=None, seed=0):
         return 1.0, None
     key = (iface, volume.indptr, volume.indices, volume.data)
     if kept is None or not all(np.array_equal(a, b) for a, b in zip(kept[0], key)):
-        kept = (key, _volume_schur(volume, on_interface))
+        kept = (key, _rfp_lower(_volume_schur(volume, on_interface)))
     jumps = jumps[iface][:, iface]
-    schur = kept[1] + jumps + sp.diags(REGULARIZATION * (volume.diagonal()[iface] + jumps.diagonal()))
-    d = 1.0 / np.sqrt(schur.diagonal())
-    schur = diagonal_scale(schur, d)
-    lu = factor(schur.tocsc())
+    shift = sp.diags(REGULARIZATION * (volume.diagonal()[iface] + jumps.diagonal()))
     m = iface.size
+    forward, backward = _packed_cholesky(m, kept[1], _rfp_lower(jumps), _rfp_lower(shift))
+    c_ii = consistency[iface][:, iface]
     try:
         mu = spla.eigsh(
-            diagonal_scale(consistency[iface][:, iface], d), k=1, M=schur, which="SA",
-            maxiter=LANCZOS_MAXITER, tol=LANCZOS_TOL, return_eigenvectors=False,
+            spla.LinearOperator((m, m), matvec=lambda x: forward(c_ii @ backward(x)), dtype=float),
+            k=1, which="SA", maxiter=LANCZOS_MAXITER, tol=LANCZOS_TOL, return_eigenvectors=False,
             v0=np.random.default_rng(seed).standard_normal(m),
-            Minv=spla.LinearOperator((m, m), matvec=lu.solve, dtype=float),
         )[0]
     except (RuntimeError, spla.ArpackNoConvergence) as exc:
         raise ProbeError(f"Lanczos iteration failed: {exc}") from exc
     return min(1.0, 1.0 + float(mu)), kept
+
+
+def _rfp_lower(matrix) -> tuple:
+    """Positions in the RFP array of ``_packed_cholesky`` and values of the
+    lower-triangle entries of the square sparse ``matrix``."""
+    lower = sp.tril(matrix).tocoo()
+    k = (lower.shape[0] + 1) // 2
+    i, j = lower.row.astype(np.int64), lower.col.astype(np.int64)
+    return np.where(j < k, j + (i + 1) * k, (i - k) + (j - k) * k), lower.data
+
+
+def _packed_cholesky(m, *parts):
+    """The half-solves x -> L^(-1) x and x -> L^(-T) x of the symmetric
+    positive definite S = L L^T of order m, the sum of the ``_rfp_lower``
+    parts, factored by LAPACK's ``dpftrf`` in rectangular full packed storage
+    (Gustavson, Wasniewski, Dongarra and Langou, ACM TOMS 37(2), 2010):
+    n (n + 1) / 2 doubles, n the order rounded up to even by one decoupled
+    unit unknown.  With transr = "T", uplo = "L" and k = n / 2, the array
+    read as k x (n + 1) in Fortran order holds L22 (lower) in columns
+    [0, k), L11^T (upper) in [1, k + 1) and L21^T in [k + 1, n + 1), and
+    the lower-triangle entry (i, j) of S at j + (i + 1) k if j < k, else at
+    (i - k) + (j - k) k; each half-solve is two ``dtrsv`` and one ``dgemv``
+    on views of it, with no copy.  The parts are added in their order, each
+    without repeated positions.  An S that does not factor raises
+    ``ProbeError``."""
+    n = m + m % 2
+    k = n // 2
+    packed = np.zeros(n * (n + 1) // 2)
+    for at, values in parts:
+        packed[at] += values
+    if n > m:
+        packed[(m - k) * (k + 1)] = 1.0  # the pad's diagonal entry (m, m)
+    packed, info = lapack.dpftrf(n, packed, transr="T", uplo="L", overwrite_a=1)
+    if info > 0:
+        raise ProbeError(f"the Gram matrix on the interface unknowns is not positive definite "
+                         f"(leading minor {info})")
+    packed = packed.reshape((k, n + 1), order="F")
+    l22, l11t, l21t = packed[:, :k], packed[:, 1:k + 1], packed[:, k + 1:]
+    work = np.zeros(n)
+    head, tail = work[:k], work[k:]
+
+    def forward(x):  # L y = x
+        work[:m] = x
+        blas.dtrsv(l11t, head, trans=1, overwrite_x=1)
+        blas.dgemv(-1.0, l21t, head, beta=1.0, y=tail, trans=1, overwrite_y=1)
+        blas.dtrsv(l22, tail, lower=1, overwrite_x=1)
+        return work[:m].copy()
+
+    def backward(x):  # L^T y = x
+        work[:m] = x
+        blas.dtrsv(l22, tail, lower=1, trans=1, overwrite_x=1)
+        blas.dgemv(-1.0, l21t, tail, beta=1.0, y=head, overwrite_y=1)
+        blas.dtrsv(l11t, head, overwrite_x=1)
+        return work[:m].copy()
+
+    return forward, backward
 
 
 def _volume_schur(volume, on_interface):

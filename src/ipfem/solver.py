@@ -9,12 +9,14 @@ the scaled matrix is.
 
 Every LU in the package comes from ``factor``, apart from the deliberate
 second one of ``colamd_solve``.  The matrices here (the interface-penalty
-systems, and the coercivity probe's volume block off the interface unknowns
-and Schur complement onto them) all have a symmetric nonzero pattern, so
-``factor`` keeps its ordering through pivoting in SuperLU's symmetric mode,
-which prefers the diagonal pivot unless it is below 0.1 of the column
-maximum (Demmel, Eisenstat, Gilbert, Li and Liu, SIMAX 20, 1999).  Weaker
-pivots would show as refinement steps in ``SolveReport.iterations``.
+systems, and the coercivity probe's volume block off the interface unknowns)
+all have a symmetric nonzero pattern, so ``factor`` keeps its ordering
+through pivoting in SuperLU's symmetric mode, which prefers the diagonal
+pivot unless it is below 0.1 of the column maximum (Demmel, Eisenstat,
+Gilbert, Li and Liu, SIMAX 20, 1999).  Weaker pivots would show as
+refinement steps in ``SolveReport.iterations``.  The probe's Schur
+complement onto the interface unknowns takes no LU: one RFP Cholesky and
+one standard-mode Lanczos run per point (``probes._point_quotient``).
 
 The ordering depends only on the degree.  A degree-1 space carries the
 nested-dissection order of its vertex grid (``DoubledSpace.order``; A.

@@ -396,6 +396,46 @@ def test_volume_schur_memory_does_not_grow_with_the_touched_columns(monkeypatch)
     assert peak < 32 * 2**20, peak / 2**20
 
 
+@pytest.mark.parametrize("m", [1, 2, 7, 8, 81])
+def test_packed_cholesky_half_solves_match_a_dense_factor(m):
+    # odd orders take the decoupled pad unknown, which no probe test reaches
+    import scipy.linalg as la
+    import scipy.sparse as sp
+
+    from ipfem.probes import _packed_cholesky, _rfp_lower
+
+    rng = np.random.default_rng(m)
+    b = rng.standard_normal((m, m))
+    matrix = b @ b.T + m * np.eye(m)
+    forward, backward = _packed_cholesky(m, _rfp_lower(sp.csr_matrix(matrix)))
+    lower = la.cholesky(matrix, lower=True)
+    x = rng.standard_normal(m)
+    for got, want in ((forward(x), la.solve_triangular(lower, x, lower=True)),
+                      (backward(x), la.solve_triangular(lower.T, x))):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_packed_cholesky_raises_on_an_indefinite_matrix():
+    import scipy.sparse as sp
+
+    from ipfem.probes import ProbeError, _packed_cholesky, _rfp_lower
+
+    with pytest.raises(ProbeError, match="not positive definite"):
+        _packed_cholesky(5, _rfp_lower(sp.diags([2.0, 1.0, -1.0, 3.0, 1.0])))
+
+
+def test_kept_path_point_memory_stays_below_a_dense_factor():
+    # tracemalloc peak of one point with the volume Schur complement kept
+    # (672 interface unknowns): 2.0 MiB with the LU of the Schur complement,
+    # 2.8 MiB with its RFP Cholesky (1.7 MiB); a dense factor alone is 3.4 MiB
+    import ipfem.probes as probes
+
+    system = _scan_ellipse_system()
+    _, kept = probes._point_quotient(system)
+    _, peak = traced_peak(probes._point_quotient, system, kept)
+    assert peak < 4 * 2**20, peak / 2**20
+
+
 def test_coercivity_is_one_without_an_interface(monkeypatch):
     # a circle outside the domain leaves no segment, so C = A - G vanishes:
     # the quotient is exactly 1 and nothing is factored or iterated
@@ -405,6 +445,7 @@ def test_coercivity_is_one_without_an_interface(monkeypatch):
         raise AssertionError("the probe factored or iterated without an interface")
 
     monkeypatch.setattr(probes, "factor", forbidden)
+    monkeypatch.setattr(probes, "_packed_cholesky", forbidden)
     monkeypatch.setattr(probes.spla, "eigsh", forbidden)
     case = catalog()["circle-jump"]
     mesh, top = _topology(Circle(3.0, 3.0, 0.5), 8)
