@@ -20,6 +20,10 @@ over groups, never over elements.  The five block functions then read the
 plan, taking its groups in plan order: uncut side 1, uncut side 2, then the
 cut groups by (side, node count).
 
+A plan's rules follow from its tensor order q (``quadrature.pass_order``,
+p + 2 for assembly): q^2 Gauss points on uncut elements, cut-cell rules of
+order q + p and q + p + 2 Gauss points per segment (see ``_new_plan``).
+
 A plan depends on the space, its topology, the quadrature order and p, never
 on the coefficient or the penalties.  The second request for one
 (quad_order, p) on a space keeps its plan on the space for as long as the
@@ -90,7 +94,7 @@ import scipy.sparse as sp
 from .fe_space import DoubledSpace
 from .geometry import CutTopology, InterfaceSegment
 from .mesh import element_map
-from .quadrature import SegmentRule, cut_cell_rule, gauss_1d, segment_rule, tensor_gauss
+from .quadrature import SegmentRule, cut_cell_rule, cut_order, gauss_1d, pass_order, segment_npoints, segment_rule, tensor_gauss
 
 
 @dataclass
@@ -344,14 +348,6 @@ def segment_trace_operators(
     return _with_coefficient(_unit_traces(space, hosts, rule.points, rule.normals), problem, rule.points)
 
 
-def _segment_npoints(quad_order: int, p: int) -> int:
-    # Traces of degree-p tensor polynomials along a parametric arc carry
-    # harmonics up to 2p, their products up to 4p; p extra Gauss points on top
-    # of the volume order keep those integrals at round-off level instead of
-    # the ~1e-5 relative error a bare (p+2)-point rule leaves at h ~ 1/8.
-    return max(quad_order + p + 2, 4)
-
-
 @dataclass(eq=False)
 class ElementGroup:
     """Elements of one side integrated together: all uncut elements of the
@@ -408,10 +404,10 @@ class IntegrationPlan:
         return _with_coefficient(self.traces, problem, self.rule.points)
 
 
-def _cut_groups(space: DoubledSpace, topology: CutTopology, quad_order: int) -> list:
+def _cut_groups(space: DoubledSpace, topology: CutTopology, order: int) -> list:
     """One group per (side, node count) of the positive cut sides, in that
-    order, from one batched ``cut_cell_rule`` call; each group holds its
-    sides in (element, side) order."""
+    order, from one batched ``cut_cell_rule`` call at ``order``; each group
+    holds its sides in (element, side) order."""
     cut = topology.cut_elements
     elems = np.repeat(cut, 2)
     sides = np.tile([1, 2], len(cut))
@@ -419,7 +415,7 @@ def _cut_groups(space: DoubledSpace, topology: CutTopology, quad_order: int) -> 
     elems, sides = elems[positive], sides[positive]
     if not len(elems):
         return []
-    rules = cut_cell_rule(topology, elems, sides, quad_order)
+    rules = cut_cell_rule(topology, elems, sides, order)
     counts = np.array([len(r.weights) for r in rules])
     keys = sides * (counts.max() + 1) + counts
     groups = []
@@ -566,8 +562,8 @@ def build_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: i
 
 def _new_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: int) -> IntegrationPlan:
     """Rules and basis tables of one pass: the (quad_order)^2 tensor Gauss rule
-    on uncut elements, cut-cell rules of that order, and segment rules with
-    ``_segment_npoints(quad_order, p)`` nodes."""
+    on uncut elements, cut-cell rules of order ``cut_order(quad_order, p)``,
+    and segment rules with ``segment_npoints(quad_order, p)`` nodes."""
     mesh = space.mesh
     basis = space.basis
     ref = tensor_gauss(quad_order)
@@ -591,12 +587,12 @@ def _new_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: in
             )
         )
 
-    rule = segment_rule(topology.segments, topology.curve, _segment_npoints(quad_order, p))
+    rule = segment_rule(topology.segments, topology.curve, segment_npoints(quad_order, p))
     traces = _unit_traces(space, _segment_hosts(topology.segments), rule.points, rule.normals)
     return IntegrationPlan(
         space=space,
         h=mesh.h,
-        groups=tuple(groups + _cut_groups(space, topology, quad_order)),
+        groups=tuple(groups + _cut_groups(space, topology, cut_order(quad_order, p))),
         rule=rule,
         traces=traces,
         edge_groups=_edge_groups(space, topology, rule),
@@ -731,9 +727,10 @@ def assemble(
     params: PenaltyParams,
     quad_order: int | None = None,
 ) -> AssembledSystem:
-    """Full system for the interface-penalty method (beta from ``params``)."""
+    """Full system for the interface-penalty method (beta from ``params``);
+    ``quad_order`` is the plan's tensor order, by default ``pass_order(p)``."""
     if quad_order is None:
-        quad_order = params.p + 2
+        quad_order = pass_order(params.p)
     plan = build_plan(space, topology, quad_order, params.p)
     blocks = {
         "volume": assemble_volume(plan, problem),

@@ -4,14 +4,15 @@ Reports the L2 error, the broken weighted H1 seminorm, the energy norm
 (broken H1 plus both penalty terms) and the augmented energy norm that adds
 the scaled flux-average term; the two penalty magnitudes are kept separately.
 All integrals use the assembly's integration plan, built with the same rule
-generators (tensor Gauss, cut-cell and segment rules) at a higher order,
-p + 4 by default against the assembly's p + 2.  The higher order keeps the
-quadrature error below the discretisation error; it does not make the error
-quadrature independent of the assembly's.  Each of the plan's groups, uncut
-or cut, is integrated in blocks of consecutive elements, so no table of
-exact values, coefficients or errors is formed for a whole group; the
-per-element integrals are summed over the groups and blocks in plan order,
-as the assembly scatters them.
+generators (tensor Gauss, cut-cell and segment rules) at a higher order, by
+default ``quadrature.pass_order(p, errors=True)``: p + 4 against the
+assembly's p + 2, so cut-cell rules of order 2p + 4 against 2p + 2.  The
+higher order keeps the quadrature error below the discretisation error; it
+does not make the error quadrature independent of the assembly's.  Each of
+the plan's groups, uncut or cut, is integrated in blocks of consecutive
+elements, so no table of exact values, coefficients or errors is formed for
+a whole group; the per-element integrals are summed over the groups and
+blocks in plan order, as the assembly scatters them.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from .assembly import ElementGroup, IntegrationPlan, PenaltyParams, Problem, _contract, _evaluate, _shaped, _T, build_plan
 from .fe_space import DoubledSpace, gather
 from .geometry import CutTopology
+from .quadrature import pass_order
 
 
 # float64 entries (256 KiB) of each (element, quadrature node) table of one
@@ -159,7 +161,7 @@ def compute_errors(
         raise MissingExact("compute_errors requires problem.exact and exact_grad")
     p = params.p
     if quad_order is None:
-        quad_order = p + 4
+        quad_order = pass_order(p, errors=True)
     parts = _squared_parts(build_plan(space, topology, quad_order, p), problem, params, solution, exact=True)
     norm_a = math.sqrt(parts["h1"] + parts["j0"] + parts["j1"])
     norm_b = math.sqrt(norm_a**2 + parts["avg"]) if params.gamma0 > 0.0 else float("nan")
@@ -191,7 +193,7 @@ def energy_norm_squared(
     ``compute_errors`` against a zero exact pair: broken weighted gradient
     energy plus both penalty terms."""
     if quad_order is None:
-        quad_order = params.p + 4
+        quad_order = pass_order(params.p, errors=True)
     parts = _squared_parts(build_plan(space, topology, quad_order, params.p), problem, params, coeffs, exact=False)
     return parts["h1"] + parts["j0"] + parts["j1"]
 

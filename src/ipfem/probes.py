@@ -5,21 +5,23 @@ trace and inverse-trace constants on the analysis side of each cut element,
 the smallest Rayleigh quotient of the symmetric form against the energy Gram
 matrix (the empirical coercivity region in the penalty plane), and the lower
 bound on the distance function G built from the far corner of each segment's
-host element.  Dense tables are formed in blocks of at most
-``BLOCK_ENTRIES`` entries (``_blocks``).  The two trace probes run in array
-passes over all segments, one block of segments at a time: every host's
-analysis side is one row of padded node and weight arrays
-(``_analysis_rules``), the random coefficients are drawn in the order of a
-loop over the segments, the cubic fields are summed by one product with the
-monomial tables of the nodes, and each inverse-trace constant comes from a
-batched Cholesky reduction and ``eigvalsh`` (a host that does not factor
-reads nan).  A Rayleigh quotient is reduced exactly to the unknowns of the
-segment hosts: one LU per topology for the volume Schur complement, then one
-RFP Cholesky (a Cholesky factor in rectangular full packed storage) and one
-standard-mode Lanczos run per penalty point (see ``_point_quotient``).
-The Schur complement's correction V_IR V_RR^(-1) V_RI is formed one block of
-b = ``BLOCK_ENTRIES // |R|`` columns at a time, so its dense work arrays take
-O(|R| b) memory, not O(|R| |I|) (see ``_volume_schur``).
+host element.  Every probe takes its mesh and curve from the topology.
+Dense tables are formed in blocks of at most ``BLOCK_ENTRIES`` entries
+(``_blocks``).  The two trace probes run in array passes over all segments,
+one block of segments at a time: every host's analysis side is one row of
+padded node and weight arrays (``_analysis_rules``).  The trace probe draws
+its random coefficients in the order of a loop over the segments and sums
+its cubic fields by one product with the monomial tables of the nodes; each
+inverse-trace constant comes from a batched QR factor of the region's
+weighted basis table, one triangular solve and the largest singular value
+(see ``probe_inverse_trace``).  A Rayleigh quotient is reduced exactly to
+the unknowns of the segment hosts: one LU per topology for the volume Schur
+complement, then one RFP Cholesky (a Cholesky factor in rectangular full
+packed storage) and one standard-mode Lanczos run per penalty point (see
+``_point_quotient``).  The Schur complement's correction V_IR V_RR^(-1) V_RI
+is formed one block of b = ``BLOCK_ENTRIES // |R|`` columns at a time, so
+its dense work arrays take O(|R| b) memory, not O(|R| |I|) (see
+``_volume_schur``).
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import blas, lapack
+from scipy.linalg import blas, lapack, solve_triangular
 
 from .fe_space import build_basis
 from .geometry import CutTopology, far_corners
 from .mesh import element_map
-from .quadrature import cut_cell_rule, segment_rule, tensor_gauss
+from .quadrature import cut_cell_rule, cut_order, pass_order, segment_npoints, segment_rule, tensor_gauss
 from .solver import diagonal_scale, factor
 
 
@@ -65,14 +67,11 @@ class ProbeReport:
     extra: dict = field(default_factory=dict)
 
 
-def _report(name, mesh, p, per_element, extra=None) -> ProbeReport:
-    """Report over the per-element constants, with the max and median of those not nan."""
+def _report(name, mesh, p, per_element) -> ProbeReport:
+    """Report over the per-element constants, with their max and median."""
     if not per_element:
         raise ProbeError(f"no interface segments: the {name} probe has no element to measure")
     values = np.array(list(per_element.values()))
-    values = values[~np.isnan(values)]
-    if not values.size:
-        raise ProbeError(f"the {name} probe could not measure any element")
     return ProbeReport(
         name=name,
         h=mesh.h,
@@ -80,23 +79,22 @@ def _report(name, mesh, p, per_element, extra=None) -> ProbeReport:
         per_element=per_element,
         global_max=float(values.max()),
         global_median=float(np.median(values)),
-        extra={} if extra is None else extra,
     )
 
 
-def _analysis_rules(topology, order) -> tuple:
+def _analysis_rules(topology, order, cut_rule_order) -> tuple:
     """Physical nodes (n, q, 2), reference nodes (n, q, 2) and weights (n, q)
     of the analysis side of every segment's host, n = len(segments): the
     order^2 Gauss rule of the whole element for a mesh-edge segment, else
-    its cut-cell rule, all from one batched ``cut_cell_rule`` call.  Rows
-    shorter than the longest rule q are padded with zero-weight nodes at the
-    host's centre."""
+    its cut-cell rule of ``cut_rule_order``, all from one batched
+    ``cut_cell_rule`` call.  Rows shorter than the longest rule q are padded
+    with zero-weight nodes at the host's centre."""
     segments = topology.segments
     hosts = np.array([seg.element for seg in segments], dtype=np.int64)
     on_edge = np.array([seg.on_edge for seg in segments], dtype=bool)
     cut = np.flatnonzero(~on_edge)
     rules = cut_cell_rule(topology, hosts[cut], np.array([segments[k].analysis_side for k in cut], dtype=int),
-                          order)
+                          cut_rule_order)
     whole = tensor_gauss(order)
     q = max([len(whole.weights)] + [len(r.weights) for r in rules])
     centers, half = element_map(topology.mesh, hosts)
@@ -118,60 +116,40 @@ def _blocks(n, per_item) -> list:
     return [slice(start, start + width) for start in range(0, n, width)]
 
 
-def probe_inverse_trace(mesh, curve, topology: CutTopology, p: int, samples: int = 20, seed: int = 0) -> ProbeReport:
+def probe_inverse_trace(topology: CutTopology, p: int) -> ProbeReport:
     """Constant in  ||v_h||_e <= C (p / h^(1/2)) ||v_h||_{K_ie}  over degree-p
-    polynomials: per segment host, both the max over random samples and the
-    exact constant, from the largest eigenvalue of the pencil (m_edge,
-    m_region) of edge and region Gram matrices reduced by the Cholesky
-    factor of m_region.  A host whose m_region does not factor reads nan and
-    is listed in ``extra["not_positive_definite"]``, a key only present then."""
+    polynomials, per segment host and with the error pass's rules:
+    C = (h^(1/2) / p) ||B_e R^(-1)||_2, where ||B_e R^(-1)||_2^2 is the largest
+    eigenvalue of the pencil of edge and region Gram matrices, B_e and
+    B_r = Q R the basis tables at the edge and region nodes scaled by the
+    square roots of the weights.  The region Gram matrix B_r^T B_r, whose
+    condition number (up to 1e19 at p = 8) is the square of R's, is never
+    formed; every rule has at least (p + 1)^2 nodes, so R is invertible."""
+    mesh = topology.mesh
     if not topology.segments:
         return _report("inverse-trace", mesh, p, {})  # raises ProbeError
-    rng = np.random.default_rng(seed)
-    quad_order = p + 3
+    order = pass_order(p, errors=True)
     basis = build_basis(p)
     hosts = np.array([seg.element for seg in topology.segments], dtype=np.int64)
-    srule = segment_rule(topology.segments, topology.curve, max(quad_order, 8))
+    srule = segment_rule(topology.segments, topology.curve, segment_npoints(order, p))
     centers, half = element_map(mesh, hosts)
     edge = (srule.points - centers[:, None, :]) / half
-    _, ref, w = _analysis_rules(topology, quad_order)
-    best, lam = [], []
+    _, ref, w = _analysis_rules(topology, order, cut_order(order, p))
+    norms = []
     for at in _blocks(len(hosts), ref.shape[1] * basis.n_local):
-        m_edge = _gram(basis, edge[at], srule.weights[at])
-        m_region = _gram(basis, ref[at], w[at])
-        # c^T (M c) per sample, as one matrix-vector product and one dot each
-        c = rng.standard_normal((len(m_edge), samples, basis.n_local, 1))
-        num, den = ((c.swapaxes(-1, -2) @ (m[:, None] @ c))[..., 0, 0] for m in (m_edge, m_region))
-        best.append(np.divide(num, den, out=np.zeros_like(num), where=den > 0.0).max(axis=1, initial=0.0))
-        lam.append(_largest_eigenvalues(m_edge, m_region))
-    scale = np.sqrt(mesh.h) / p
-    sampled = np.sqrt(np.concatenate(best)) * scale
-    refined = np.sqrt(np.maximum(np.concatenate(lam), 0.0)) * scale  # keeps nan
-    extra = {"sampled_max": dict(zip(hosts.tolist(), sampled.tolist()))}
-    if np.isnan(refined).any():
-        extra["not_positive_definite"] = hosts[np.isnan(refined)].tolist()
-    return _report("inverse-trace", mesh, p, dict(zip(hosts.tolist(), refined.tolist())), extra=extra)
+        r = np.linalg.qr(_weighted_table(basis, ref[at], w[at]), mode="r")
+        # (B_e R^(-1))^T from R^T Y = B_e^T, then its largest singular value
+        y = solve_triangular(r, _weighted_table(basis, edge[at], srule.weights[at]).swapaxes(-1, -2), trans="T")
+        norms.append(np.linalg.svd(y, compute_uv=False)[:, 0])
+    constants = np.concatenate(norms) * (np.sqrt(mesh.h) / p)
+    return _report("inverse-trace", mesh, p, dict(zip(hosts.tolist(), constants.tolist())))
 
 
-def _largest_eigenvalues(m_edge, m_region) -> np.ndarray:
-    """Largest eigenvalue of each pencil (m_edge[k], m_region[k]), that of
-    L^-1 m_edge L^-T with L L^T = m_region; when the stack does not factor,
-    each pencil alone, nan for one that does not."""
-    try:
-        lower = np.linalg.cholesky(m_region)
-    except np.linalg.LinAlgError:
-        if len(m_region) == 1:
-            return np.full(1, np.nan)
-        return np.concatenate([_largest_eigenvalues(e[None], r[None]) for e, r in zip(m_edge, m_region)])
-    reduced = np.linalg.solve(lower, np.linalg.solve(lower, m_edge).swapaxes(-1, -2))
-    return np.linalg.eigvalsh(reduced)[:, -1]
-
-
-def _gram(basis, nodes, weights) -> np.ndarray:
-    """Gram matrices (n, n_local, n_local) of the reference basis over the
-    reference nodes (n, q, 2) with weights (n, q)."""
+def _weighted_table(basis, nodes, weights) -> np.ndarray:
+    """Reference basis values (n, q, n_local) at the reference nodes
+    (n, q, 2), each row scaled by the square root of its weight (n, q)."""
     vals = basis.values(nodes[..., 0].ravel(), nodes[..., 1].ravel()).reshape(nodes.shape[:2] + (-1,))
-    return vals.swapaxes(-1, -2) @ (weights[..., None] * vals)
+    return np.sqrt(weights)[..., None] * vals
 
 
 def _cubic_tables(x, y) -> np.ndarray:
@@ -198,17 +176,18 @@ def _field_norms(nodes, weights, coef, k) -> tuple:
             np.sqrt(np.einsum("nq,nqf->nf", weights, gx**2 + gy**2)))
 
 
-def probe_trace(mesh, curve, topology: CutTopology, samples: int = 20, seed: int = 0) -> ProbeReport:
+def probe_trace(topology: CutTopology, samples: int = 20, seed: int = 0) -> ProbeReport:
     """Constant in  ||v||_e <= C (h^(-1/2)||v|| + ||v||^(1/2)||grad v||^(1/2))
     over random smooth fields on the analysis side: per segment host,
     ``samples`` cubics with standard normal coefficients, drawn segment by
     segment, and sin(kx) cos(ky), k = min(4/h, 64)."""
+    mesh = topology.mesh
     if not topology.segments:
         return _report("trace", mesh, 0, {})  # raises ProbeError
     rng = np.random.default_rng(seed)
     hosts = [seg.element for seg in topology.segments]
     srule = segment_rule(topology.segments, topology.curve, 12)
-    points, _, w = _analysis_rules(topology, 8)
+    points, _, w = _analysis_rules(topology, 8, 8)
     k = min(4.0 / mesh.h, 64.0)
     best = []
     for at in _blocks(len(hosts), points.shape[1] * (samples + 1)):
@@ -381,10 +360,10 @@ def _volume_schur(volume, on_interface):
     return v_i[:, iface] - corr
 
 
-def probe_G(topology: CutTopology, curve, samples_per_segment: int = 64) -> ProbeReport:
+def probe_G(topology: CutTopology, samples_per_segment: int = 64) -> ProbeReport:
     """min over segments and parameters of G(t)/h_K, where G is the distance
     function |(r-P) x r'|/|r'| with origin at the far corner P."""
-    mesh = topology.mesh
+    mesh, curve = topology.mesh, topology.curve
     elements = np.array([seg.element for seg in topology.segments], dtype=np.int64)
     t_lo = np.array([seg.t_lo for seg in topology.segments])
     t_hi = np.array([seg.t_hi for seg in topology.segments])

@@ -81,6 +81,27 @@ def _self_test(rule: QuadRule):
             raise QuadratureError(f"tensor rule fails monomial x^{a} y^{b}: {got} vs {float(want[a, b])}")
 
 
+def pass_order(p: int, errors: bool = False) -> int:
+    """Tensor Gauss order q of an assembly (p + 2) or error (p + 4) pass over
+    degree-p functions; q sets its other rules (``cut_order``, ``segment_npoints``)."""
+    return p + (4 if errors else 2)
+
+
+def cut_order(quad_order: int, p: int) -> int:
+    """Cut-cell rule order of a pass of tensor order ``quad_order``: on a
+    blended sub-cell map the Q_2p products reach degree 4p per reference axis,
+    and p orders more integrate every cut side's mass and stiffness to round-off."""
+    return quad_order + p
+
+
+def segment_npoints(quad_order: int, p: int) -> int:
+    """Segment-rule Gauss nodes of a pass of tensor order ``quad_order``:
+    traces of degree-p tensor polynomials along a parametric arc carry
+    harmonics up to 2p, their products up to 4p; p extra nodes keep those
+    integrals at round-off, not the ~1e-5 a bare (p+2)-point rule leaves at h ~ 1/8."""
+    return max(quad_order + p + 2, 4)
+
+
 @functools.lru_cache(maxsize=64)
 def gauss_1d(n: int) -> QuadRule:
     """n-point Gauss-Legendre rule on [-1, 1], exact to degree 2n-1."""

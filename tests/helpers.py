@@ -11,7 +11,7 @@ from ipfem.cases import DOMAIN
 from ipfem.fe_space import build_dof_map, build_doubled_space, shape_1d
 from ipfem.geometry import classify_elements
 from ipfem.mesh import build_mesh, element_map
-from ipfem.quadrature import gauss_1d, tensor_gauss
+from ipfem.quadrature import gauss_1d, pass_order, tensor_gauss
 
 
 def build_pipeline(case, p, nx, beta=1, gamma0=None, gamma1=None, quad_extra=0):
@@ -28,7 +28,7 @@ def build_pipeline(case, p, nx, beta=1, gamma0=None, gamma1=None, quad_extra=0):
         gamma1=g1_def if gamma1 is None else gamma1,
         p=p,
     )
-    system = assemble(space, topology, case.problem, params, quad_order=p + 2 + quad_extra)
+    system = assemble(space, topology, case.problem, params, quad_order=pass_order(p) + quad_extra)
     return mesh, topology, space, params, system
 
 

@@ -26,9 +26,9 @@ from ipfem.assembly import (
 from ipfem.cases import DOMAIN, catalog
 from ipfem.errors import _squared_parts, compute_errors, energy_norm_squared
 from ipfem.fe_space import build_dof_map, build_doubled_space
-from ipfem.geometry import Circle, InterfaceCurve, InterfaceSegment, VerticalLine, classify_elements
+from ipfem.geometry import Circle, Ellipse, InterfaceCurve, InterfaceSegment, VerticalLine, classify_elements
 from ipfem.mesh import Rectangle, build_mesh, element_map
-from ipfem.quadrature import cut_cell_rule, segment_rule, tensor_gauss
+from ipfem.quadrature import cut_cell_rule, cut_order, pass_order, segment_npoints, segment_rule, tensor_gauss
 
 from helpers import build_pipeline
 
@@ -164,11 +164,9 @@ def test_nip_sip_difference_is_adjoint_term():
     plan = build_plan(space, top, quad_order, 2)
     sip = assemble_interface(plan, case.problem, PenaltyParams(beta=1, gamma0=1, gamma1=1, p=2))
     nip = assemble_interface(plan, case.problem, PenaltyParams(beta=-1, gamma0=1, gamma1=1, p=2))
-    from ipfem.assembly import _segment_npoints
-
     adj = np.zeros((space.n_unknowns, space.n_unknowns))
     for seg in top.segments:
-        rule = segment_rule(seg, case.curve, _segment_npoints(quad_order, 2))
+        rule = segment_rule(seg, case.curve, segment_npoints(quad_order, 2))
         tr = segment_trace_operators(space, case.problem, seg, rule)
         local = (tr.avg_flux.T * rule.weights) @ tr.jump  # B^T with B = J^T W A
         idx = tr.joint_idx
@@ -309,7 +307,8 @@ def test_consistency_residual_decreases():
 
 def _element_sides(space, top, quad_order):
     """Reference iteration, one element side at a time: physical points,
-    weights and basis tables of every element side with positive area."""
+    weights and basis tables of every element side with positive area, from
+    the rules of a plan of tensor order ``quad_order``."""
     mesh, basis = space.mesh, space.basis
     rule = tensor_gauss(quad_order)
     for e in range(mesh.n_elements):
@@ -321,7 +320,7 @@ def _element_sides(space, top, quad_order):
                 x, y = (center + half * rule.points).T
                 w = rule.weights * float(half[0] * half[1])
             else:
-                crule = cut_cell_rule(top, e, side, order=quad_order)
+                crule = cut_cell_rule(top, e, side, order=cut_order(quad_order, basis.p))
                 x, y = crule.points[:, 0], crule.points[:, 1]
                 w = crule.weights
             xi, eta = (x - center[0]) / half[0], (y - center[1]) / half[1]
@@ -342,7 +341,7 @@ def test_batched_volume_and_load_match_element_loop(name, p):
     n = space.n_unknowns
     stiffness = np.zeros((n, n))
     source = np.zeros(n)
-    for e, side, x, y, w, vals, grads in _element_sides(space, top, p + 2):
+    for e, side, x, y, w, vals, grads in _element_sides(space, top, pass_order(p)):
         aw = np.asarray(problem.a[side - 1](x, y), dtype=float) * w
         fw = np.asarray(problem.f[side - 1](x, y), dtype=float) * w
         idx = space.element_unknowns(e, side)
@@ -351,7 +350,7 @@ def test_batched_volume_and_load_match_element_loop(name, p):
         stiffness[np.ix_(idx[ok], idx[ok])] += local[np.ix_(ok, ok)]
         source[idx[ok]] += (vals.T @ fw)[ok]
     assert _rel(system.blocks["volume"].toarray(), stiffness) <= 1e-13
-    _, terms = assemble_load(build_plan(space, top, p + 2, p), problem, params)
+    _, terms = assemble_load(build_plan(space, top, pass_order(p), p), problem, params)
     assert _rel(terms["volume"], source) <= 1e-13
 
 
@@ -363,7 +362,7 @@ def test_batched_error_norms_match_element_loop(name, p):
     mesh, top, space, params, system = build_pipeline(case, p, 8)
     coeffs = np.random.default_rng(p).standard_normal(space.n_unknowns)
     l2_sq = h1_sq = 0.0
-    for e, side, x, y, w, vals, grads in _element_sides(space, top, p + 4):
+    for e, side, x, y, w, vals, grads in _element_sides(space, top, pass_order(p, errors=True)):
         local = space.gather(coeffs, e, side)
         gx, gy = problem.exact_grad[side - 1](x, y)
         guh = np.einsum("qld,l->qd", grads, local)
@@ -410,10 +409,11 @@ def test_each_rule_is_built_once_per_pass(name, monkeypatch):
         (int(e), side) for e in top.cut_elements for side in (1, 2) if top.fractions[e, side - 1] > 0.0
     )
     segments = sorted(id(seg) for seg in top.segments)
-    assert sorted(cut_calls) == [(e, side, p + 2) for e, side in sides]
+    order = cut_order(pass_order(p), p)
+    assert sorted(cut_calls) == [(e, side, order) for e, side in sides]
     assert sorted(segment_calls) == segments
     # one batched call per pass, none without cut elements
-    assert batches == ([] if name == "aligned-edge" else [p + 2])
+    assert batches == ([] if name == "aligned-edge" else [order])
     assert len(segment_batches) == 1
 
     cut_calls.clear()
@@ -421,16 +421,18 @@ def test_each_rule_is_built_once_per_pass(name, monkeypatch):
     batches.clear()
     segment_batches.clear()
     compute_errors(space, top, case.problem, np.zeros(space.n_unknowns), params)
-    assert sorted(cut_calls) == [(e, side, p + 4) for e, side in sides]
+    order = cut_order(pass_order(p, errors=True), p)
+    assert sorted(cut_calls) == [(e, side, order) for e, side in sides]
     assert sorted(segment_calls) == segments
-    assert batches == ([] if name == "aligned-edge" else [p + 4])
+    assert batches == ([] if name == "aligned-edge" else [order])
     assert len(segment_batches) == 1
 
 
 def _one_group_per_side(plan, space, top, quad_order):
-    """``plan`` with every cut side in a group of its own, from one scalar
-    ``cut_cell_rule`` call each, in the stacked plan's (side, node count)
-    order and (element, side) order within it."""
+    """``plan`` (of tensor order ``quad_order``) with every cut side in a
+    group of its own, from one scalar ``cut_cell_rule`` call each at the
+    plan's cut order, in the stacked plan's (side, node count) order and
+    (element, side) order within it."""
     basis = space.basis
     groups = []
     for e in top.cut_elements:
@@ -438,7 +440,7 @@ def _one_group_per_side(plan, space, top, quad_order):
         for side in (1, 2):
             if top.fractions[e, side - 1] <= 0.0:
                 continue
-            crule = cut_cell_rule(top, int(e), side, quad_order)
+            crule = cut_cell_rule(top, int(e), side, cut_order(quad_order, basis.p))
             xi, eta = ((crule.points - center) / half).T
             groups.append(
                 ElementGroup(
@@ -461,7 +463,7 @@ def test_stacked_cut_groups_match_one_group_per_side(name, p):
     case = catalog()[name]
     mesh, top, space, params, system = build_pipeline(case, p, 8)
     coeffs = np.random.default_rng(p).standard_normal(space.n_unknowns)
-    for quad_order in (p + 2, p + 4):
+    for quad_order in (pass_order(p), pass_order(p, errors=True)):
         plan = build_plan(space, top, quad_order, p)
         assert len(plan.groups) <= 10
         ref = _one_group_per_side(plan, space, top, quad_order)
@@ -472,6 +474,64 @@ def test_stacked_cut_groups_match_one_group_per_side(name, p):
         assert load.tobytes() == assemble_load(ref, case.problem, params)[1]["volume"].tobytes()
         parts = _squared_parts(plan, case.problem, params, coeffs, exact=True)
         assert parts == _squared_parts(ref, case.problem, params, coeffs, exact=True)
+
+
+def _side_matrices(basis, half, points, weights, centers) -> tuple:
+    """Mass and stiffness (E, n_loc, n_loc) of each cut side from its nodes
+    (E, q, 2) and weights (E, q), the element centres (E, 2) and half sizes."""
+    ref = (points - centers[:, None, :]) / half
+    vals = basis.values(ref[..., 0].ravel(), ref[..., 1].ravel()).reshape(ref.shape[:2] + (-1,))
+    grads = basis.gradients(ref[..., 0].ravel(), ref[..., 1].ravel()).reshape(vals.shape + (2,)) / half
+    w = weights[..., None]
+    mass = _T(vals) @ (w * vals)
+    return mass, sum(_T(grads[..., d]) @ (w * grads[..., d]) for d in (0, 1))
+
+
+# the benchmark's h-sweep seed-1 ellipse
+SEED1_ELLIPSE = Ellipse(0.0023643249400513433, 0.09009273926518707, 0.49324788381589013, 0.7067521161841098)
+
+
+@pytest.mark.parametrize("which", ["circle-jump-8", "circle-jump-16", "seed1-ellipse-16"])
+def test_plan_cut_rules_integrate_the_cut_side_mass_and_stiffness_to_round_off(which):
+    # a cut sub-cell is a blended map of the unit square, so the Q_2p mass
+    # and stiffness reach degree 4p per reference axis; the plan's cut rules
+    # of order q + p integrate them to round-off: at most 7.8e-14 relative
+    # against order 2p + 12.  Rules of the tensor order q alone were off by
+    # 1.1e-11 at p = 1 (circle-jump, nx = 8) and by 1.5e-3 at p = 8.
+    curve, nx = {
+        "circle-jump-8": (catalog()["circle-jump"].curve, 8),
+        "circle-jump-16": (catalog()["circle-jump"].curve, 16),
+        "seed1-ellipse-16": (SEED1_ELLIPSE, 16),
+    }[which]
+    mesh = build_mesh(DOMAIN, nx, nx)
+    top = classify_elements(mesh, curve)
+    cut = top.cut_elements
+    elems, sides = np.repeat(cut, 2), np.tile([1, 2], len(cut))
+    positive = top.fractions[elems, sides - 1] > 0.0
+    elems, sides = elems[positive], sides[positive]
+    centers, half = element_map(mesh, elems)
+    for p in range(1, 9):
+        space = build_doubled_space(build_dof_map(mesh, p), top)
+        want = {}
+        for e, s, rule, c in zip(elems, sides, cut_cell_rule(top, elems, sides, 2 * p + 12), centers):
+            mass, stiffness = _side_matrices(space.basis, half, rule.points[None], rule.weights[None], c[None])
+            want[int(e), int(s)] = (mass[0], stiffness[0])
+        for errors in (False, True):
+            plan = build_plan(space, top, pass_order(p, errors=errors), p)
+            seen = []
+            for g in plan.groups[2:]:
+                points = np.stack([g.x, g.y], axis=-1)
+                at = mesh.locate(*(np.sum(g.w[..., None] * points, axis=1) / g.w.sum(axis=1)[:, None]).T)
+                got = _side_matrices(space.basis, half, points, g.w, element_map(mesh, at)[0])
+                for k, e in enumerate(at.tolist()):
+                    seen.append((e, g.side))
+                    # the assembly pass integrates the stiffness, the error
+                    # pass both the L2 (mass) and the H1 (stiffness) terms
+                    for m in ((0, 1) if errors else (1,)):
+                        ref = want[e, g.side][m]
+                        rel = np.max(np.abs(got[m][k] - ref)) / np.max(np.abs(ref))
+                        assert rel <= 1e-12, (p, errors, e, g.side, m, rel)
+            assert sorted(seen) == sorted(want)
 
 
 def _canonical(a):
@@ -614,7 +674,7 @@ def test_volume_block_omits_only_round_off(name, monkeypatch):
     top = classify_elements(mesh, curve)
     for p in degrees:
         space = build_doubled_space(build_dof_map(mesh, p), top)
-        plan = build_plan(space, top, p + 2, p)
+        plan = build_plan(space, top, pass_order(p), p)
         got, full = assemble_volume(plan, problem), _full_volume(plan, problem, monkeypatch)
         if name == "smooth-nojump" or p == 1:
             # a varies within the elements, or the pattern is the full clique
@@ -673,7 +733,7 @@ def test_trace_blocks_omit_only_round_off(name, beta, monkeypatch):
     top = classify_elements(mesh, curve)
     for p in degrees:
         space = build_doubled_space(build_dof_map(mesh, p), top)
-        plan = build_plan(space, top, p + 2, p)
+        plan = build_plan(space, top, pass_order(p), p)
         full_plan = replace(plan, edge_groups=())
         params = PenaltyParams(beta, 10.0, 1.0, p)
         got, full = _trace_blocks(plan, problem, params), _trace_blocks(full_plan, problem, params)
@@ -749,7 +809,7 @@ def test_trace_pattern_needs_an_exact_rule_on_the_whole_edge(name):
     problem = PSWEEP_SEED0[1]
     for p in (2, 5):
         space = build_doubled_space(build_dof_map(mesh, p), top)
-        plan = build_plan(space, top, p + 2, p)
+        plan = build_plan(space, top, pass_order(p), p)
         assert sorted(k for segs, _ in plan.edge_groups for k in segs.tolist()) == qualifying
         idx = plan.traces.joint_idx
         # entries that a qualifying segment's clique touches
@@ -773,7 +833,7 @@ def test_trace_pattern_needs_a_constant_coefficient_along_the_edge():
     problem = Problem(a=(_const(1.0), lambda x, y: 2.0 + np.cos(y)), f=PSWEEP_SEED0[1].f)
     p = 4
     space = build_doubled_space(build_dof_map(mesh, p), top)
-    plan = build_plan(space, top, p + 2, p)
+    plan = build_plan(space, top, pass_order(p), p)
     assert plan.edge_groups
     params = PenaltyParams(-1, 10.0, 1.0, p)
     got = _trace_blocks(plan, problem, params)
@@ -790,7 +850,7 @@ def test_segment_traces_carry_the_side_coefficients_that_scale_the_fluxes(name):
     case, p = catalog()[name], 3
     mesh = build_mesh(DOMAIN, 8, 8)
     top = classify_elements(mesh, case.curve)
-    plan = build_plan(build_doubled_space(build_dof_map(mesh, p), top), top, p + 2, p)
+    plan = build_plan(build_doubled_space(build_dof_map(mesh, p), top), top, pass_order(p), p)
     assert plan.traces.a is None
     tr = plan.segment_traces(case.problem)
     x, y = plan.rule.points[..., 0], plan.rule.points[..., 1]
@@ -807,7 +867,7 @@ def test_each_pass_evaluates_the_coefficient_at_the_segment_nodes_once_per_consu
     mesh = build_mesh(DOMAIN, 8, 8)
     top = classify_elements(mesh, case.curve)
     space = build_doubled_space(build_dof_map(mesh, p), top)
-    nodes = [build_plan(space, top, q, p).rule.points[..., 0].ravel() for q in (p + 2, p + 4)]
+    nodes = [build_plan(space, top, q, p).rule.points[..., 0].ravel() for q in (pass_order(p), pass_order(p, errors=True))]
     calls = [0, 0]
 
     def counted(side):
@@ -853,7 +913,7 @@ def test_repeated_assembly_keeps_the_second_plan(monkeypatch):
     systems = [assemble(space, top, case.problem, PenaltyParams(1, g0, g1, p)) for g0, g1 in scan]
     # the first call's plan is dropped, the second call's plan serves the rest
     assert calls == {"cut": 2, "segment": 2}
-    assert [key for key, plan in space.plans.items() if plan is not None] == [(p + 2, p)]
+    assert [key for key, plan in space.plans.items() if plan is not None] == [(pass_order(p), p)]
 
     for (g0, g1), system in zip(scan, systems):
         fresh_space, fresh_top = _scan_space(case, p, nx)
@@ -873,7 +933,7 @@ def test_kept_plan_dies_with_its_space():
     space, top = _scan_space(case, p, 8)
     for g0 in (10.0, 100.0):
         assemble(space, top, case.problem, PenaltyParams(1, g0, 1.0, p))
-    kept = weakref.ref(space.plans[(p + 2, p)])
+    kept = weakref.ref(space.plans[(pass_order(p), p)])
     assert kept() is not None
     del space, top
     gc.collect()

@@ -13,7 +13,7 @@ from ipfem.probes import (
     probe_inverse_trace,
     probe_trace,
 )
-from ipfem.quadrature import cut_cell_rule, segment_rule, tensor_gauss
+from ipfem.quadrature import cut_cell_rule, cut_order, pass_order, segment_npoints, segment_rule, tensor_gauss
 
 from helpers import traced_peak
 
@@ -35,15 +35,14 @@ def test_inverse_trace_constant_closed_form_on_edge_case():
     p = 1
     hand = np.sqrt(edge_sq) * np.sqrt(mesh.h) / (p * np.sqrt(region_sq))
     assert hand == pytest.approx(np.sqrt(mesh.h / mesh.dx) / p, rel=1e-12)
-    rep = probe_inverse_trace(mesh, curve, top, p, samples=10, seed=0)
+    rep = probe_inverse_trace(top, p)
     assert rep.per_element[seg.element] >= hand - 1e-10
 
 
-def _measured_max(mesh, curve, top, p):
-    """The inverse-trace max, over every host: none may be left out as not
-    positive definite."""
-    rep = probe_inverse_trace(mesh, curve, top, p, 20, 0)
-    assert "not_positive_definite" not in rep.extra
+def _measured_max(top, p):
+    """The inverse-trace max, over every host: each constant must be finite."""
+    rep = probe_inverse_trace(top, p)
+    assert np.isfinite(list(rep.per_element.values())).all()
     return rep.global_max
 
 
@@ -51,28 +50,20 @@ def test_inverse_trace_stability_in_h_and_p():
     curve = Circle(0.0, 0.0, 0.6)
     maxima = []
     for nx in (8, 16):
-        mesh, top = _topology(curve, nx)
-        maxima.append(_measured_max(mesh, curve, top, 2))
+        _, top = _topology(curve, nx)
+        maxima.append(_measured_max(top, 2))
     assert abs(maxima[1] - maxima[0]) < 0.2 * maxima[0]
-    mesh, top = _topology(curve, 16)
-    c1 = _measured_max(mesh, curve, top, 1)
-    c4 = _measured_max(mesh, curve, top, 4)
+    _, top = _topology(curve, 16)
+    c1 = _measured_max(top, 1)
+    c4 = _measured_max(top, 4)
     assert max(c1, c4) / min(c1, c4) < 3.0
-
-
-def test_inverse_trace_refined_dominates_samples():
-    curve = Circle(0.0, 0.0, 0.6)
-    mesh, top = _topology(curve, 8)
-    rep = probe_inverse_trace(mesh, curve, top, 2, samples=15, seed=1)
-    for e, refined in rep.per_element.items():
-        assert refined >= rep.extra["sampled_max"][e] - 1e-9
 
 
 def test_trace_probe_constant_bound_and_stability():
     curve = Circle(0.0, 0.0, 0.6)
     # v = 1: ratio = |e|^(1/2) / (h^(-1/2) |K_ie|^(1/2)), computable per element
     mesh, top = _topology(curve, 8)
-    rep = probe_trace(mesh, curve, top, samples=8, seed=0)
+    rep = probe_trace(top, samples=8, seed=0)
     for seg in top.segments:
         srule = segment_rule(seg, curve, 8)
         side = seg.analysis_side
@@ -85,14 +76,14 @@ def test_trace_probe_constant_bound_and_stability():
     maxima = []
     for nx in (8, 16, 32, 64):
         m, t = _topology(curve, nx)
-        maxima.append(probe_trace(m, curve, t, samples=8, seed=0).global_max)
+        maxima.append(probe_trace(t, samples=8, seed=0).global_max)
     assert max(maxima) / min(maxima) < 2.0
 
 
 def test_g_probe_straight_interface_closed_form():
     curve = VerticalLine(0.0, -1.0, 1.0)
     mesh, top = _topology(curve, 8)
-    rep = probe_G(top, curve)
+    rep = probe_G(top)
     # far corner sits at distance dx from the line; G is constant
     expected = mesh.dx / mesh.h
     for value in rep.per_element.values():
@@ -104,7 +95,7 @@ def test_g_probe_circle_lower_bound_and_h_stability():
     minima = []
     for nx in (8, 16, 32):
         mesh, top = _topology(curve, nx)
-        rep = probe_G(top, curve)
+        rep = probe_G(top)
         minima.append(rep.extra["global_min"])
     assert minima[0] >= 0.2
     for a, b in zip(minima[:-1], minima[1:]):
@@ -114,25 +105,22 @@ def test_g_probe_circle_lower_bound_and_h_stability():
 def test_probe_translation_invariance():
     base_curve = Circle(0.0, 0.0, 0.6)
     mesh, top = _topology(base_curve, 8)
-    rep = probe_inverse_trace(mesh, base_curve, top, 2, 10, 0)
+    rep = probe_inverse_trace(top, 2)
     dx, dy = 0.3, 0.7
     domain2 = Rectangle(-1.0 + dx, -1.0 + dy, 1.0 + dx, 1.0 + dy)
     mesh2 = build_mesh(domain2, 8, 8)
     curve2 = Circle(dx, dy, 0.6)
     top2 = classify_elements(mesh2, curve2)
-    rep2 = probe_inverse_trace(mesh2, curve2, top2, 2, 10, 0)
+    rep2 = probe_inverse_trace(top2, 2)
     a = np.sort(np.array(list(rep.per_element.values())))
     b = np.sort(np.array(list(rep2.per_element.values())))
     assert np.max(np.abs(a - b)) < 1e-9
 
 
 def test_probe_determinism():
-    curve = Circle(0.0, 0.0, 0.6)
-    mesh, top = _topology(curve, 8)
-    r1 = probe_inverse_trace(mesh, curve, top, 2, 10, seed=3)
-    r2 = probe_inverse_trace(mesh, curve, top, 2, 10, seed=3)
-    assert r1.per_element == r2.per_element
-    assert r1.extra["sampled_max"] == r2.extra["sampled_max"]
+    _, top = _topology(Circle(0.0, 0.0, 0.6), 8)
+    assert probe_inverse_trace(top, 2).per_element == probe_inverse_trace(top, 2).per_element
+    assert probe_trace(top, 10, seed=3).per_element == probe_trace(top, 10, seed=3).per_element
 
 
 @pytest.mark.parametrize("probe", [probe_inverse_trace, probe_trace])
@@ -147,9 +135,8 @@ def test_trace_probes_build_one_segment_rule(probe, monkeypatch):
 
     monkeypatch.setattr(probes, "segment_rule", counted)
     curve = catalog()["circle-jump"].curve
-    mesh, top = _topology(curve, 8)
-    args = (2, 5) if probe is probe_inverse_trace else (5,)
-    probe(mesh, curve, top, *args)
+    _, top = _topology(curve, 8)
+    probe(top, 2 if probe is probe_inverse_trace else 5)
     assert calls == [len(top.segments)]
 
 
@@ -482,34 +469,24 @@ def _loop_rules(top, order):
             for seg in top.segments]
 
 
-def _loop_inverse_trace(mesh, curve, top, p, samples=20, seed=0):
-    """(per_element, sampled_max) of the inverse-trace probe, segment by segment."""
-    rng = np.random.default_rng(seed)
-    quad_order = p + 3
+def _loop_inverse_trace(mesh, top, p):
+    """per_element of the inverse-trace probe, segment by segment, from the
+    error pass's rules and LAPACK's generalized eigensolver."""
+    quad_order = pass_order(p, errors=True)
     basis = build_basis(p)
-    sampled, refined = {}, {}
-    srule = segment_rule(top.segments, top.curve, max(quad_order, 8))
+    refined = {}
+    srule = segment_rule(top.segments, top.curve, segment_npoints(quad_order, p))
     for seg, points, weights, crule in zip(top.segments, srule.points, srule.weights,
-                                           _loop_rules(top, quad_order)):
+                                           _loop_rules(top, cut_order(quad_order, p))):
         center, half = element_map(mesh, seg.element)
         vals_e = basis.values((points[:, 0] - center[0]) / half[0], (points[:, 1] - center[1]) / half[1])
         m_edge = vals_e.T @ (weights[:, None] * vals_e)
         _, _, w, xi_k, eta_k = _loop_region(mesh, seg, crule, quad_order)
         vals_k = basis.values(xi_k, eta_k)
         m_region = vals_k.T @ (w[:, None] * vals_k)
-        best = 0.0
-        for _ in range(samples):
-            c = rng.standard_normal(m_edge.shape[0])
-            num = float(c @ (m_edge @ c))
-            den = float(c @ (m_region @ c))
-            if den <= 0.0:
-                continue
-            best = max(best, np.sqrt(num / den))
-        scale = np.sqrt(mesh.h) / p
-        sampled[seg.element] = best * scale
         lam = la.eigh(m_edge, m_region, eigvals_only=True)[-1]
-        refined[seg.element] = float(np.sqrt(max(lam, 0.0)) * scale)
-    return refined, sampled
+        refined[seg.element] = float(np.sqrt(max(lam, 0.0)) * np.sqrt(mesh.h) / p)
+    return refined
 
 
 def _loop_fields(rng, n, h):
@@ -571,19 +548,17 @@ _ORACLE_INPUTS = {
 
 @pytest.mark.parametrize("which", sorted(_ORACLE_INPUTS))
 def test_batched_inverse_trace_probe_matches_the_per_segment_loop(which):
-    # the sampled forms keep the loop's float order (one matrix-vector
-    # product and one dot per sample), so they are bitwise equal; the exact
-    # constant comes from another reduction of the pencil than LAPACK's
-    # sygvd, and the region Gram matrices of small cut sides reach a
-    # condition number of 1e9 at p = 4: it moved by at most 3.9e-10 relative
-    # (circle-jump, nx = 32, p = 4), and by 2e-14 at p <= 2
+    # the probe reduces the pencil by a QR factor of the region's weighted
+    # basis table, never forming the region Gram matrix that LAPACK's sygvd
+    # factors here; those Gram matrices of small cut sides reach a condition
+    # number of 1e9 at p = 4, where the two moved apart by up to 3.4e-9
+    # relative (circle-jump, nx = 32), and by 1.5e-13 at p <= 2
     curve, nx = _ORACLE_INPUTS[which]
     mesh, top = _topology(curve, nx)
     for p in (1, 2, 4):
-        rep = probe_inverse_trace(mesh, curve, top, p, 20, 0)
-        refined, sampled = _loop_inverse_trace(mesh, curve, top, p, 20, 0)
+        rep = probe_inverse_trace(top, p)
+        refined = _loop_inverse_trace(mesh, top, p)
         assert list(rep.per_element) == list(refined)
-        assert rep.extra["sampled_max"] == sampled
         assert _rel_change(rep.per_element, refined) < 1e-8
 
 
@@ -593,7 +568,7 @@ def test_batched_trace_probe_matches_the_per_segment_loop(which):
     # term by term: the constants moved by at most 7.3e-16 relative
     curve, nx = _ORACLE_INPUTS[which]
     mesh, top = _topology(curve, nx)
-    rep = probe_trace(mesh, curve, top, samples=20, seed=0)
+    rep = probe_trace(top, samples=20, seed=0)
     want = _loop_trace(mesh, curve, top, samples=20, seed=0)
     assert list(rep.per_element) == list(want)
     assert _rel_change(rep.per_element, want) < 1e-13
@@ -604,11 +579,11 @@ def test_trace_probes_do_not_depend_on_the_segment_block_size(probe, monkeypatch
     import ipfem.probes as probes
 
     curve = catalog()["circle-jump"].curve
-    mesh, top = _topology(curve, 16)
-    args = (4, 20, 0) if probe is probe_inverse_trace else (20, 0)
-    whole = probe(mesh, curve, top, *args)
+    _, top = _topology(curve, 16)
+    args = (4,) if probe is probe_inverse_trace else (20, 0)
+    whole = probe(top, *args)
     monkeypatch.setattr(probes, "BLOCK_ENTRIES", 1)  # one segment per block
-    single = probe(mesh, curve, top, *args)
+    single = probe(top, *args)
     assert single.per_element == whole.per_element
     assert single.extra == whole.extra
 
@@ -619,65 +594,6 @@ def test_trace_probe_memory_does_not_grow_with_the_fields_of_every_segment():
     # segment in one block, and 7.9 MiB with blocks of
     # BLOCK_ENTRIES entries
     curve = catalog()["circle-jump"].curve
-    mesh, top = _topology(curve, 64)
-    _, peak = traced_peak(probe_trace, mesh, curve, top, samples=20, seed=0)
+    _, top = _topology(curve, 64)
+    _, peak = traced_peak(probe_trace, top, samples=20, seed=0)
     assert peak < 24 * 2**20, peak / 2**20
-
-
-def test_inverse_trace_probe_reports_the_hosts_that_are_not_positive_definite():
-    # circle-jump at p = 8, nx = 32: a host's region Gram matrix is not
-    # positive definite to working precision, so the Cholesky factor of its
-    # block fails; the other hosts keep the value of the batched reduction
-    import ipfem.probes as probes
-
-    curve, p = catalog()["circle-jump"].curve, 8
-    mesh, top = _topology(curve, 32)
-    rep = probe_inverse_trace(mesh, curve, top, p, 20, 0)
-    hosts = np.array([seg.element for seg in top.segments])
-    basis = build_basis(p)
-    srule = segment_rule(top.segments, curve, max(p + 3, 8))
-    centers, half = element_map(mesh, hosts)
-    _, ref, w = probes._analysis_rules(top, p + 3)
-    m_edge = probes._gram(basis, (srule.points - centers[:, None, :]) / half, srule.weights)
-    m_region = probes._gram(basis, ref, w)
-
-    def factors(k):
-        try:
-            np.linalg.cholesky(m_region[k])
-        except np.linalg.LinAlgError:
-            return False
-        return True
-
-    failing = [k for k in range(len(hosts)) if not factors(k)]
-    assert failing and rep.extra["not_positive_definite"] == hosts[failing].tolist()
-    assert all(np.isnan(rep.per_element[e]) for e in hosts[failing])
-    values = [v for v in rep.per_element.values() if not np.isnan(v)]
-    assert len(values) == len(hosts) - len(failing)
-    assert rep.global_max == max(values) and rep.global_median == np.median(values)
-    assert list(rep.extra["sampled_max"]) == hosts.tolist()
-    scale = np.sqrt(mesh.h) / p
-    for at in probes._blocks(len(hosts), ref.shape[1] * basis.n_local):
-        block = np.arange(len(hosts))[at]
-        keep = np.setdiff1d(block, failing)
-        # the batched reduction of the block's hosts that factor
-        lower = np.linalg.cholesky(m_region[keep])
-        reduced = np.linalg.solve(lower, np.linalg.solve(lower, m_edge[keep]).swapaxes(-1, -2))
-        want = np.sqrt(np.maximum(np.linalg.eigvalsh(reduced)[:, -1], 0.0)) * scale
-        got = np.array([rep.per_element[e] for e in hosts[keep]])
-        if keep.size == block.size:
-            assert got.tobytes() == want.tobytes()
-        else:
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-
-
-def test_inverse_trace_probe_raises_when_no_host_factors(monkeypatch):
-    import ipfem.probes as probes
-
-    def fail(m):
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
-
-    monkeypatch.setattr(probes.np.linalg, "cholesky", fail)
-    curve = catalog()["circle-jump"].curve
-    mesh, top = _topology(curve, 8)
-    with pytest.raises(probes.ProbeError, match="could not measure any element"):
-        probe_inverse_trace(mesh, curve, top, 2, 5, 0)
