@@ -14,9 +14,10 @@ both copies are evaluated on the host element itself.
 Each pass first builds one integration plan (``build_plan``) holding the
 geometry-only data: every cut-cell rule (in one batched call) and every
 segment rule with its trace operators is built once, all uncut elements share
-the reference tensor tables, and the cut sides are stacked into a few groups
-of equal node count, so the volume block, the load and the error norms loop
-over groups, never over elements.  The five block functions then read the
+the reference tensor tables, and the cut sides form a few groups of equal
+node count, taken by index straight from the batch's stacked node and weight
+arrays, so the volume block, the load and the error norms loop over groups,
+never over elements.  The five block functions then read the
 plan, taking its groups in plan order: uncut side 1, uncut side 2, then the
 cut groups by (side, node count).
 
@@ -75,11 +76,11 @@ conversion.  At p = 8 on the nx = 16 mesh of a straight interface, J1 keeps
 
 Each block is one COO -> CSR conversion of all its local matrices, and each
 load term one ``np.bincount`` of all its local vectors.  ``_csr`` drops the
-entries at ids -1 chunk by chunk, as each chunk's triplets are formed, so the
-unfiltered triplets of the whole block are never held at once; the kept
-triplets stay in input order.  scipy's conversion sums the duplicate entries
-in an order fixed by the input, and bincount adds in input order, so reruns
-stay byte-identical.
+entries at ids -1 chunk by chunk, as each chunk's triplets are formed, into
+arrays sized once from the kept count, so the unfiltered triplets of the
+whole block are never held at once; the kept triplets stay in input order.
+scipy's conversion sums the duplicate entries in an order fixed by the
+input, and bincount adds in input order, so reruns stay byte-identical.
 """
 
 from __future__ import annotations
@@ -212,23 +213,33 @@ def _csr(idx, local, n: int, pairs=None) -> sp.csr_matrix:
     row-major order.  ``idx``, ``local`` and ``pairs`` may also be lists of
     such chunks, converted together in list order.
 
-    Each chunk drops its -1 entries as its triplets are formed, so only the
-    kept triplets of all chunks are ever concatenated; they keep the
-    (chunk, element, local entry) order, which fixes the conversion's sums."""
+    The kept triplets of all chunks are counted first, so the block's rows,
+    cols and data are allocated once and each chunk fills its part as its
+    triplets are formed; they keep the (chunk, element, local entry) order,
+    which fixes the conversion's sums."""
     if not isinstance(idx, list):
         idx, local, pairs = [idx], [local], [pairs]
-    rows, cols, data = [], [], []
+    total = 0
+    for chunk, at in zip(idx, pairs):
+        # both[i, j]: the elements that keep local row i and column j, a
+        # count that floats hold exactly
+        ok = (chunk >= 0).astype(float)
+        both = ok.T @ ok
+        total += int(both.sum() if at is None else both[at].sum())
+    # int32, the index type scipy stores: int64 coordinates raised p-sweep's peak RSS
+    rows, cols, data = np.empty(total, dtype=np.int32), np.empty(total, dtype=np.int32), np.empty(total)
+    end = 0
     for chunk, values, at in zip(idx, local, pairs):
-        # int32, the index type scipy stores: int64 coordinates raised p-sweep's peak RSS
         chunk = chunk.astype(np.int32)
-        # the full clique's (row, col) ids as broadcast views: an expanded
-        # (k, m, m) id copy per chunk raised h-sweep's peak RSS
-        r, c = (chunk[:, :, None], chunk[:, None, :]) if at is None else (chunk[:, at[0]], chunk[:, at[1]])
+        if at is None:  # the full clique, row-major, its ids expanded: masking broadcast views is slower
+            m = chunk.shape[1]
+            r, c = np.repeat(chunk, m, axis=1), np.tile(chunk, (1, m))
+        else:
+            r, c = chunk[:, at[0]], chunk[:, at[1]]
         keep = (r >= 0) & (c >= 0)
-        rows.append(np.broadcast_to(r, keep.shape)[keep])
-        cols.append(np.broadcast_to(c, keep.shape)[keep])
-        data.append(values.reshape(keep.shape)[keep])
-    rows, cols, data = (t[0] if len(t) == 1 else np.concatenate(t) for t in (rows, cols, data))
+        start, end = end, end + np.count_nonzero(keep)
+        rows[start:end], cols[start:end] = r[keep], c[keep]
+        data[start:end] = values.reshape(keep.shape)[keep]
     return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
@@ -282,15 +293,16 @@ class SegmentTraces:
         return np.concatenate([self.flux1, -self.flux2], axis=-1)
 
 
-def _basis_at(space: DoubledSpace, elems, points, rows: bool = False) -> tuple:
+def _basis_at(space: DoubledSpace, elems, x, y, rows: bool = False) -> tuple:
     """Basis values (..., q, n_loc) and physical gradients (..., q, n_loc, 2)
-    at the nodes ``points`` (..., q, 2), each row of nodes mapped into its
-    element in ``elems`` (shape ...).  With ``rows`` the gradients come as
-    (..., 2q, n_loc), row 2k + d holding component d at node k."""
+    at the nodes with coordinates ``x`` and ``y`` (..., q), each row of nodes
+    mapped into its element in ``elems`` (shape ...).  With ``rows`` the
+    gradients come as (..., 2q, n_loc), row 2k + d holding component d at
+    node k."""
     c, half = element_map(space.mesh, elems)
-    xi = ((points[..., 0] - c[..., None, 0]) / half[0]).ravel()
-    eta = ((points[..., 1] - c[..., None, 1]) / half[1]).ravel()
-    shape = points.shape[:-1] + (space.basis.n_local,)
+    xi = ((x - c[..., None, 0]) / half[0]).ravel()
+    eta = ((y - c[..., None, 1]) / half[1]).ravel()
+    shape = x.shape + (space.basis.n_local,)
     grads = space.basis.gradients(xi, eta, rows)
     if rows:
         grads /= half[:, None]
@@ -305,7 +317,7 @@ def _unit_traces(space: DoubledSpace, hosts, points, normals) -> SegmentTraces:
     host elements of each segment, with the shape of points[..., 0, 0]."""
     out = {}
     for side, elems in zip((1, 2), hosts):
-        vals, grads = _basis_at(space, elems, points)
+        vals, grads = _basis_at(space, elems, points[..., 0], points[..., 1])
         flux = np.einsum("...qld,...qd->...ql", grads, normals)
         out[side] = (space.element_unknowns(elems, side), vals, flux)
     return SegmentTraces(
@@ -406,8 +418,8 @@ class IntegrationPlan:
 
 def _cut_groups(space: DoubledSpace, topology: CutTopology, order: int) -> list:
     """One group per (side, node count) of the positive cut sides, in that
-    order, from one batched ``cut_cell_rule`` call at ``order``; each group
-    holds its sides in (element, side) order."""
+    order, taken by index from the stacked batch of one ``cut_cell_rule`` call
+    at ``order``; each group holds its sides in (element, side) order."""
     cut = topology.cut_elements
     elems = np.repeat(cut, 2)
     sides = np.tile([1, 2], len(cut))
@@ -415,21 +427,22 @@ def _cut_groups(space: DoubledSpace, topology: CutTopology, order: int) -> list:
     elems, sides = elems[positive], sides[positive]
     if not len(elems):
         return []
-    rules = cut_cell_rule(topology, elems, sides, order)
-    counts = np.array([len(r.weights) for r in rules])
+    batch = cut_cell_rule(topology, elems, sides, order)
+    counts = np.diff(batch.start)
     keys = sides * (counts.max() + 1) + counts
     groups = []
     for key in np.unique(keys):
         sel = np.flatnonzero(keys == key)
         side = int(sides[sel[0]])
-        points = np.stack([rules[k].points for k in sel])
-        vals, grads = _basis_at(space, elems[sel], points, rows=True)
+        at = batch.start[sel, None] + np.arange(counts[sel[0]])
+        x, y = batch.x[at], batch.y[at]
+        vals, grads = _basis_at(space, elems[sel], x, y, rows=True)
         groups.append(
             ElementGroup(
                 side=side,
-                x=points[..., 0],
-                y=points[..., 1],
-                w=np.stack([rules[k].weights for k in sel]),
+                x=x,
+                y=y,
+                w=batch.weights[at],
                 vals=vals,
                 grads=grads,
                 idx=space.element_unknowns(elems[sel], side),

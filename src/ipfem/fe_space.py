@@ -221,32 +221,47 @@ def _grid_dissection(mesh: Mesh, vertex_dofs: np.ndarray) -> np.ndarray:
     longer side (x on a tie), down to boxes of one element; the unknowns of
     a box come in the order [lower half, upper half, separator line],
     recursively, and the two copies of a vertex share its place.  Built in
-    array passes, one per level: the boxes of a level are stored as arrays
-    (box b's halves become boxes 2b and 2b + 1), each unknown holds the
-    index of its box, and appends one base-3 digit to a sort key, 0 for the
-    lower half, 1 for the upper, 2 once placed on a separator or in a
-    finished box.  A stable argsort of the key gives the order."""
-    x, y = vertex_dofs % (mesh.nx + 1), vertex_dofs // (mesh.nx + 1)
+    array passes over the boxes, one per level: the unfinished boxes of a
+    level are stored as arrays, each with a sort key of base-3 digits, 0 for
+    a lower half, 1 for an upper half.  A level gives each separator line,
+    and each box too small to split, its box's key with a final digit 2,
+    padded with 2s to the depth of the deepest level; those rectangles are
+    painted with their keys on the vertex grid, each unknown takes the key
+    of its vertex, and a stable argsort of the keys gives the order."""
+    nx, ny = mesh.nx, mesh.ny
     # first and last interior vertex line of each box, per axis
-    lo, hi = np.array([[1, 1]]), np.array([[mesh.nx - 1, mesh.ny - 1]])
-    box = np.zeros(len(x), dtype=np.int64)  # -1 once placed
-    key = np.zeros(len(x), dtype=np.int64)
-    while not (box < 0).all():
+    lo, hi = np.array([[1, 1]]), np.array([[nx - 1, ny - 1]])
+    key = np.zeros(1, dtype=np.int64)
+    placed = []  # per level: the painted rectangles' first and last lines, and their keys
+    while len(lo):
         boxes = np.arange(len(lo))
         width = hi - lo
         axis = (width[:, 1] > width[:, 0]).astype(np.int64)
         first, last = lo[boxes, axis], hi[boxes, axis]
-        # each box's middle line, -1 for a finished box and, at index -1,
-        # for the placed unknowns
-        mid = np.append(np.where(last - first >= 2, (first + last) // 2, -1), -1)
-        m, c = mid[box], np.where(np.append(axis, 0)[box] == 1, y, x)
-        lower, upper = c < m, (c > m) & (m >= 0)
-        key = 3 * key + 2 - 2 * lower - upper
-        box = np.where(lower, 2 * box, np.where(upper, 2 * box + 1, -1))
-        lo, hi = np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0)
-        hi[2 * boxes, axis] = mid[:-1] - 1
-        lo[2 * boxes + 1, axis] = mid[:-1] + 1
-    return np.argsort(key, kind="stable")
+        split = np.flatnonzero(last - first >= 2)
+        mid = (first + last)[split] // 2
+        r_lo, r_hi = lo.copy(), hi.copy()  # a finished box is painted whole
+        r_lo[split, axis[split]] = r_hi[split, axis[split]] = mid
+        placed.append((r_lo, r_hi, 3 * key + 2))
+        lower_hi, upper_lo = hi[split], lo[split]
+        lower_hi[np.arange(len(split)), axis[split]] = mid - 1
+        upper_lo[np.arange(len(split)), axis[split]] = mid + 1
+        lo, hi = np.concatenate([lo[split], upper_lo]), np.concatenate([lower_hi, hi[split]])
+        key = np.concatenate([3 * key[split], 3 * key[split] + 1])
+    r_lo, r_hi, r_key = (np.concatenate(part) for part in zip(*placed))
+    depth = np.repeat(np.arange(len(placed)), [len(k) for *_, k in placed])
+    pad = 3 ** (len(placed) - 1 - depth)
+    r_key = r_key * pad + (pad - 1)
+    # every vertex of every rectangle, row by row
+    size = np.maximum(r_hi - r_lo + 1, 0)
+    count = size[:, 0] * size[:, 1]
+    rect = np.repeat(np.arange(len(count)), count)
+    j = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    x = r_lo[rect, 0] + j % size[rect, 0]
+    y = r_lo[rect, 1] + j // size[rect, 0]
+    grid = np.zeros((ny + 1) * (nx + 1), dtype=np.int64)
+    grid[y * (nx + 1) + x] = r_key[rect]
+    return np.argsort(grid[vertex_dofs], kind="stable")
 
 
 def build_doubled_space(dofmap: DofMap, topology: CutTopology) -> DoubledSpace:

@@ -56,7 +56,9 @@ def _gauss_legendre(n: int):
 
 
 class InterfaceCurve:
-    """Base class; subclasses provide point/tangent/signed_distance."""
+    """Base class; subclasses provide point/tangent/signed_distance, and may
+    provide coordinate/tangent_coordinate, one coordinate of each without the
+    other (by default picked from point/tangent)."""
 
     name = "curve"
     closed = True
@@ -69,6 +71,14 @@ class InterfaceCurve:
 
     def tangent(self, t):
         raise NotImplementedError
+
+    def coordinate(self, t, axis: int):
+        """Coordinate ``axis`` (0: x, 1: y) of r(t), the floats of point(t)[..., axis]."""
+        return self.point(t)[..., axis]
+
+    def tangent_coordinate(self, t, axis: int):
+        """Coordinate ``axis`` of r'(t), the floats of tangent(t)[..., axis]."""
+        return self.tangent(t)[..., axis]
 
     def signed_distance(self, x, y):
         """Approximate signed distance, negative on side 1."""
@@ -119,20 +129,18 @@ class Circle(InterfaceCurve):
         self.length_scale = radius
 
     def point(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.stack(
-            [
-                self.center[0] + self.radius * np.cos(t),
-                self.center[1] + self.radius * np.sin(t),
-            ],
-            axis=-1,
-        )
+        return np.stack([self.coordinate(t, 0), self.coordinate(t, 1)], axis=-1)
 
     def tangent(self, t):
+        return np.stack([self.tangent_coordinate(t, 0), self.tangent_coordinate(t, 1)], axis=-1)
+
+    def coordinate(self, t, axis: int):
         t = np.asarray(t, dtype=float)
-        return np.stack(
-            [-self.radius * np.sin(t), self.radius * np.cos(t)], axis=-1
-        )
+        return self.center[0] + self.radius * np.cos(t) if axis == 0 else self.center[1] + self.radius * np.sin(t)
+
+    def tangent_coordinate(self, t, axis: int):
+        t = np.asarray(t, dtype=float)
+        return -self.radius * np.sin(t) if axis == 0 else self.radius * np.cos(t)
 
     def signed_distance(self, x, y):
         return np.hypot(np.asarray(x) - self.center[0], np.asarray(y) - self.center[1]) - self.radius
@@ -158,15 +166,18 @@ class Ellipse(InterfaceCurve):
         self.length_scale = min(a, b)
 
     def point(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.stack(
-            [self.center[0] + self.a * np.cos(t), self.center[1] + self.b * np.sin(t)],
-            axis=-1,
-        )
+        return np.stack([self.coordinate(t, 0), self.coordinate(t, 1)], axis=-1)
 
     def tangent(self, t):
+        return np.stack([self.tangent_coordinate(t, 0), self.tangent_coordinate(t, 1)], axis=-1)
+
+    def coordinate(self, t, axis: int):
         t = np.asarray(t, dtype=float)
-        return np.stack([-self.a * np.sin(t), self.b * np.cos(t)], axis=-1)
+        return self.center[0] + self.a * np.cos(t) if axis == 0 else self.center[1] + self.b * np.sin(t)
+
+    def tangent_coordinate(self, t, axis: int):
+        t = np.asarray(t, dtype=float)
+        return -self.a * np.sin(t) if axis == 0 else self.b * np.cos(t)
 
     def signed_distance(self, x, y):
         # first-order accurate near the curve, which is all the side tests need
@@ -201,12 +212,18 @@ class VerticalLine(InterfaceCurve):
         self.length_scale = y_hi - y_lo
 
     def point(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.stack([np.full_like(t, self.x0), self.y_lo + t], axis=-1)
+        return np.stack([self.coordinate(t, 0), self.coordinate(t, 1)], axis=-1)
 
     def tangent(self, t):
+        return np.stack([self.tangent_coordinate(t, 0), self.tangent_coordinate(t, 1)], axis=-1)
+
+    def coordinate(self, t, axis: int):
         t = np.asarray(t, dtype=float)
-        return np.stack([np.zeros_like(t), np.ones_like(t)], axis=-1)
+        return np.full_like(t, self.x0) if axis == 0 else self.y_lo + t
+
+    def tangent_coordinate(self, t, axis: int):
+        t = np.asarray(t, dtype=float)
+        return np.zeros_like(t) if axis == 0 else np.ones_like(t)
 
     def signed_distance(self, x, y):
         return np.asarray(x, dtype=float) - self.x0 + 0.0 * np.asarray(y)
@@ -302,9 +319,12 @@ class CutTopology:
 # bisection of it alone would take, so the roots do not depend on batching.
 
 
-def _coord(fn, t, axis):
-    """Component ``axis[i]`` of the curve map ``fn`` (point or tangent) at t[i]."""
-    return fn(t)[np.arange(t.size), axis]
+def _family_coord(fn, t, idx, n_x):
+    """The coordinate ``fn(t, axis)`` (``curve.coordinate`` or
+    ``tangent_coordinate``) that the grid-line family of brackets ``idx``
+    (ascending) fixes: x for the first n_x brackets (the x-lines), y after."""
+    k = np.searchsorted(idx, n_x)
+    return np.concatenate([fn(t[:k], 0), fn(t[k:], 1)])
 
 
 def _line_hits(c, values, closed, tol_edge):
@@ -341,11 +361,13 @@ def _line_hits(c, values, closed, tol_edge):
     return line[sel], k[sel], on[sel]
 
 
-def _refine_brackets(curve, axis, value, lo, hi, flo, xtol):
-    """Roots of r(t)[axis] = value in the brackets [lo, hi], f(lo) = flo.
+def _refine_brackets(curve, n_x, value, lo, hi, flo, xtol):
+    """Roots of r(t)[axis] = value in the brackets [lo, hi], f(lo) = flo,
+    where axis is 0 for the first ``n_x`` brackets and 1 for the rest.
 
     Bisection to ``xtol`` (at most 80 halvings, stopping early on an exact
     zero), then up to three Newton steps, each kept only inside the bracket.
+    Only the bracket's own coordinate of r and r' is evaluated.
     """
     a, b, fa = lo.copy(), hi.copy(), flo.copy()
     live = np.ones(lo.size, dtype=bool)
@@ -355,7 +377,7 @@ def _refine_brackets(curve, axis, value, lo, hi, flo, xtol):
         if idx.size == 0:
             break
         m = 0.5 * (a[idx] + b[idx])
-        fm = _coord(curve.point, m, axis[idx]) - value[idx]
+        fm = _family_coord(curve.coordinate, m, idx, n_x) - value[idx]
         zero = fm == 0.0
         upper = ~zero & ((fa[idx] < 0.0) != (fm < 0.0))
         lower = ~zero & ~upper
@@ -367,9 +389,9 @@ def _refine_brackets(curve, axis, value, lo, hi, flo, xtol):
     t = 0.5 * (a + b)
     idx = np.arange(t.size)
     for _ in range(3):
-        d = _coord(curve.tangent, t[idx], axis[idx])
+        d = _family_coord(curve.tangent_coordinate, t[idx], idx, n_x)
         idx, d = idx[d != 0.0], d[d != 0.0]
-        tn = t[idx] - (_coord(curve.point, t[idx], axis[idx]) - value[idx]) / d
+        tn = t[idx] - (_family_coord(curve.coordinate, t[idx], idx, n_x) - value[idx]) / d
         inside = (lo[idx] <= tn) & (tn <= hi[idx])
         idx = idx[inside]
         t[idx] = tn[inside]
@@ -398,8 +420,9 @@ def _grid_line_crossings(curve, ts, pts, xs, ys, xtol, tol_edge):
     k2 = k[br] + 1
     hi = np.where(k2 == n, ts[0] + curve.period, ts[k2 % n])
     flo = pts[k[br], axis[br]] - value[br]
-    t[br] = _refine_brackets(curve, axis[br], value[br], t[br], hi, flo, xtol)
-    return t, np.abs(_coord(curve.tangent, t, axis))
+    n_x = int(np.count_nonzero(axis == 0))  # the x-lines' crossings come first
+    t[br] = _refine_brackets(curve, np.searchsorted(br, n_x), value[br], t[br], hi, flo, xtol)
+    return t, np.abs(_family_coord(curve.tangent_coordinate, t, np.arange(t.size), n_x))
 
 
 def _cluster_roots(t, strength, t_micro):

@@ -12,15 +12,22 @@ convergence the way straight sub-triangles would.
 rounds: round k tries candidate decomposition k of every side no earlier
 round resolved (the compact ones by boundary-chain length, then the strip
 fallback, whose geometry is built only for the sides that reach it).  A
-round evaluates all its sub-cells as (cell, node) arrays and checks all its
-nodes with one signed-distance call.  Each node and weight takes the same
-float operations in the same order as a one-side-at-a-time build, so a rule
-does not depend on what else is in its batch.
+round evaluates all its sub-cells' maps component-major, x and y as
+separate (cell, node) arrays, and checks all its nodes with one
+signed-distance call.  The accepted rules are returned as one stacked batch
+(``CutRuleBatch``): node coordinates x and y and weights as flat arrays in
+request order with one offset per rule, from which the integration plan
+takes its groups by index; indexing the batch gives a rule as a
+``CutCellRule``.  Each node and weight takes the same float operations in
+the same order as a one-side-at-a-time build, so a rule does not depend on
+what else is in its batch.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +169,33 @@ class CutCellRule:
     weights: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class CutRuleBatch(Sequence):
+    """Cut-cell rules of many (element, side) requests, stacked in request
+    order: rule k has the nodes (x, y)[start[k]:start[k + 1]] and their
+    weights.  Item k is rule k as a ``CutCellRule``."""
+
+    elements: np.ndarray  # (n,)
+    sides: np.ndarray
+    start: np.ndarray  # (n + 1,) node offsets
+    x: np.ndarray  # (N,) node coordinates, one array per component
+    y: np.ndarray
+    weights: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __getitem__(self, k) -> CutCellRule:
+        k = range(len(self))[operator.index(k)]  # negative and out-of-range k as a tuple takes them
+        at = slice(self.start[k], self.start[k + 1])
+        return CutCellRule(
+            element=int(self.elements[k]),
+            side=int(self.sides[k]),
+            points=np.column_stack([self.x[at], self.y[at]]),
+            weights=self.weights[at],
+        )
+
+
 # Vertex slots of a cut side: where the curve starts and ends on the element
 # boundary, then the corners that the boundary walk from end to start passes.
 _START, _END, _CHAIN = 0, 1, 2
@@ -239,40 +273,47 @@ class _Cells:
     top1: np.ndarray
 
     def evaluate(self, curve, t0, t1, s, u):
-        """Mapped nodes (C, q, 2) and Jacobian determinants (C, q) of the
-        reference nodes (s, u), each cell as its own loft would compute them."""
-        shape = (len(self.rule), len(s), 2)
-        b = np.empty(shape)
-        db = np.empty(shape)
+        """Mapped node coordinates x, y and Jacobian determinants, each (C, q),
+        of the reference nodes (s, u), each cell as its own loft would compute
+        them.  Every array holds one coordinate (component-major), so each
+        ufunc runs one inner loop over a cell's nodes."""
+        shape = (len(self.rule), len(s))
         c = np.flatnonzero(self.curved)
+        st = np.flatnonzero(~self.curved)
         if c.size:
             r = self.rule[c, None]
             s0, s1 = self.s0[c, None], self.s1[c, None]
             dt = t1[r] - t0[r]
-            tq = (t0[r] + (s0 + s * (s1 - s0)) * dt).ravel()
-            b[c] = curve.point(tq).reshape(c.size, -1, 2)
-            db[c] = curve.tangent(tq).reshape(c.size, -1, 2) * dt[..., None] * (s1 - s0)[..., None]
-        st = np.flatnonzero(~self.curved)
-        if st.size:
-            p0, p1 = self.p0[st, None, :], self.p1[st, None, :]
-            b[st] = (1.0 - s)[:, None] * p0 + s[:, None] * p1
-            db[st] = p1 - p0
-        # in place where a temporary can be reused: a * b and a + b take the
-        # same bits in either operand order
-        top = (1.0 - s)[:, None] * self.top0[:, None, :]
-        top += s[:, None] * self.top1[:, None, :]
-        u = u[:, None]
-        dxdu = top - b
-        top *= u
-        points = (1.0 - u) * b
-        points += top
-        del b, top
-        dxds = db
-        dxds *= 1.0 - u
-        dxds += u * (self.top1 - self.top0)[:, None, :]
-        detj = dxds[..., 0] * dxdu[..., 1]
-        detj -= dxds[..., 1] * dxdu[..., 0]
-        return points, detj
+            tq = t0[r] + (s0 + s * (s1 - s0)) * dt
+        maps = []
+        for d in (0, 1):
+            b = np.empty(shape)
+            db = np.empty(shape)
+            if c.size:
+                b[c] = curve.coordinate(tq, d)
+                db[c] = curve.tangent_coordinate(tq, d) * dt * (s1 - s0)
+            if st.size:
+                p0, p1 = self.p0[st, d, None], self.p1[st, d, None]
+                b[st] = (1.0 - s) * p0 + s * p1
+                db[st] = p1 - p0
+            top0, top1 = self.top0[:, d, None], self.top1[:, d, None]
+            # in place where a temporary can be reused: a * b and a + b take the
+            # same bits in either operand order
+            top = (1.0 - s) * top0
+            top += s * top1
+            dxdu = top - b
+            top *= u
+            point = (1.0 - u) * b
+            point += top
+            del b, top
+            dxds = db
+            dxds *= 1.0 - u
+            dxds += u * (top1 - top0)
+            maps.append((point, dxds, dxdu))
+        (x, dxds_x, dxdu_x), (y, dxds_y, dxdu_y) = maps
+        detj = dxds_x * dxdu_y
+        detj -= dxds_y * dxdu_x
+        return x, y, detj
 
 
 def _round_cells(candidates, m, verts, rules, rnd) -> _Cells:
@@ -325,7 +366,8 @@ def cut_cell_rule(topology: CutTopology, element, side, order: int):
     """Quadrature over K ∩ Ω_side for cut elements.
 
     ``element`` and ``side`` are scalars, giving one ``CutCellRule``, or
-    equal-length 1-D arrays, giving a tuple of rules in input order; a scalar
+    equal-length 1-D arrays, giving a ``CutRuleBatch``: the rules stacked in
+    input order, whose items are the same ``CutCellRule`` values; a scalar
     call is a batch of one.  Uses (order+2)^2 Gauss points per sub-cell.  All
     weights are positive and every node is verified to lie strictly on the
     requested side (nodes within 1e-13 of the curve are first nudged off it
@@ -352,12 +394,15 @@ def cut_cell_rule(topology: CutTopology, element, side, order: int):
     return rules[0] if scalar else rules
 
 
-def _build_rules(topology: CutTopology, elements, sides, order: int) -> tuple:
+def _build_rules(topology: CutTopology, elements, sides, order: int) -> CutRuleBatch:
     """All rules of valid requests, built together round by round: round k
-    tries candidate k of every rule that no earlier round resolved."""
+    tries candidate k of every rule that no earlier round resolved.  Each
+    round keeps the nodes of the rules it accepts; the rounds' nodes are
+    stacked by rule at the end."""
     n = len(elements)
     if n == 0:
-        return ()
+        empty = np.zeros(0)
+        return CutRuleBatch(elements, sides, np.zeros(1, dtype=np.int64), empty, empty, empty)
     mesh, curve = topology.mesh, topology.curve
     segs = [topology.segments[k] for k in topology.element_segment[elements]]
     t_lo = np.array([seg.t_lo for seg in segs])
@@ -387,7 +432,7 @@ def _build_rules(topology: CutTopology, elements, sides, order: int) -> tuple:
     uqu = uqu.ravel()
     q = len(wq)
 
-    out = [None] * n
+    parts = []  # (rule, x, y, weight) of the accepted rules' nodes, per round
     last_err = {}
     pending = np.flatnonzero(n_tries > 0)
     rnd = 0
@@ -398,43 +443,52 @@ def _build_rules(topology: CutTopology, elements, sides, order: int) -> tuple:
         if not pending.size:
             break
         cells = _round_cells(candidates, m, verts, pending, rnd)
-        points, detj = cells.evaluate(curve, t0, t1, squ, uqu)
+        x, y, detj = cells.evaluate(curve, t0, t1, squ, uqu)
         folded = np.zeros(n, dtype=bool)
         folded[cells.rule[np.any(detj <= 0.0, axis=1)]] = True
         for r in np.flatnonzero(folded).tolist():
             last_err[r] = "nonpositive jacobian in a sub-cell"
 
         keep = ~folded[cells.rule]
+        if not keep.all():
+            x, y, detj = x[keep], y[keep], detj[keep]
         node_rule = np.repeat(cells.rule[keep], q)
-        pts = points[keep].reshape(-1, 2)
-        weights = (wq * detj[keep]).reshape(-1)
-        del points, detj
-        wrong = _wrong_side(pts, curve, sides[node_rule], mesh.h)
+        x, y = x.reshape(-1), y.reshape(-1)
+        weights = (wq * detj).reshape(-1)
+        del detj
+        wrong = _wrong_side(x, y, curve, sides[node_rule], mesh.h)
         bad = np.bincount(node_rule[wrong], minlength=n)
-        rules, first, count = np.unique(cells.rule[keep], return_index=True, return_counts=True)
-        for r, a, k in zip(rules.tolist(), (q * first).tolist(), (q * count).tolist()):
-            if bad[r]:
-                last_err[r] = f"{bad[r]} node(s) on the wrong side"
-            else:
-                out[r] = CutCellRule(
-                    element=int(elements[r]), side=int(sides[r]), points=pts[a : a + k], weights=weights[a : a + k]
-                )
+        for r in np.unique(node_rule[wrong]).tolist():
+            last_err[r] = f"{bad[r]} node(s) on the wrong side"
+        node = (node_rule, x, y, weights)
+        if bad.any():
+            ok = bad[node_rule] == 0
+            node = tuple(a[ok] for a in node)
+        parts.append(node)
         pending = pending[folded[pending] | (bad[pending] > 0)]
         rnd += 1
     if errors:
         raise errors[min(errors)]
-    return tuple(out)
+    if len(parts) == 1:  # one round's nodes are already in rule order
+        rule, x, y, weights = parts[0]
+    else:
+        rule, x, y, weights = (np.concatenate(a) for a in zip(*parts))
+        by_rule = np.argsort(rule, kind="stable")
+        rule, x, y, weights = rule[by_rule], x[by_rule], y[by_rule], weights[by_rule]
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rule, minlength=n), out=start[1:])
+    return CutRuleBatch(elements, sides, start, x, y, weights)
 
 
-def _wrong_side(points, curve, sides, h):
-    """Nudge near-interface nodes off the curve (in place), then flag the
-    nodes that are not strictly on their requested side."""
-    d = np.asarray(curve.signed_distance(points[:, 0], points[:, 1]), dtype=float)
+def _wrong_side(x, y, curve, sides, h):
+    """Nudge near-interface nodes (x, y) off the curve (in place), then flag
+    the nodes that are not strictly on their requested side."""
+    d = np.asarray(curve.signed_distance(x, y), dtype=float)
     near = np.abs(d) < 1e-13
     if np.any(near):
-        gx, gy = curve.distance_gradient(points[near, 0], points[near, 1])
+        gx, gy = curve.distance_gradient(x[near], y[near])
         shift = 1e-12 * h * np.where(sides[near] == 1, -1.0, 1.0)
-        points[near, 0] += shift * gx
-        points[near, 1] += shift * gy
-        d = np.asarray(curve.signed_distance(points[:, 0], points[:, 1]), dtype=float)
+        x[near] += shift * gx
+        y[near] += shift * gy
+        d = np.asarray(curve.signed_distance(x, y), dtype=float)
     return np.where(sides == 1, d >= 0.0, d <= 0.0)

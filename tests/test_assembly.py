@@ -476,6 +476,50 @@ def test_stacked_cut_groups_match_one_group_per_side(name, p):
         assert parts == _squared_parts(ref, case.problem, params, coeffs, exact=True)
 
 
+# the benchmark's h-sweep seed-1 ellipse
+SEED1_ELLIPSE = Ellipse(0.0023643249400513433, 0.09009273926518707, 0.49324788381589013, 0.7067521161841098)
+
+
+# an ellipse whose cut rules at nx = 27 take the strip fallback on two sides
+STRIP_ELLIPSE = Ellipse(-1.087053655260406e-05, 0.09763899171305929, 0.7736961651870667, 0.10419894914740759)
+
+
+@pytest.mark.parametrize("which", ["seed1-ellipse-32", "seed1-ellipse-64", "seed1-ellipse-128", "strip-ellipse-27"])
+def test_plan_cut_groups_are_the_scalar_rules_stacked(which):
+    # the plan's cut groups, taken by index from one stacked batch, hold
+    # bitwise the points and weights of one scalar cut_cell_rule call per
+    # positive cut side, grouped by (side, node count) in that order and in
+    # (element, side) order within a group
+    curve, nx = {
+        "seed1-ellipse-32": (SEED1_ELLIPSE, 32),
+        "seed1-ellipse-64": (SEED1_ELLIPSE, 64),
+        "seed1-ellipse-128": (SEED1_ELLIPSE, 128),
+        "strip-ellipse-27": (STRIP_ELLIPSE, 27),
+    }[which]
+    mesh = build_mesh(BIUNIT if which.startswith("strip") else DOMAIN, nx, nx)
+    top = classify_elements(mesh, curve)
+    space = build_doubled_space(build_dof_map(mesh, 1), top)
+    for errors in (False, True):
+        quad_order = pass_order(1, errors=errors)
+        rules = [
+            cut_cell_rule(top, int(e), side, cut_order(quad_order, 1))
+            for e in top.cut_elements
+            for side in (1, 2)
+            if top.fractions[e, side - 1] > 0.0
+        ]
+        keys = sorted({(r.side, len(r.weights)) for r in rules})
+        groups = build_plan(space, top, quad_order, 1).groups[2:]
+        assert [(g.side, g.w.shape[1]) for g in groups] == keys
+        for g, key in zip(groups, keys):
+            want = [r for r in rules if (r.side, len(r.weights)) == key]
+            points = np.stack([r.points for r in want])
+            assert g.x.tobytes() == np.ascontiguousarray(points[..., 0]).tobytes()
+            assert g.y.tobytes() == np.ascontiguousarray(points[..., 1]).tobytes()
+            assert g.w.tobytes() == np.stack([r.weights for r in want]).tobytes()
+            idx = space.element_unknowns(np.array([r.element for r in want]), key[0])
+            assert np.array_equal(g.idx, idx)
+
+
 def _side_matrices(basis, half, points, weights, centers) -> tuple:
     """Mass and stiffness (E, n_loc, n_loc) of each cut side from its nodes
     (E, q, 2) and weights (E, q), the element centres (E, 2) and half sizes."""
@@ -485,10 +529,6 @@ def _side_matrices(basis, half, points, weights, centers) -> tuple:
     w = weights[..., None]
     mass = _T(vals) @ (w * vals)
     return mass, sum(_T(grads[..., d]) @ (w * grads[..., d]) for d in (0, 1))
-
-
-# the benchmark's h-sweep seed-1 ellipse
-SEED1_ELLIPSE = Ellipse(0.0023643249400513433, 0.09009273926518707, 0.49324788381589013, 0.7067521161841098)
 
 
 @pytest.mark.parametrize("which", ["circle-jump-8", "circle-jump-16", "seed1-ellipse-16"])

@@ -3,6 +3,7 @@ import pytest
 
 from ipfem.fe_space import (
     InactiveEvaluation,
+    _grid_dissection,
     build_basis,
     build_dof_map,
     build_doubled_space,
@@ -296,12 +297,12 @@ def test_elimination_order_is_a_permutation_of_the_unknowns(nx, ny, curve):
     assert np.array_equal(np.sort(space.order), np.arange(space.n_unknowns))
 
 
-def _recursive_dissection(space):
-    """Nested dissection by recursion over boxes of interior vertex lines:
-    split on the middle line of the longer side (x on a tie), down to boxes
-    of one element, emitting [lower half, upper half, separator]."""
-    dofs = np.nonzero(space.active)[1]
-    pos = (dofs % (space.mesh.nx + 1), dofs // (space.mesh.nx + 1))
+def _recursive_dissection(mesh, dofs):
+    """Nested dissection of the unknowns at the vertex DOFs ``dofs`` by
+    recursion over boxes of interior vertex lines: split on the middle line
+    of the longer side (x on a tie), down to boxes of one element, emitting
+    [lower half, upper half, separator]."""
+    pos = (dofs % (mesh.nx + 1), dofs // (mesh.nx + 1))
     out = []
 
     def visit(ids, box):
@@ -318,12 +319,28 @@ def _recursive_dissection(space):
             visit(ids[part], sub)
         out.extend(ids[c == mid])
 
-    visit(np.arange(len(dofs)), [(1, space.mesh.nx - 1), (1, space.mesh.ny - 1)])
-    return np.array(out)
+    visit(np.arange(len(dofs)), [(1, mesh.nx - 1), (1, mesh.ny - 1)])
+    return np.array(out, dtype=np.int64)
 
 
 @pytest.mark.parametrize("nx, ny, curve", ORDER_MESHES)
 def test_elimination_order_matches_recursive_dissection(nx, ny, curve):
     mesh = build_mesh(BIUNIT, nx, ny)
     space = build_doubled_space(build_dof_map(mesh, 1), classify_elements(mesh, curve))
-    assert np.array_equal(space.order, _recursive_dissection(space))
+    assert np.array_equal(space.order, _recursive_dissection(mesh, np.nonzero(space.active)[1]))
+
+
+@pytest.mark.parametrize("nx", range(2, 65))
+def test_grid_dissection_matches_recursive_dissection_on_every_grid_size(nx):
+    # two copies of the interior vertices, copy 2 missing about a third of
+    # them, numbered copy-major like a doubled space's unknowns; square and
+    # non-square grids, ny above and below nx
+    rng = np.random.default_rng(nx)
+    for ny in sorted({nx, max(1, nx // 3), nx + 5}):
+        mesh = build_mesh(BIUNIT, nx, ny)
+        x, y = np.meshgrid(np.arange(1, nx), np.arange(1, ny))
+        interior = (y * (nx + 1) + x).ravel()
+        dofs = np.concatenate([interior, interior[rng.random(interior.size) < 0.65]])
+        want = _recursive_dissection(mesh, dofs)
+        got = _grid_dissection(mesh, dofs)
+        assert got.dtype.kind == "i" and np.array_equal(got, want), (nx, ny)

@@ -442,10 +442,11 @@ def test_side_check_nudges_like_the_oracle():
     outward = 1.001 * (on - curve.center) + curve.center
     # four "rules" of 40 nodes: (side, nodes)
     rules = [(1, np.vstack([on[:20], inward[:20]])), (2, np.vstack([on[20:], outward[20:]])), (1, outward), (2, on)]
-    points = np.vstack([nodes for _, nodes in rules])
+    x, y = np.vstack([nodes for _, nodes in rules]).T.copy()
     sides = np.repeat([side for side, _ in rules], 40)
     h = 0.1
-    wrong = _wrong_side(points, curve, sides, h)
+    wrong = _wrong_side(x, y, curve, sides, h)
+    points = np.column_stack([x, y])
     for k, (side, nodes) in enumerate(rules):
         want_points, want_wrong = _oracle_verify_side(nodes, curve, side, h)
         assert points[40 * k : 40 * (k + 1)].tobytes() == want_points.tobytes()
