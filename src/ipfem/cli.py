@@ -143,6 +143,8 @@ def run_study(config: StudyConfig) -> StudyResult:
     g0_default, g1_default = default_penalties(config.method, case)
     gamma0 = g0_default if config.gamma0 is None else config.gamma0
     gamma1 = g1_default if config.gamma1 is None else config.gamma1
+    # a negative or non-finite penalty is a usage error, not a failure of every row
+    PenaltyParams(beta=1, gamma0=gamma0, gamma1=gamma1, p=config.p_list[0])
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -241,22 +241,21 @@ def _point_quotient(system, kept=None, seed=0):
     volume = system.blocks["volume"]
     jumps = system.blocks["j0"] + system.blocks["j1"]
     consistency = system.matrix - (volume + jumps)
+    # sparse sums store no zero entry, so the stored entries of both are their nonzeros
     on_interface = np.zeros(system.matrix.shape[0], dtype=bool)
     for block in (consistency, jumps):
-        block = block.tocoo()
-        block.eliminate_zeros()
-        on_interface[block.row] = on_interface[block.col] = True
+        on_interface[np.diff(block.indptr) > 0] = True
+        on_interface[block.indices] = True
     iface = np.flatnonzero(on_interface)
     if iface.size == 0:
         return 1.0, None
     key = (iface, volume.indptr, volume.indices, volume.data)
     if kept is None or not all(np.array_equal(a, b) for a, b in zip(kept[0], key)):
         kept = (key, _rfp_lower(_volume_schur(volume, on_interface)))
-    jumps = jumps[iface][:, iface]
+    c_ii, jumps = (_restricted(block, iface) for block in (consistency, jumps))
     shift = sp.diags(REGULARIZATION * (volume.diagonal()[iface] + jumps.diagonal()))
     m = iface.size
     forward, backward = _packed_cholesky(m, kept[1], _rfp_lower(jumps), _rfp_lower(shift))
-    c_ii = consistency[iface][:, iface]
     try:
         mu = spla.eigsh(
             spla.LinearOperator((m, m), matvec=lambda x: forward(c_ii @ backward(x)), dtype=float),
@@ -266,6 +265,17 @@ def _point_quotient(system, kept=None, seed=0):
     except (RuntimeError, spla.ArpackNoConvergence) as exc:
         raise ProbeError(f"Lanczos iteration failed: {exc}") from exc
     return min(1.0, 1.0 + float(mu)), kept
+
+
+def _restricted(block, iface) -> sp.csr_matrix:
+    """block[I][:, I] in O(nnz) for the CSR ``block`` whose stored entries
+    all lie in I x I, I = ``iface`` (sorted): the rows of I and the stored
+    entries as they are, the column indices relabelled to their positions in
+    I, which keeps each row's columns sorted."""
+    at = np.zeros(block.shape[1], dtype=np.int64)
+    at[iface] = np.arange(iface.size)
+    return sp.csr_matrix((block.data, at[block.indices], np.concatenate([[0], block.indptr[iface + 1]])),
+                         shape=(iface.size,) * 2)
 
 
 def _rfp_lower(matrix) -> tuple:

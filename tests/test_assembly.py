@@ -50,6 +50,13 @@ def test_penalty_params_validation():
         PenaltyParams(beta=2, gamma0=1.0, gamma1=1.0, p=1)
     with pytest.raises(ValueError):
         PenaltyParams(beta=1, gamma0=-1.0, gamma1=1.0, p=1)
+    # nan passes a "< 0" check; it made a matrix of nan entries that the solve
+    # reported as exactly singular
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            PenaltyParams(beta=1, gamma0=bad, gamma1=1.0, p=1)
+        with pytest.raises(ValueError, match="finite"):
+            PenaltyParams(beta=1, gamma0=1.0, gamma1=bad, p=1)
     with pytest.warns(UserWarning):
         PenaltyParams(beta=1, gamma0=1.0, gamma1=1.0, p=1, alpha0_estimate=10.0)
 
@@ -965,6 +972,63 @@ def test_repeated_assembly_keeps_the_second_plan(monkeypatch):
         assert system.load.tobytes() == fresh.load.tobytes()
 
 
+def _assert_same_system(got, want):
+    """Matrix, blocks and load equal byte for byte."""
+    for a, b in [(got.matrix, want.matrix)] + [(got.blocks[k], want.blocks[k]) for k in want.blocks]:
+        for field in ("data", "indices", "indptr"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+    assert got.load.tobytes() == want.load.tobytes()
+
+
+def test_kept_plan_assembles_a_penalty_point_from_its_kept_parts(monkeypatch):
+    import ipfem.assembly as assembly
+
+    calls = {"assemble_volume": 0, "assemble_interface": 0, "assemble_load": 0}
+
+    def counted(name):
+        real = getattr(assembly, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(assembly, name, counted(name))
+    case, p = catalog()["circle-jump"], 2
+    space, top = _scan_space(case, p, 8)
+    scan = [(g0, g1) for g1 in (1.0, 0.1, 0.01) for g0 in (1000.0, 100.0, 10.0, 1.0)]
+    for g0, g1 in scan:
+        system = assemble(space, top, case.problem, PenaltyParams(1, g0, g1, p))
+    # the first point's plan is dropped with its parts; the second point's
+    # parts are kept with its plan and serve the other ten
+    assert calls == dict.fromkeys(calls, 2)
+    # the kept blocks and load terms are read-only
+    _, _, blocks, terms = space.plans[(pass_order(p), p)].penalty_free
+    assert system.blocks["volume"] is blocks["volume"] and system.blocks["interface"] is blocks["interface"]
+    for block in blocks.values():
+        with pytest.raises(ValueError, match="read-only"):
+            block.data[0] = 1.0
+    for term in terms.values():
+        with pytest.raises(ValueError, match="read-only"):
+            term[0] = 1.0
+
+
+def test_kept_parts_follow_the_problem_and_beta():
+    case, p = catalog()["circle-jump"], 2
+    space, top = _scan_space(case, p, 8)
+    for g0 in (10.0, 100.0):
+        assemble(space, top, case.problem, PenaltyParams(1, g0, 1.0, p))
+    other = replace(case.problem, a=(case.problem.a[1], case.problem.a[0]))
+    for problem, beta in ((other, 1), (case.problem, -1), (case.problem, 1)):
+        params = PenaltyParams(beta, 50.0, 0.5, p)
+        fresh_space, fresh_top = _scan_space(case, p, 8)
+        _assert_same_system(assemble(space, top, problem, params),
+                            assemble(fresh_space, fresh_top, problem, params))
+        kept = space.plans[(pass_order(p), p)].penalty_free
+        assert kept[0] is problem and kept[1] == beta
+
+
 def test_kept_plan_dies_with_its_space():
     import gc
     import weakref
@@ -994,4 +1058,22 @@ def test_plan_rejects_a_topology_the_space_was_not_built_on():
         compute_errors(space, other, case.problem, coeffs, params)
     with pytest.raises(ValueError, match="topology"):
         energy_norm_squared(space, other, case.problem, params, coeffs)
+    assert space.plans == {}
+
+
+def test_plan_rejects_a_degree_other_than_the_space_s():
+    # a degree-2 space assembled with p = 1 weights and rule orders used to
+    # return a solvable system of the wrong method
+    case = catalog()["circle-jump"]
+    space, top = _scan_space(case, 2, 8)
+    params = PenaltyParams(1, 10.0, 1.0, 1)
+    coeffs = np.zeros(space.n_unknowns)
+    with pytest.raises(ValueError, match="degree"):
+        build_plan(space, top, 3, 1)
+    with pytest.raises(ValueError, match="degree"):
+        assemble(space, top, case.problem, params)
+    with pytest.raises(ValueError, match="degree"):
+        compute_errors(space, top, case.problem, coeffs, params)
+    with pytest.raises(ValueError, match="degree"):
+        energy_norm_squared(space, top, case.problem, params, coeffs)
     assert space.plans == {}

@@ -224,6 +224,15 @@ def test_main_entry_and_exit_codes(tmp_path, capsys):
     assert rc == 2
 
 
+def test_non_finite_penalty_is_a_usage_error(tmp_path, capsys):
+    for flag, value in (("--gamma0", "nan"), ("--gamma1", "inf")):
+        out = tmp_path / flag.strip("-")
+        rc = main(["run", "--case", "circle-jump", "--p", "2", "--nx", "8", flag, value, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: penalty parameters must be finite")
+        assert not out.exists()
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(

@@ -411,6 +411,22 @@ def test_packed_cholesky_raises_on_an_indefinite_matrix():
         _packed_cholesky(5, _rfp_lower(sp.diags([2.0, 1.0, -1.0, 3.0, 1.0])))
 
 
+def test_restricted_blocks_are_the_sliced_blocks():
+    # the probe relabels the stored entries of C and j0 + j1 instead of
+    # slicing both to I x I; the result must be the slice, byte for byte
+    from ipfem.probes import _restricted
+
+    system = _scan_ellipse_system()
+    jumps = system.blocks["j0"] + system.blocks["j1"]
+    consistency = system.matrix - (system.blocks["volume"] + jumps)
+    iface = np.unique(np.concatenate([np.concatenate(block.nonzero()) for block in (consistency, jumps)]))
+    assert 0 < iface.size < system.n
+    for block in (consistency, jumps):
+        got, want = _restricted(block, iface), block[iface][:, iface]
+        for field in ("data", "indices", "indptr"):
+            assert getattr(got, field).tobytes() == getattr(want, field).astype(getattr(got, field).dtype).tobytes()
+
+
 def test_kept_path_point_memory_stays_below_a_dense_factor():
     # tracemalloc peak of one point with the volume Schur complement kept
     # (672 interface unknowns): 2.0 MiB with the LU of the Schur complement,
