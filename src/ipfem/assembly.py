@@ -23,31 +23,28 @@ cut groups by (side, node count).
 
 A plan's rules follow from its tensor order q (``quadrature.pass_order``,
 p + 2 for assembly): q^2 Gauss points on uncut elements, cut-cell rules of
-order q + p and q + p + 2 Gauss points per segment (see ``_new_plan``).
-
-A plan's rules and tables depend on the space, its topology, the quadrature
-order and p, never on the coefficient or the penalties.  The second request
-for one (quad_order, p) on a space keeps its plan on the space for as long as
-the space lives; later requests reuse it.  The first request keeps nothing: a
-run that assembles once and evaluates its errors once per space (every sweep)
-would only hold its peak memory higher, while a coercivity scan that
-reassembles on one space builds its rules twice, not once per penalty point.
+order q + p and q + p + 2 Gauss points per segment (see ``build_plan``).
+A plan depends on the space, its topology, q and p only, and is built
+afresh for every pass and dropped after it.
 
 The system is affine in the two penalties: gamma0 enters only as the weight
-of J0 and of the load's j_d term, gamma1 only as that of J1 and j_n.  So
-``assemble`` forms the parts that no penalty enters (``_penalty_free``): the
-volume and interface blocks, J0 and J1 of unit weight, and the load terms
-with j_d and j_n of unit weight; it then scales the unit blocks and terms by
-the weights and sums.  The plan also holds those parts of its last system,
-read-only and keyed on the identity of the ``Problem`` object and on beta.
-On a kept plan a new penalty point of the same problem and beta therefore
-calls no block function: it costs two CSR scalings, three block sums, two
-vector scalings and four vector adds, 0.5-0.8 ms against 5.0-5.3 ms for
-rebuilding every block on the seed-1 penalty-scan system (2,545 unknowns),
-on a shared two-core VM.
-``assemble_J0`` and ``assemble_J1`` scale their converted unit blocks in the
-same way, and ``assemble_load`` its unit j_d and j_n, so a system from a
-kept plan is byte-identical to one from a fresh space.
+gamma0 p^2 / h of J0 and of the load's j_d term, gamma1 only as the weight
+gamma1 h / p^2 of J1 and j_n.  The block functions know no penalty: they
+return J0, J1, j_d and j_n of unit weight, and ``assemble`` alone scales
+them and sums.  ``assemble`` keeps the parts of its last call that no
+penalty enters in one slot on the space (``DoubledSpace.penalty_free``),
+read-only: the volume and interface blocks, J0 and J1 of unit weight, and
+the five load terms with j_d and j_n of unit weight.  The key is the
+quadrature order, the identity of the ``Problem`` object (frozen, so a
+coefficient cannot change under the same object) and beta; a call with that
+key calls no block function and costs two CSR scalings, three block sums,
+two vector scalings and four vector adds, so the first point of a
+coercivity scan serves all of them.  Filling the slot on the first call
+costs a run that assembles once per space little memory: it holds no plan
+table (keeping the first request's plan once cost p-sweep 11 MB of peak
+memory), only the volume and interface blocks, which the returned system
+shares, and two blocks and five vectors the size of the system's own.  A
+system built from the slot is byte-identical to one from a fresh space.
 
 On an uncut element with a constant coefficient a the local stiffness is
 a (S (x) M + M (x) S), scaled per axis, where S and M are the 1-D stiffness
@@ -102,7 +99,6 @@ input, and bincount adds in input order, so reruns stay byte-identical.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -124,7 +120,6 @@ class PenaltyParams:
     gamma0: float
     gamma1: float
     p: int
-    alpha0_estimate: float | None = None
 
     def __post_init__(self):
         if self.beta not in (1, -1):
@@ -133,17 +128,6 @@ class PenaltyParams:
             raise ValueError(f"penalty parameters must be finite, got {self.gamma0}, {self.gamma1}")
         if self.gamma0 < 0 or self.gamma1 < 0:
             raise ValueError("penalty parameters must be nonnegative")
-        if (
-            self.beta == 1
-            and self.alpha0_estimate is not None
-            and self.gamma0 * self.gamma1 < self.alpha0_estimate
-        ):
-            warnings.warn(
-                f"gamma0*gamma1 = {self.gamma0 * self.gamma1:g} below the "
-                f"coercivity estimate {self.alpha0_estimate:g}; the symmetric "
-                "form may be indefinite",
-                stacklevel=2,
-            )
 
     def j0_weight(self, h: float) -> float:
         """Weight gamma0 p^2 / h of the jump penalty."""
@@ -154,14 +138,15 @@ class PenaltyParams:
         return self.gamma1 * h / self.p**2
 
 
-@dataclass
+@dataclass(frozen=True)
 class Problem:
     """Coefficient, data and (optionally) the exact solution pair.
 
     All fields are vectorized callables; ``a``, ``f``, ``exact`` and
     ``exact_grad`` are (side-1, side-2) pairs taking (x, y) arrays, with
     ``exact_grad[i]`` returning the tuple (du/dx, du/dy).  ``g_d`` and ``g_n``
-    take the curve parameter.
+    take the curve parameter.  Frozen, because ``assemble`` keys its kept
+    parts on the object's identity: a changed field is a new object.
     """
 
     a: tuple
@@ -416,9 +401,8 @@ class IntegrationPlan:
     order.  ``rule`` and ``traces`` hold the rule and the unit-coefficient
     trace operators of every segment (``traces.a`` is None), stacked along a
     leading segment axis, and ``edge_groups`` the segments with structurally
-    sparse trace blocks.  Every rule is built exactly once.  ``assemble``
-    keeps the penalty-free parts of its last system on the plan
-    (``_penalty_free``).
+    sparse trace blocks.  Every rule is built exactly once per plan, and
+    nothing keeps a plan after its pass.
     """
 
     space: DoubledSpace
@@ -427,7 +411,6 @@ class IntegrationPlan:
     rule: SegmentRule
     traces: SegmentTraces
     edge_groups: tuple = ()  # (segment indices, pattern key) (``_edge_groups``)
-    penalty_free: tuple | None = None  # (problem, beta, blocks, load terms) of the last assemble
 
     @property
     def n(self) -> int:
@@ -575,32 +558,20 @@ def _edge_groups(space: DoubledSpace, topology: CutTopology, rule: SegmentRule) 
     return tuple(groups)
 
 
-def build_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: int) -> IntegrationPlan:
-    """Integration plan of one pass over ``space`` (see ``_new_plan``).
-
-    The first request for a (quad_order, p) on a space gets a plan of its
-    own, dropped after the pass.  The second request builds the plan again
-    and keeps it on the space; it and every later request for that key get
-    the kept plan, which is the same object a fresh build returns.
-    """
+def _check_pass(space: DoubledSpace, topology: CutTopology, p: int) -> None:
+    """Reject a topology or a degree other than the ones the space was built on."""
     if topology is not space.topology:
         raise ValueError("the topology is not the one the space was built on")
     if p != space.basis.p:
         raise ValueError(f"p = {p} does not match the space's degree {space.basis.p}")
-    key = (quad_order, p)
-    kept = space.plans.get(key)
-    if kept is not None:
-        return kept
-    plan = _new_plan(space, topology, quad_order, p)
-    # the first request only remembers the key, the second keeps its plan
-    space.plans[key] = plan if key in space.plans else None
-    return plan
 
 
-def _new_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: int) -> IntegrationPlan:
-    """Rules and basis tables of one pass: the (quad_order)^2 tensor Gauss rule
-    on uncut elements, cut-cell rules of order ``cut_order(quad_order, p)``,
-    and segment rules with ``segment_npoints(quad_order, p)`` nodes."""
+def build_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: int) -> IntegrationPlan:
+    """Integration plan of one pass over ``space``: the (quad_order)^2 tensor
+    Gauss rule on uncut elements, cut-cell rules of order
+    ``cut_order(quad_order, p)``, and segment rules with
+    ``segment_npoints(quad_order, p)`` nodes, with their basis tables."""
+    _check_pass(space, topology, p)
     mesh = space.mesh
     basis = space.basis
     ref = tensor_gauss(quad_order)
@@ -666,7 +637,7 @@ def assemble_volume(plan: IntegrationPlan, problem: Problem) -> sp.csr_matrix:
             at = None
             local.append(_T(g.grads) @ (np.repeat(aw, 2, axis=1)[..., None] * g.grads))
         else:  # uncut: the shared reference table, at the pattern's pairs only
-            # the shared rule is _new_plan's (quad_order)^2 Gauss: quad_order >= p + 1
+            # the shared rule is build_plan's (quad_order)^2 Gauss: quad_order >= p + 1
             at = _stiffness_pattern(p) if len(g.w) >= (p + 1) ** 2 and (a == a[:, :1]).all() else None
             local.append(aw @ _volume_table(g, at))
         pairs.append(at)
@@ -701,36 +672,32 @@ def _trace_csr(plan: IntegrationPlan, local, block: str, a: tuple | None = None)
     return _csr(idx_chunks, local_chunks, plan.n, pairs)
 
 
-def assemble_interface(plan: IntegrationPlan, problem: Problem, params: PenaltyParams) -> sp.csr_matrix:
+def assemble_interface(plan: IntegrationPlan, problem: Problem, beta: int) -> sp.csr_matrix:
     """Consistency terms: -sum_e int_e avg(a grad u . n)[v] + beta [u] avg(a grad v . n)."""
     tr = plan.segment_traces(problem)
     jump = tr.jump
     avg = tr.avg_flux
     w = plan.rule.weights[..., None]
-    return _trace_csr(plan, -(_T(jump) @ (w * avg) + params.beta * _T(avg) @ (w * jump)), "interface", tr.a)
+    return _trace_csr(plan, -(_T(jump) @ (w * avg) + beta * _T(avg) @ (w * jump)), "interface", tr.a)
 
 
-def assemble_J0(plan: IntegrationPlan, params: PenaltyParams) -> sp.csr_matrix:
-    """Jump penalty  sum_e (gamma0 p^2 / h_K) int_e [u][v]: the weight times
-    the converted unit block."""
+def assemble_J0(plan: IntegrationPlan) -> sp.csr_matrix:
+    """Jump penalty of unit weight  sum_e int_e [u][v]."""
     jump = plan.traces.jump
-    return params.j0_weight(plan.h) * _trace_csr(plan, _T(jump) @ (plan.rule.weights[..., None] * jump), "j0")
+    return _trace_csr(plan, _T(jump) @ (plan.rule.weights[..., None] * jump), "j0")
 
 
-def assemble_J1(plan: IntegrationPlan, problem: Problem, params: PenaltyParams) -> sp.csr_matrix:
-    """Flux-jump penalty  sum_e (gamma1 h_K / p^2) int_e [a grad u . n][a grad v . n]:
-    the weight times the converted unit block."""
+def assemble_J1(plan: IntegrationPlan, problem: Problem) -> sp.csr_matrix:
+    """Flux-jump penalty of unit weight  sum_e int_e [a grad u . n][a grad v . n]."""
     tr = plan.segment_traces(problem)
     jf = tr.jump_flux
-    return params.j1_weight(plan.h) * _trace_csr(plan, _T(jf) @ (plan.rule.weights[..., None] * jf), "j1", tr.a)
+    return _trace_csr(plan, _T(jf) @ (plan.rule.weights[..., None] * jf), "j1", tr.a)
 
 
-def assemble_load(plan: IntegrationPlan, problem: Problem, params: PenaltyParams):
-    """Load vector with its five contributions kept separately.
-
-    Terms: volume source, int_G g_N avg(v), -beta int_G g_D avg(a grad v . n),
-    the Dirichlet penalty J_D and the flux penalty J_N.
-    """
+def assemble_load(plan: IntegrationPlan, problem: Problem, beta: int) -> dict:
+    """The five load terms, kept separately: the volume source, int_G g_N avg(v),
+    -beta int_G g_D avg(a grad v . n), and the Dirichlet and flux penalties
+    J_D and J_N of unit weight."""
     n = plan.n
     local = [_contract(_evaluate(problem.f[g.side - 1], g.x, g.y) * g.w, g.vals) for g in plan.groups]
     volume = _vector(np.concatenate([g.idx for g in plan.groups]), np.concatenate(local), n)
@@ -746,14 +713,13 @@ def assemble_load(plan: IntegrationPlan, problem: Problem, params: PenaltyParams
 
     idx = tr.joint_idx
     avg_v = 0.5 * np.concatenate([tr.vals1, tr.vals2], axis=-1)
-    terms = {
+    return {
         "volume": volume,
         "gn_avg": _vector(idx, project(avg_v, gn), n),
-        "gd_flux": _vector(idx, -params.beta * project(tr.avg_flux, gd), n),
-        "j_d": params.j0_weight(plan.h) * _vector(idx, project(tr.jump, gd), n),
-        "j_n": params.j1_weight(plan.h) * _vector(idx, project(tr.jump_flux, gn), n),
+        "gd_flux": _vector(idx, -beta * project(tr.avg_flux, gd), n),
+        "j_d": _vector(idx, project(tr.jump, gd), n),
+        "j_n": _vector(idx, project(tr.jump_flux, gn), n),
     }
-    return _total(terms), terms
 
 
 def _total(terms: dict) -> np.ndarray:
@@ -761,40 +727,24 @@ def _total(terms: dict) -> np.ndarray:
     return terms["volume"] + terms["gn_avg"] + terms["gd_flux"] + terms["j_d"] + terms["j_n"]
 
 
-@dataclass(frozen=True)
-class _UnitWeights:
-    """Stands in for ``PenaltyParams`` with both penalty weights 1: the block
-    functions then return the penalty-free parts of ``_penalty_free``."""
-
-    beta: int
-
-    def j0_weight(self, h: float) -> float:
-        return 1.0
-
-    def j1_weight(self, h: float) -> float:
-        return 1.0
-
-
-def _penalty_free(plan: IntegrationPlan, problem: Problem, beta: int) -> tuple:
-    """The parts of the system that no penalty enters, read-only: the blocks
-    (volume, interface, and J0 and J1 of unit weight) and the load terms
-    (with j_d and j_n of unit weight).  They are kept on the plan, keyed on
-    the identity of ``problem`` and on ``beta``, and reused while both stay
-    the same, so a kept plan assembles a new penalty point from them alone."""
-    kept = plan.penalty_free
-    if kept is not None and kept[0] is problem and kept[1] == beta:
-        return kept[2:]
-    unit = _UnitWeights(beta)
+def _penalty_free(space: DoubledSpace, topology: CutTopology, problem: Problem, beta: int, quad_order: int) -> tuple:
+    """The blocks and load terms that no penalty enters, read-only, from the
+    space's slot when its key (quad_order, the ``problem`` object, beta) is
+    this call's, else built and put in the slot."""
+    kept = space.penalty_free
+    if kept is not None and kept[0] == quad_order and kept[1] is problem and kept[2] == beta:
+        return kept[3:]
+    plan = build_plan(space, topology, quad_order, space.basis.p)
     blocks = {
         "volume": assemble_volume(plan, problem),
-        "interface": assemble_interface(plan, problem, unit),
-        "j0": assemble_J0(plan, unit),
-        "j1": assemble_J1(plan, problem, unit),
+        "interface": assemble_interface(plan, problem, beta),
+        "j0": assemble_J0(plan),
+        "j1": assemble_J1(plan, problem),
     }
-    terms = assemble_load(plan, problem, unit)[1]
+    terms = assemble_load(plan, problem, beta)
     for array in [a for b in blocks.values() for a in (b.data, b.indices, b.indptr)] + list(terms.values()):
         array.setflags(write=False)
-    plan.penalty_free = (problem, beta, blocks, terms)
+    space.penalty_free = (quad_order, problem, beta, blocks, terms)
     return blocks, terms
 
 
@@ -809,9 +759,9 @@ def assemble(
     ``quad_order`` is the plan's tensor order, by default ``pass_order(p)``."""
     if quad_order is None:
         quad_order = pass_order(params.p)
-    plan = build_plan(space, topology, quad_order, params.p)
-    unit, terms = _penalty_free(plan, problem, params.beta)
-    w0, w1 = params.j0_weight(plan.h), params.j1_weight(plan.h)
+    _check_pass(space, topology, params.p)
+    unit, terms = _penalty_free(space, topology, problem, params.beta, quad_order)
+    w0, w1 = params.j0_weight(space.mesh.h), params.j1_weight(space.mesh.h)
     blocks = {**unit, "j0": w0 * unit["j0"], "j1": w1 * unit["j1"]}
     # a sum of canonical CSR matrices is canonical CSR: no conversion needed
     matrix = blocks["volume"] + blocks["interface"] + blocks["j0"] + blocks["j1"]

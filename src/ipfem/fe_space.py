@@ -197,10 +197,9 @@ class DoubledSpace:
         # elimination order of the unknowns for the sparse LU, or None for the
         # solver's default (see the solver module docstring)
         self.order = _grid_dissection(self.mesh, np.nonzero(active)[1]) if dofmap.p == 1 else None
-        # (quad_order, p) -> the geometry-only integration plan that
-        # assembly.build_plan keeps from the key's second request on, or None
-        # while the key has been requested only once
-        self.plans = {}
+        # (quad_order, problem, beta, blocks, load terms): the penalty-free parts
+        # of assembly.assemble's last call, or None before the first
+        self.penalty_free = None
 
     def element_unknowns(self, element: int, side: int) -> np.ndarray:
         """Unknown ids of the element's local DOFs in copy ``side`` (-1 where

@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -57,8 +58,16 @@ def test_penalty_params_validation():
             PenaltyParams(beta=1, gamma0=bad, gamma1=1.0, p=1)
         with pytest.raises(ValueError, match="finite"):
             PenaltyParams(beta=1, gamma0=1.0, gamma1=bad, p=1)
-    with pytest.warns(UserWarning):
-        PenaltyParams(beta=1, gamma0=1.0, gamma1=1.0, p=1, alpha0_estimate=10.0)
+
+
+def test_problem_is_frozen():
+    # assemble keys its kept parts on the Problem object: a coefficient
+    # swapped in place under that key once returned the old system's blocks
+    case, p = catalog()["circle-jump"], 2
+    space, top = _scan_space(case, p, 8)
+    assemble(space, top, case.problem, PenaltyParams(1, 10.0, 1.0, p))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        case.problem.a = (case.problem.a[1], case.problem.a[0])
 
 
 def test_problem_validate_catches_bad_data():
@@ -103,7 +112,8 @@ def test_center_load_entry():
     space, top = _one_sided_space(mesh, 1)
     problem = Problem(a=(_const(1.0), _const(1.0)), f=(_const(1.0), _const(1.0)))
     params = PenaltyParams(beta=1, gamma0=1.0, gamma1=1.0, p=1)
-    load, terms = assemble_load(build_plan(space, top, 3, params.p), problem, params)
+    terms = assemble_load(build_plan(space, top, 3, params.p), problem, params.beta)
+    load = assemble(space, top, problem, params, quad_order=3).load
     assert load[0] == pytest.approx(0.25, rel=1e-13)
     assert np.allclose(terms["gn_avg"], 0.0)
 
@@ -115,8 +125,9 @@ def test_zero_data_zero_load():
     space = build_doubled_space(build_dof_map(mesh, 1), top)
     problem = Problem(a=case.problem.a, f=(_const(0.0), _const(0.0)))
     params = PenaltyParams(beta=1, gamma0=5.0, gamma1=1.0, p=1)
-    load, _ = assemble_load(build_plan(space, top, 3, params.p), problem, params)
-    assert np.all(load == 0.0)
+    terms = assemble_load(build_plan(space, top, 3, params.p), problem, params.beta)
+    assert all(np.all(term == 0.0) for term in terms.values())
+    assert np.all(assemble(space, top, problem, params, quad_order=3).load == 0.0)
 
 
 def _hand_stencil(beta, g0, g1):
@@ -169,8 +180,8 @@ def test_nip_sip_difference_is_adjoint_term():
     space = build_doubled_space(build_dof_map(mesh, 2), top)
     quad_order = 4
     plan = build_plan(space, top, quad_order, 2)
-    sip = assemble_interface(plan, case.problem, PenaltyParams(beta=1, gamma0=1, gamma1=1, p=2))
-    nip = assemble_interface(plan, case.problem, PenaltyParams(beta=-1, gamma0=1, gamma1=1, p=2))
+    sip = assemble_interface(plan, case.problem, 1)
+    nip = assemble_interface(plan, case.problem, -1)
     adj = np.zeros((space.n_unknowns, space.n_unknowns))
     for seg in top.segments:
         rule = segment_rule(seg, case.curve, segment_npoints(quad_order, 2))
@@ -187,12 +198,11 @@ def test_continuous_function_annihilated():
     mesh = build_mesh(BIUNIT, 8, 8)
     top = classify_elements(mesh, case.curve)
     space = build_doubled_space(build_dof_map(mesh, 2), top)
-    params = PenaltyParams(beta=1, gamma0=4.0, gamma1=2.0, p=2)
     quad_order = 4
-    plan = build_plan(space, top, quad_order, params.p)
-    ifc = assemble_interface(plan, case.problem, params)
-    j0 = assemble_J0(plan, params)
-    j1 = assemble_J1(plan, case.problem, params)
+    plan = build_plan(space, top, quad_order, 2)
+    ifc = assemble_interface(plan, case.problem, 1)
+    j0 = assemble_J0(plan)
+    j1 = assemble_J1(plan, case.problem)
     rng = np.random.default_rng(3)
 
     def continuous_vector():
@@ -220,14 +230,17 @@ def test_j0_scaling_and_independence():
     mesh = build_mesh(BIUNIT, 8, 8)
     top = classify_elements(mesh, case.curve)
     space = build_doubled_space(build_dof_map(mesh, 2), top)
+    # assemble's J0 and J1 blocks are the weights times the unit blocks
     p0 = PenaltyParams(beta=1, gamma0=0.0, gamma1=0.0, p=2)
-    plan = build_plan(space, top, 4, 2)
-    assert abs(assemble_J0(plan, p0)).max() == 0.0
-    assert abs(assemble_J1(plan, case.problem, p0)).max() == 0.0
+    zero = assemble(space, top, case.problem, p0).blocks
+    assert abs(zero["j0"]).max() == 0.0
+    assert abs(zero["j1"]).max() == 0.0
     p1 = PenaltyParams(beta=1, gamma0=2.0, gamma1=1.0, p=2)
     p2 = PenaltyParams(beta=1, gamma0=4.0, gamma1=1.0, p=2)
-    j0a = assemble_J0(plan, p1)
-    j0b = assemble_J0(plan, p2)
+    j0a = assemble(space, top, case.problem, p1).blocks["j0"]
+    j0b = assemble(space, top, case.problem, p2).blocks["j0"]
+    unit = assemble_J0(build_plan(space, top, pass_order(2), 2))
+    assert np.array_equal((p1.j0_weight(mesh.h) * unit).toarray(), j0a.toarray())
     assert np.allclose(j0b.toarray(), 2.0 * j0a.toarray(), rtol=1e-13)
     # quadratic form against an independently quadratured value
     rng = np.random.default_rng(9)
@@ -357,7 +370,7 @@ def test_batched_volume_and_load_match_element_loop(name, p):
         stiffness[np.ix_(idx[ok], idx[ok])] += local[np.ix_(ok, ok)]
         source[idx[ok]] += (vals.T @ fw)[ok]
     assert _rel(system.blocks["volume"].toarray(), stiffness) <= 1e-13
-    _, terms = assemble_load(build_plan(space, top, pass_order(p), p), problem, params)
+    terms = assemble_load(build_plan(space, top, pass_order(p), p), problem, params.beta)
     assert _rel(terms["volume"], source) <= 1e-13
 
 
@@ -477,8 +490,8 @@ def test_stacked_cut_groups_match_one_group_per_side(name, p):
         got, want = assemble_volume(plan, case.problem), assemble_volume(ref, case.problem)
         for field in ("data", "indices", "indptr"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
-        load = assemble_load(plan, case.problem, params)[1]["volume"]
-        assert load.tobytes() == assemble_load(ref, case.problem, params)[1]["volume"].tobytes()
+        load = assemble_load(plan, case.problem, params.beta)["volume"]
+        assert load.tobytes() == assemble_load(ref, case.problem, params.beta)["volume"].tobytes()
         parts = _squared_parts(plan, case.problem, params, coeffs, exact=True)
         assert parts == _squared_parts(ref, case.problem, params, coeffs, exact=True)
 
@@ -739,10 +752,11 @@ def test_volume_block_omits_only_round_off(name, monkeypatch):
 
 
 def _trace_blocks(plan, problem, params):
+    """The interface block, and J0 and J1 at the weights of ``params``."""
     return {
-        "interface": assemble_interface(plan, problem, params),
-        "j0": assemble_J0(plan, params),
-        "j1": assemble_J1(plan, problem, params),
+        "interface": assemble_interface(plan, problem, params.beta),
+        "j0": params.j0_weight(plan.h) * assemble_J0(plan),
+        "j1": params.j1_weight(plan.h) * assemble_J1(plan, problem),
     }
 
 
@@ -938,7 +952,7 @@ def _scan_space(case, p, nx):
     return build_doubled_space(build_dof_map(mesh, p), top), top
 
 
-def test_repeated_assembly_keeps_the_second_plan(monkeypatch):
+def test_repeated_assembly_keeps_the_first_point_s_parts(monkeypatch):
     import ipfem.assembly as assembly
 
     calls = {"cut": 0, "segment": 0}
@@ -958,18 +972,12 @@ def test_repeated_assembly_keeps_the_second_plan(monkeypatch):
     scan = [(g0, g1) for g1 in (1.0, 0.1, 0.01) for g0 in (1000.0, 100.0, 10.0, 1.0)]
     space, top = _scan_space(case, p, nx)
     systems = [assemble(space, top, case.problem, PenaltyParams(1, g0, g1, p)) for g0, g1 in scan]
-    # the first call's plan is dropped, the second call's plan serves the rest
-    assert calls == {"cut": 2, "segment": 2}
-    assert [key for key, plan in space.plans.items() if plan is not None] == [(pass_order(p), p)]
+    # the first point's plan builds the parts that serve the whole scan
+    assert calls == {"cut": 1, "segment": 1}
 
     for (g0, g1), system in zip(scan, systems):
         fresh_space, fresh_top = _scan_space(case, p, nx)
-        fresh = assemble(fresh_space, fresh_top, case.problem, PenaltyParams(1, g0, g1, p))
-        assert list(fresh_space.plans.values()) == [None]  # one assemble keeps no plan
-        for got, want in [(system.matrix, fresh.matrix)] + [(system.blocks[k], fresh.blocks[k]) for k in fresh.blocks]:
-            for field in ("data", "indices", "indptr"):
-                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
-        assert system.load.tobytes() == fresh.load.tobytes()
+        _assert_same_system(system, assemble(fresh_space, fresh_top, case.problem, PenaltyParams(1, g0, g1, p)))
 
 
 def _assert_same_system(got, want):
@@ -980,7 +988,7 @@ def _assert_same_system(got, want):
     assert got.load.tobytes() == want.load.tobytes()
 
 
-def test_kept_plan_assembles_a_penalty_point_from_its_kept_parts(monkeypatch):
+def test_repeated_assembly_calls_each_block_function_once(monkeypatch):
     import ipfem.assembly as assembly
 
     calls = {"assemble_volume": 0, "assemble_interface": 0, "assemble_load": 0}
@@ -1000,11 +1008,9 @@ def test_kept_plan_assembles_a_penalty_point_from_its_kept_parts(monkeypatch):
     scan = [(g0, g1) for g1 in (1.0, 0.1, 0.01) for g0 in (1000.0, 100.0, 10.0, 1.0)]
     for g0, g1 in scan:
         system = assemble(space, top, case.problem, PenaltyParams(1, g0, g1, p))
-    # the first point's plan is dropped with its parts; the second point's
-    # parts are kept with its plan and serve the other ten
-    assert calls == dict.fromkeys(calls, 2)
+    assert calls == dict.fromkeys(calls, 1)
     # the kept blocks and load terms are read-only
-    _, _, blocks, terms = space.plans[(pass_order(p), p)].penalty_free
+    _, _, _, blocks, terms = space.penalty_free
     assert system.blocks["volume"] is blocks["volume"] and system.blocks["interface"] is blocks["interface"]
     for block in blocks.values():
         with pytest.raises(ValueError, match="read-only"):
@@ -1020,16 +1026,22 @@ def test_kept_parts_follow_the_problem_and_beta():
     for g0 in (10.0, 100.0):
         assemble(space, top, case.problem, PenaltyParams(1, g0, 1.0, p))
     other = replace(case.problem, a=(case.problem.a[1], case.problem.a[0]))
-    for problem, beta in ((other, 1), (case.problem, -1), (case.problem, 1)):
+    # and the quadrature order, the third part of the key
+    for problem, beta, quad_order in (
+        (other, 1, pass_order(p)),
+        (case.problem, -1, pass_order(p)),
+        (case.problem, 1, pass_order(p) + 1),
+        (case.problem, 1, pass_order(p)),
+    ):
         params = PenaltyParams(beta, 50.0, 0.5, p)
         fresh_space, fresh_top = _scan_space(case, p, 8)
-        _assert_same_system(assemble(space, top, problem, params),
-                            assemble(fresh_space, fresh_top, problem, params))
-        kept = space.plans[(pass_order(p), p)].penalty_free
-        assert kept[0] is problem and kept[1] == beta
+        _assert_same_system(assemble(space, top, problem, params, quad_order),
+                            assemble(fresh_space, fresh_top, problem, params, quad_order))
+        kept = space.penalty_free
+        assert kept[0] == quad_order and kept[1] is problem and kept[2] == beta
 
 
-def test_kept_plan_dies_with_its_space():
+def test_kept_parts_die_with_their_space():
     import gc
     import weakref
 
@@ -1037,7 +1049,7 @@ def test_kept_plan_dies_with_its_space():
     space, top = _scan_space(case, p, 8)
     for g0 in (10.0, 100.0):
         assemble(space, top, case.problem, PenaltyParams(1, g0, 1.0, p))
-    kept = weakref.ref(space.plans[(pass_order(p), p)])
+    kept = weakref.ref(space.penalty_free[3]["volume"])
     assert kept() is not None
     del space, top
     gc.collect()
@@ -1058,7 +1070,11 @@ def test_plan_rejects_a_topology_the_space_was_not_built_on():
         compute_errors(space, other, case.problem, coeffs, params)
     with pytest.raises(ValueError, match="topology"):
         energy_norm_squared(space, other, case.problem, params, coeffs)
-    assert space.plans == {}
+    assert space.penalty_free is None
+    # a kept slot is no way round the check
+    assemble(space, top, case.problem, params)
+    with pytest.raises(ValueError, match="topology"):
+        assemble(space, other, case.problem, params)
 
 
 def test_plan_rejects_a_degree_other_than_the_space_s():
@@ -1076,4 +1092,8 @@ def test_plan_rejects_a_degree_other_than_the_space_s():
         compute_errors(space, top, case.problem, coeffs, params)
     with pytest.raises(ValueError, match="degree"):
         energy_norm_squared(space, top, case.problem, params, coeffs)
-    assert space.plans == {}
+    assert space.penalty_free is None
+    # a kept slot is no way round the check
+    assemble(space, top, case.problem, replace(params, p=2))
+    with pytest.raises(ValueError, match="degree"):
+        assemble(space, top, case.problem, params, quad_order=pass_order(2))
