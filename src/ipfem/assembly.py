@@ -297,22 +297,17 @@ class SegmentTraces:
         return np.concatenate([self.flux1, -self.flux2], axis=-1)
 
 
-def _basis_at(space: DoubledSpace, elems, x, y, rows: bool = False) -> tuple:
-    """Basis values (..., q, n_loc) and physical gradients (..., q, n_loc, 2)
+def _basis_at(space: DoubledSpace, elems, x, y) -> tuple:
+    """Basis values (..., q, n_loc) and physical gradients (..., q, 2, n_loc)
     at the nodes with coordinates ``x`` and ``y`` (..., q), each row of nodes
-    mapped into its element in ``elems`` (shape ...).  With ``rows`` the
-    gradients come as (..., 2q, n_loc), row 2k + d holding component d at
-    node k."""
+    mapped into its element in ``elems`` (shape ...)."""
     c, half = element_map(space.mesh, elems)
     xi = ((x - c[..., None, 0]) / half[0]).ravel()
     eta = ((y - c[..., None, 1]) / half[1]).ravel()
-    shape = x.shape + (space.basis.n_local,)
-    grads = space.basis.gradients(xi, eta, rows)
-    if rows:
-        grads /= half[:, None]
-        return space.basis.values(xi, eta).reshape(shape), grads.reshape(shape[:-2] + (-1, shape[-1]))
-    grads /= half
-    return space.basis.values(xi, eta).reshape(shape), grads.reshape(shape + (2,))
+    n_loc = space.basis.n_local
+    grads = space.basis.gradients(xi, eta)
+    grads /= half[:, None]
+    return space.basis.values(xi, eta).reshape(x.shape + (n_loc,)), grads.reshape(x.shape + (2, n_loc))
 
 
 def _unit_traces(space: DoubledSpace, hosts, points, normals) -> SegmentTraces:
@@ -322,7 +317,7 @@ def _unit_traces(space: DoubledSpace, hosts, points, normals) -> SegmentTraces:
     out = {}
     for side, elems in zip((1, 2), hosts):
         vals, grads = _basis_at(space, elems, points[..., 0], points[..., 1])
-        flux = np.einsum("...qld,...qd->...ql", grads, normals)
+        flux = np.einsum("...qdl,...qd->...ql", grads, normals)
         out[side] = (space.element_unknowns(elems, side), vals, flux)
     return SegmentTraces(
         idx1=out[1][0],
@@ -376,9 +371,7 @@ class ElementGroup:
     y: np.ndarray
     w: np.ndarray  # physical weights: (q,) shared, or (E, q)
     vals: np.ndarray  # basis values: (q, n_loc) shared, or (E, q, n_loc)
-    # physical basis gradients: (q, n_loc, 2) shared, or (E, 2q, n_loc) per
-    # element, row 2k + d holding component d at node k: the G of G^T diag(a w) G
-    grads: np.ndarray
+    grads: np.ndarray  # physical basis gradients: (q, 2, n_loc) shared, or (E, q, 2, n_loc)
     idx: np.ndarray  # (E, n_loc) unknown ids, -1 where constrained or inactive
 
 
@@ -441,7 +434,7 @@ def _cut_groups(space: DoubledSpace, topology: CutTopology, order: int) -> list:
         side = int(sides[sel[0]])
         at = batch.start[sel, None] + np.arange(counts[sel[0]])
         x, y = batch.x[at], batch.y[at]
-        vals, grads = _basis_at(space, elems[sel], x, y, rows=True)
+        vals, grads = _basis_at(space, elems[sel], x, y)
         groups.append(
             ElementGroup(
                 side=side,
@@ -577,7 +570,7 @@ def build_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: i
     ref = tensor_gauss(quad_order)
     _, half = element_map(mesh, 0)  # the same for every element
     ref_vals = basis.values(ref.points[:, 0], ref.points[:, 1])
-    ref_grads = basis.gradients(ref.points[:, 0], ref.points[:, 1]) / half
+    ref_grads = basis.gradients(ref.points[:, 0], ref.points[:, 1]) / half[:, None]
     ref_w = ref.weights * (half[0] * half[1])
     groups = []
     for side in (1, 2):
@@ -608,15 +601,15 @@ def build_plan(space: DoubledSpace, topology: CutTopology, quad_order: int, p: i
 
 
 def _volume_table(g: ElementGroup, pairs=None) -> np.ndarray:
-    """B[q, k] = sum_d G[q, l, d] G[q, m, d] of an uncut group's shared basis
+    """B[q, k] = sum_d G[q, d, l] G[q, d, m] of an uncut group's shared basis
     gradients G at the local pairs (l, m) = pairs[k], by default every pair
     in row-major order: the coefficient-free factor of its stiffness."""
     if pairs is None:
         # the indexed form's entries, C-ordered: on that form's layout (a w) @ table
         # takes another BLAS path and moves the full cliques (smooth-nojump) at round-off
-        table = np.einsum("qld,qmd->qlm", g.grads, g.grads)
+        table = np.einsum("qdl,qdm->qlm", g.grads, g.grads)
         return table.reshape(len(table), -1)
-    gx, gy = g.grads[..., 0], g.grads[..., 1]
+    gx, gy = g.grads[:, 0], g.grads[:, 1]
     rows, cols = pairs
     return gx[:, rows] * gx[:, cols] + gy[:, rows] * gy[:, cols]
 
@@ -633,9 +626,10 @@ def assemble_volume(plan: IntegrationPlan, problem: Problem) -> sp.csr_matrix:
     for g in plan.groups:
         a = _evaluate(problem.a[g.side - 1], g.x, g.y)
         aw = a * g.w
-        if g.w.ndim == 2:  # G^T diag(a w) G per cut side
+        if g.w.ndim == 2:  # G^T diag(a w) G per cut side, G's rows the (node, component) pairs
             at = None
-            local.append(_T(g.grads) @ (np.repeat(aw, 2, axis=1)[..., None] * g.grads))
+            grads = g.grads.reshape(len(g.grads), -1, g.grads.shape[-1])
+            local.append(_T(grads) @ (np.repeat(aw, 2, axis=1)[..., None] * grads))
         else:  # uncut: the shared reference table, at the pattern's pairs only
             # the shared rule is build_plan's (quad_order)^2 Gauss: quad_order >= p + 1
             at = _stiffness_pattern(p) if len(g.w) >= (p + 1) ** 2 and (a == a[:, :1]).all() else None

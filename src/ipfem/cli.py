@@ -19,7 +19,7 @@ import numpy as np
 
 from .assembly import PenaltyParams, assemble
 from .cases import DOMAIN, ManufacturedCase, catalog
-from .errors import InsufficientData, compute_errors, estimate_rates
+from .errors import InsufficientData, compute_errors, energy_norm_squared, estimate_rates
 from .fe_space import build_dof_map, build_doubled_space
 from .geometry import GeometryError, classify_elements, parse_curve
 from .mesh import build_mesh
@@ -95,14 +95,22 @@ def run_single(case: ManufacturedCase, method: str, p: int, nx: int,
     return mesh, topology, space, system, report, err
 
 
-def _spread(space, topology, problem, system, err, quad_extra: int) -> float:
-    """Pivot-order spread of one run: the largest relative change of l2 and
-    normA when the system is solved through SuperLU's default COLAMD LU
-    instead (``solver.colamd_solve``).  The residual cannot show how much an
-    ill-conditioned system's errors depend on the pivot order; this does."""
-    other = compute_errors(space, topology, problem, colamd_solve(system).solution, system.params,
-                           quad_order=pass_order(err.p, errors=True) + quad_extra)
-    return max(abs(other.l2 - err.l2) / err.l2, abs(other.norm_a - err.norm_a) / err.norm_a)
+def _spread(space, topology, problem, system, solution, quad_extra: int) -> float:
+    """Pivot-order spread of one run: delta = ||x1 - x2||_E / ||x1||_E in the
+    energy norm, x1 the run's ``solution`` and x2 the solution through
+    SuperLU's default COLAMD LU (``solver.colamd_solve``).  The residual
+    cannot show how much an ill-conditioned system's solution depends on the
+    pivot order; delta does, also for a run whose error is small.  The
+    numerator is ``energy_norm_squared`` of d = x1 - x2, a sum of squares at
+    the error pass's nodes, because d^T E d, E = volume + j0 + j1, is
+    round-off where x1 and x2 are large and close (negative at p = 6 on
+    circle-jump).  The denominator is x1^T E x1, which agrees with
+    ``energy_norm_squared(x1)`` to ~1e-9."""
+    diff = solution - colamd_solve(system).solution
+    diff_sq = energy_norm_squared(space, topology, problem, system.params, diff,
+                                  quad_order=pass_order(system.params.p, errors=True) + quad_extra)
+    energy = system.blocks["volume"] + system.blocks["j0"] + system.blocks["j1"]
+    return float(np.sqrt(diff_sq / (solution @ (energy @ solution))))
 
 
 def _run_stats(topology, space, system, report, spread=None) -> dict:
@@ -163,7 +171,7 @@ def run_study(config: StudyConfig) -> StudyResult:
                 )
                 spread = None
                 if config.check_spread:
-                    spread = _spread(space, topology, case.problem, system, err, config.quad_extra)
+                    spread = _spread(space, topology, case.problem, system, rep.solution, config.quad_extra)
             except Exception as exc:  # noqa: BLE001 - annotate and keep sweeping
                 result.failures.append((config.case, p, nx, f"{type(exc).__name__}: {exc}"))
                 continue

@@ -135,13 +135,13 @@ def _element_blocks(g: ElementGroup, size: int):
 
 def _gradient(local, g: ElementGroup, d: int) -> np.ndarray:
     """Component d of grad u_h at the nodes of group ``g``, (E, q), where u_h
-    has the local coefficients ``local``.  A cut group's (E, 2q, n_loc)
-    gradient rows are summed over the local functions in order, one
+    has the local coefficients ``local``.  A cut group's (E, q, n_loc)
+    component rows are summed over the local functions in order, one
     multiply-add each, so the sum does not depend on how a BLAS kernel
     blocks it."""
     if g.w.ndim == 1:
-        return _contract(local, _T(g.grads[..., d]))
-    rows = g.grads[:, d::2]
+        return _contract(local, _T(g.grads[:, d]))
+    rows = g.grads[..., d, :]
     out = local[:, None, 0] * rows[..., 0]
     for k in range(1, rows.shape[-1]):
         out += local[:, None, k] * rows[..., k]

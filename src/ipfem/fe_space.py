@@ -76,21 +76,17 @@ class BasisSet:
         sy = shape_1d(eta, self.p)
         return np.einsum("qa,qb->qab", sx, sy).reshape(len(sx), self.n_local)
 
-    def gradients(self, xi, eta, rows: bool = False):
-        """(npts, n_local, 2) array of reference-coordinate gradients, or with
-        ``rows`` the same values as (npts, 2, n_local), one row per component."""
+    def gradients(self, xi, eta):
+        """(npts, 2, n_local) array of reference-coordinate gradients, one row
+        per component."""
         sx = shape_1d(xi, self.p)
         sy = shape_1d(eta, self.p)
         dx = shape_1d_deriv(xi, self.p)
         dy = shape_1d_deriv(eta, self.p)
         m = self.p + 1
         # written in place: no per-component copies of a table over many points
-        if rows:
-            out = np.empty((len(sx), 2, self.n_local))
-            component = out.reshape(len(sx), 2, m, m).swapaxes(0, 1)
-        else:
-            out = np.empty((len(sx), self.n_local, 2))
-            component = np.moveaxis(out.reshape(len(sx), m, m, 2), -1, 0)
+        out = np.empty((len(sx), 2, self.n_local))
+        component = out.reshape(len(sx), 2, m, m).swapaxes(0, 1)
         np.einsum("qa,qb->qab", dx, sy, out=component[0])
         np.einsum("qa,qb->qab", sx, dy, out=component[1])
         return out
@@ -292,6 +288,6 @@ def evaluate_discrete(space: DoubledSpace, coeffs, point, side="auto"):
     vals = space.basis.values(np.atleast_1d(xi), np.atleast_1d(eta))[0]
     grads = space.basis.gradients(np.atleast_1d(xi), np.atleast_1d(eta))[0]
     value = float(vals @ local)
-    grad = grads.T @ local
+    grad = grads @ local
     grad = np.array([grad[0] / half[0], grad[1] / half[1]])
     return value, grad

@@ -578,10 +578,11 @@ def classify_elements(mesh: Mesh, curve: InterfaceCurve, cut_threshold: float = 
     bracketed, and UnresolvedTopology for interior loops (also one touching
     its element's boundary), curves leaving the domain, or an open curve that
     does not end on the domain boundary; all but the last indicate the mesh
-    is too coarse for the curve.  The per-interval tests (an edge-aligned
-    interval running along the domain boundary, an interval leaving its
-    element) come first, and where several intervals fail them the first in
-    t raises.  The whole-curve checks follow in this order: part of the curve
+    is too coarse for the curve.  A curve whose ``coordinate`` disagrees with
+    its ``point`` at the samples raises GeometryError before any of these.
+    The per-interval tests (an edge-aligned interval running along the
+    domain boundary, an interval leaving its element) come first, and where
+    several intervals fail them the first in t raises.  The whole-curve checks follow in this order: part of the curve
     outside the domain, a closed curve crossing no mesh line, a closed curve
     left with one host, a host met twice, a host with every corner on the
     curve, and the ends of an open curve.
@@ -596,6 +597,11 @@ def classify_elements(mesh: Mesh, curve: InterfaceCurve, cut_threshold: float = 
     n_samp = int(min(max(1024, 16 * arclen / min_side), 2**18))
     ts = np.linspace(0.0, curve.period, n_samp, endpoint=not curve.closed)
     pts = curve.point(ts)
+    # the crossings are bracketed on point() and refined on coordinate()
+    for axis in (0, 1):
+        gap = float(np.max(np.abs(curve.coordinate(ts, axis) - pts[:, axis])))
+        if not gap <= 1e-12 * max(1.0, curve.length_scale):
+            raise GeometryError(f"curve {curve.name}: coordinate(t, {axis}) differs from point(t) by {gap:.3g}")
 
     xtol = max(1e-14 * mesh.h / smin, 8 * np.finfo(float).eps * curve.period)
     tol_edge = 1e-10 * mesh.h

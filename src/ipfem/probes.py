@@ -46,6 +46,11 @@ class ProbeError(Exception):
 
 # relative diagonal shift of both matrices in the Rayleigh-quotient solve
 REGULARIZATION = 1e-14
+# share of v^T S v that the shift holds, at the leftmost Ritz vector v, above
+# which a negative quotient is reported as -inf: the Gram matrix is then
+# singular on v (0.36-0.42 with gamma0 = 0; at most 4.8e-4 with gamma0 >= 0.01
+# on circle-jump and the penalty-scan ellipses)
+SINGULAR_SHARE = 0.1
 # Lanczos restarts and tolerance of each Rayleigh-quotient solve
 LANCZOS_MAXITER = 600
 LANCZOS_TOL = 1e-8
@@ -205,7 +210,8 @@ def probe_coercivity(system_builder, gamma0_values, gamma1_values, seed: int = 0
     Gram matrix (volume + both penalties) on a (gamma0, gamma1) grid.
 
     Returns {(gamma0, gamma1): quotient}; nonpositive quotients are reported,
-    not raised.  Each point costs one RFP Cholesky and one standard-mode
+    not raised, and -inf where the penalties leave the Gram matrix singular
+    (``_point_quotient``).  Each point costs one RFP Cholesky and one standard-mode
     Lanczos run (at most ``LANCZOS_MAXITER`` restarts, tolerance
     ``LANCZOS_TOL``, start vector from ``seed``) on the interface unknowns;
     the volume Schur complement is kept while the volume block and those
@@ -236,7 +242,9 @@ def _point_quotient(system, kept=None, seed=0):
     S = L L^T (``_packed_cholesky``) turns the pencil into the standard
     problem for L^(-1) C_II L^(-T), so one standard-mode Lanczos run, with no
     M and no shift, finds mu (Lehoucq, Sorensen and Yang, ARPACK Users'
-    Guide, SIAM 1998, section 3.2).
+    Guide, SIAM 1998, section 3.2).  When mu < 0 and the shift holds more
+    than ``SINGULAR_SHARE`` of v^T S v at its Ritz vector v, G itself is
+    singular on v, as with gamma0 = 0, and the quotient is -inf.
     """
     volume = system.blocks["volume"]
     jumps = system.blocks["j0"] + system.blocks["j1"]
@@ -253,18 +261,24 @@ def _point_quotient(system, kept=None, seed=0):
     if kept is None or not all(np.array_equal(a, b) for a, b in zip(kept[0], key)):
         kept = (key, _rfp_lower(_volume_schur(volume, on_interface)))
     c_ii, jumps = (_restricted(block, iface) for block in (consistency, jumps))
-    shift = sp.diags(REGULARIZATION * (volume.diagonal()[iface] + jumps.diagonal()))
+    shift = REGULARIZATION * (volume.diagonal()[iface] + jumps.diagonal())
     m = iface.size
-    forward, backward = _packed_cholesky(m, kept[1], _rfp_lower(jumps), _rfp_lower(shift))
+    forward, backward = _packed_cholesky(m, kept[1], _rfp_lower(jumps), _rfp_lower(sp.diags(shift)))
     try:
-        mu = spla.eigsh(
+        mu, y = spla.eigsh(
             spla.LinearOperator((m, m), matvec=lambda x: forward(c_ii @ backward(x)), dtype=float),
-            k=1, which="SA", maxiter=LANCZOS_MAXITER, tol=LANCZOS_TOL, return_eigenvectors=False,
+            k=1, which="SA", maxiter=LANCZOS_MAXITER, tol=LANCZOS_TOL,
             v0=np.random.default_rng(seed).standard_normal(m),
-        )[0]
+        )
     except (RuntimeError, spla.ArpackNoConvergence) as exc:
         raise ProbeError(f"Lanczos iteration failed: {exc}") from exc
-    return min(1.0, 1.0 + float(mu)), kept
+    mu, y = float(mu[0]), y[:, 0]
+    # v = L^(-T) y has v^T S v = |y|^2; the shift's share of that is ~0 unless
+    # v is a near-null vector of the unshifted Gram matrix
+    v = backward(y)
+    if mu < 0.0 and shift @ (v * v) > SINGULAR_SHARE * (y @ y):
+        return -np.inf, kept
+    return min(1.0, 1.0 + mu), kept
 
 
 def _restricted(block, iface) -> sp.csr_matrix:

@@ -27,7 +27,7 @@ from ipfem.assembly import (
 from ipfem.cases import DOMAIN, catalog
 from ipfem.errors import _squared_parts, compute_errors, energy_norm_squared
 from ipfem.fe_space import build_dof_map, build_doubled_space
-from ipfem.geometry import Circle, Ellipse, InterfaceCurve, InterfaceSegment, VerticalLine, classify_elements
+from ipfem.geometry import Circle, Ellipse, GeometryError, InterfaceCurve, InterfaceSegment, VerticalLine, classify_elements
 from ipfem.mesh import Rectangle, build_mesh, element_map
 from ipfem.quadrature import cut_cell_rule, cut_order, pass_order, segment_npoints, segment_rule, tensor_gauss
 
@@ -344,7 +344,7 @@ def _element_sides(space, top, quad_order):
                 x, y = crule.points[:, 0], crule.points[:, 1]
                 w = crule.weights
             xi, eta = (x - center[0]) / half[0], (y - center[1]) / half[1]
-            grads = basis.gradients(xi, eta) / half[None, None, :]
+            grads = basis.gradients(xi, eta) / half[:, None]
             yield e, side, x, y, w, basis.values(xi, eta), grads
 
 
@@ -366,7 +366,7 @@ def test_batched_volume_and_load_match_element_loop(name, p):
         fw = np.asarray(problem.f[side - 1](x, y), dtype=float) * w
         idx = space.element_unknowns(e, side)
         ok = idx >= 0
-        local = np.einsum("q,qld,qmd->lm", aw, grads, grads)
+        local = np.einsum("q,qdl,qdm->lm", aw, grads, grads)
         stiffness[np.ix_(idx[ok], idx[ok])] += local[np.ix_(ok, ok)]
         source[idx[ok]] += (vals.T @ fw)[ok]
     assert _rel(system.blocks["volume"].toarray(), stiffness) <= 1e-13
@@ -385,7 +385,7 @@ def test_batched_error_norms_match_element_loop(name, p):
     for e, side, x, y, w, vals, grads in _element_sides(space, top, pass_order(p, errors=True)):
         local = space.gather(coeffs, e, side)
         gx, gy = problem.exact_grad[side - 1](x, y)
-        guh = np.einsum("qld,l->qd", grads, local)
+        guh = np.einsum("qdl,l->qd", grads, local)
         aq = np.asarray(problem.a[side - 1](x, y), dtype=float)
         l2_sq += float(w @ (problem.exact[side - 1](x, y) - vals @ local) ** 2)
         h1_sq += float((w * aq) @ ((gx - guh[:, 0]) ** 2 + (gy - guh[:, 1]) ** 2))
@@ -469,7 +469,7 @@ def _one_group_per_side(plan, space, top, quad_order):
                     y=crule.points[None, :, 1],
                     w=crule.weights[None],
                     vals=basis.values(xi, eta)[None],
-                    grads=_T(basis.gradients(xi, eta) / half[None, None, :]).reshape(1, -1, basis.n_local),
+                    grads=(basis.gradients(xi, eta) / half[:, None])[None],
                     idx=space.element_unknowns(e, side)[None, :],
                 )
             )
@@ -545,10 +545,11 @@ def _side_matrices(basis, half, points, weights, centers) -> tuple:
     (E, q, 2) and weights (E, q), the element centres (E, 2) and half sizes."""
     ref = (points - centers[:, None, :]) / half
     vals = basis.values(ref[..., 0].ravel(), ref[..., 1].ravel()).reshape(ref.shape[:2] + (-1,))
-    grads = basis.gradients(ref[..., 0].ravel(), ref[..., 1].ravel()).reshape(vals.shape + (2,)) / half
+    grads = basis.gradients(ref[..., 0].ravel(), ref[..., 1].ravel()) / half[:, None]
+    grads = grads.reshape(ref.shape[:2] + grads.shape[1:])
     w = weights[..., None]
     mass = _T(vals) @ (w * vals)
-    return mass, sum(_T(grads[..., d]) @ (w * grads[..., d]) for d in (0, 1))
+    return mass, sum(_T(grads[..., d, :]) @ (w * grads[..., d, :]) for d in (0, 1))
 
 
 @pytest.mark.parametrize("which", ["circle-jump-8", "circle-jump-16", "seed1-ellipse-16"])
@@ -833,6 +834,12 @@ class _NonAffineLine(VerticalLine):
         t = np.asarray(t, dtype=float)
         return np.stack([np.zeros_like(t), (2.0 / 3.0) * np.log(2.0) * 2.0**t], axis=-1)
 
+    def coordinate(self, t, axis):
+        return self.point(t)[..., axis]
+
+    def tangent_coordinate(self, t, axis):
+        return self.tangent(t)[..., axis]
+
 
 class _LeavingLine(InterfaceCurve):
     """x = -1e-17 up to y = 0.1, then x = -1e-17 + (y - 0.1)^3 / 2: on the
@@ -854,12 +861,41 @@ class _LeavingLine(InterfaceCurve):
         return np.asarray(x, dtype=float) + 1e-17 - 0.5 * np.maximum(np.asarray(y, dtype=float) - 0.1, 0.0) ** 3
 
 
+class _AffineCoordinateLine(_NonAffineLine):
+    """``_NonAffineLine`` with ``VerticalLine``'s affine coordinates: its
+    coordinate(t, 1) is not point(t)[..., 1]."""
+
+    coordinate = VerticalLine.coordinate
+    tangent_coordinate = VerticalLine.tangent_coordinate
+
+
+@pytest.mark.parametrize("curve", [Circle(0.05, -0.1, 0.6), Ellipse(0.1, -0.05, 0.55, 0.35),
+                                   VerticalLine(0.1, -1.0, 1.0), _HorizontalLine(-0.25),
+                                   _NonAffineLine(), _LeavingLine()], ids=lambda c: type(c).__name__)
+def test_curve_coordinates_are_those_of_point_and_tangent(curve):
+    # classification brackets crossings on point() and refines them on
+    # coordinate() and tangent_coordinate(): the two must give the same floats
+    t = np.linspace(0.0, curve.period, 1001)
+    for axis in (0, 1):
+        assert curve.coordinate(t, axis).tobytes() == np.ascontiguousarray(curve.point(t)[..., axis]).tobytes()
+        assert curve.tangent_coordinate(t, axis).tobytes() == np.ascontiguousarray(curve.tangent(t)[..., axis]).tobytes()
+
+
+def test_classify_rejects_coordinates_that_disagree_with_point():
+    with pytest.raises(GeometryError, match=r"curve vline\(0.0\): coordinate\(t, 1\) differs from point"):
+        classify_elements(build_mesh(DOMAIN, 8, 8), _AffineCoordinateLine())
+
+
 @pytest.mark.parametrize("name", ["non-affine", "partial-edge"])
 def test_trace_pattern_needs_an_exact_rule_on_the_whole_edge(name):
     mesh = build_mesh(DOMAIN, 8, 8)
     if name == "non-affine":
-        top = classify_elements(mesh, _NonAffineLine())
+        curve = _NonAffineLine()
+        top = classify_elements(mesh, curve)
         qualifying, inexact = [], list(range(8))
+        # whole edges, ends on the grid lines: only the parametrisation disqualifies them
+        ends = curve.point(np.array([[s.t_lo, s.t_hi] for s in top.segments]))[..., 1]
+        assert np.abs(ends - (np.arange(8)[:, None] + [0, 1]) / 4 + 1).max() <= 1e-15
     else:
         # four whole edges below y = 0, then [0, 0.1] of the fifth, then cuts
         top = classify_elements(mesh, _LeavingLine())

@@ -18,10 +18,11 @@ from ipfem.cli import (
 )
 from ipfem.assembly import build_plan
 from ipfem.cases import DOMAIN, catalog
-from ipfem.errors import InsufficientData
+from ipfem.errors import InsufficientData, energy_norm_squared
 from ipfem.geometry import classify_elements
 from ipfem.mesh import build_mesh
 from ipfem.quadrature import pass_order
+from ipfem.solver import colamd_solve, solve
 
 from helpers import build_pipeline
 
@@ -155,6 +156,28 @@ def test_pivot_order_spread_is_small_where_the_system_is_well_conditioned(tmp_pa
     assert main(["run", "--case", "circle-jump", "--p", "1", "--nx", "8", "--check-spread", "--out", str(out)]) == 0
     (row,) = json.loads((out / "summary.json").read_text())["stats"]
     assert row["spread"] == spreads[0]
+
+
+def test_spread_is_the_energy_norm_of_the_pivot_order_difference(tmp_path):
+    # delta = ||x1 - x2||_E / ||x1||_E on circle-jump, SIP, nx = 8: the
+    # system is determined to round-off through p = 3, and not from p = 4
+    # (4.9e-7 at p = 4, 2.4e-6 at p = 6, where d^T E d is negative)
+    degrees = [1, 2, 3, 4, 6]
+    run_study(StudyConfig(case="circle-jump", method="sip", p_list=degrees, nx_list=[8],
+                          out_dir=str(tmp_path), check_spread=True))
+    stats = json.loads((tmp_path / "summary.json").read_text())["stats"]
+    delta = dict(zip(degrees, (row["spread"] for row in stats)))
+    assert all(0.0 <= delta[p] <= 1e-8 for p in (1, 2, 3)), delta
+    assert all(np.isfinite(delta[p]) and delta[p] > 1e-8 for p in (4, 6)), delta
+    # both norms as sums of squares at the error pass's nodes
+    case = catalog()["circle-jump"]
+    for p in (1, 4):
+        _, top, space, params, system = build_pipeline(case, p, 8)
+        x1 = solve(system).solution
+        d = x1 - colamd_solve(system).solution
+        want = np.sqrt(energy_norm_squared(space, top, case.problem, params, d)
+                       / energy_norm_squared(space, top, case.problem, params, x1))
+        assert delta[p] == pytest.approx(want, rel=1e-12)
 
 
 def test_byte_reproducibility(tmp_path):
