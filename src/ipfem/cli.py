@@ -97,20 +97,17 @@ def run_single(case: ManufacturedCase, method: str, p: int, nx: int,
 
 def _spread(space, topology, problem, system, solution, quad_extra: int) -> float:
     """Pivot-order spread of one run: delta = ||x1 - x2||_E / ||x1||_E in the
-    energy norm, x1 the run's ``solution`` and x2 the solution through
-    SuperLU's default COLAMD LU (``solver.colamd_solve``).  The residual
-    cannot show how much an ill-conditioned system's solution depends on the
-    pivot order; delta does, also for a run whose error is small.  The
-    numerator is ``energy_norm_squared`` of d = x1 - x2, a sum of squares at
-    the error pass's nodes, because d^T E d, E = volume + j0 + j1, is
-    round-off where x1 and x2 are large and close (negative at p = 6 on
-    circle-jump).  The denominator is x1^T E x1, which agrees with
-    ``energy_norm_squared(x1)`` to ~1e-9."""
-    diff = solution - colamd_solve(system).solution
-    diff_sq = energy_norm_squared(space, topology, problem, system.params, diff,
-                                  quad_order=pass_order(system.params.p, errors=True) + quad_extra)
-    energy = system.blocks["volume"] + system.blocks["j0"] + system.blocks["j1"]
-    return float(np.sqrt(diff_sq / (solution @ (energy @ solution))))
+    energy norm of ``energy_norm_squared``, x1 the run's ``solution`` and x2
+    the solution through SuperLU's default COLAMD LU
+    (``solver.colamd_solve``).  The residual cannot show how much an
+    ill-conditioned system's solution depends on the pivot order; delta does,
+    also for a run whose error is small.  Both norms are sums of squares at
+    the error pass's nodes: d^T E d, E = volume + j0 + j1, is round-off where
+    x1 and x2 are large and close (negative at p = 6 on circle-jump)."""
+    order = pass_order(system.params.p, errors=True) + quad_extra
+    diff_sq, norm_sq = (energy_norm_squared(space, topology, problem, system.params, x, quad_order=order)
+                        for x in (solution - colamd_solve(system).solution, solution))
+    return float(np.sqrt(diff_sq / norm_sq))
 
 
 def _run_stats(topology, space, system, report, spread=None) -> dict:

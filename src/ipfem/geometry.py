@@ -56,9 +56,9 @@ def _gauss_legendre(n: int):
 
 
 class InterfaceCurve:
-    """Base class; subclasses provide point/tangent/signed_distance, and may
-    provide coordinate/tangent_coordinate, one coordinate of each without the
-    other (by default picked from point/tangent)."""
+    """Base class; subclasses provide coordinate/tangent_coordinate and
+    signed_distance.  point/tangent stack the two coordinates, so both
+    parametrisations give the same floats."""
 
     name = "curve"
     closed = True
@@ -66,19 +66,19 @@ class InterfaceCurve:
     curvature_bound = 0.0
     length_scale = 1.0
 
-    def point(self, t):
-        raise NotImplementedError
-
-    def tangent(self, t):
-        raise NotImplementedError
-
     def coordinate(self, t, axis: int):
-        """Coordinate ``axis`` (0: x, 1: y) of r(t), the floats of point(t)[..., axis]."""
-        return self.point(t)[..., axis]
+        """Coordinate ``axis`` (0: x, 1: y) of r(t)."""
+        raise NotImplementedError
 
     def tangent_coordinate(self, t, axis: int):
-        """Coordinate ``axis`` of r'(t), the floats of tangent(t)[..., axis]."""
-        return self.tangent(t)[..., axis]
+        """Coordinate ``axis`` of r'(t)."""
+        raise NotImplementedError
+
+    def point(self, t):
+        return np.stack([self.coordinate(t, 0), self.coordinate(t, 1)], axis=-1)
+
+    def tangent(self, t):
+        return np.stack([self.tangent_coordinate(t, 0), self.tangent_coordinate(t, 1)], axis=-1)
 
     def signed_distance(self, x, y):
         """Approximate signed distance, negative on side 1."""
@@ -128,12 +128,6 @@ class Circle(InterfaceCurve):
         self.curvature_bound = 1.0 / radius
         self.length_scale = radius
 
-    def point(self, t):
-        return np.stack([self.coordinate(t, 0), self.coordinate(t, 1)], axis=-1)
-
-    def tangent(self, t):
-        return np.stack([self.tangent_coordinate(t, 0), self.tangent_coordinate(t, 1)], axis=-1)
-
     def coordinate(self, t, axis: int):
         t = np.asarray(t, dtype=float)
         return self.center[0] + self.radius * np.cos(t) if axis == 0 else self.center[1] + self.radius * np.sin(t)
@@ -164,12 +158,6 @@ class Ellipse(InterfaceCurve):
         self.period = 2.0 * np.pi
         self.curvature_bound = max(a / b**2, b / a**2)
         self.length_scale = min(a, b)
-
-    def point(self, t):
-        return np.stack([self.coordinate(t, 0), self.coordinate(t, 1)], axis=-1)
-
-    def tangent(self, t):
-        return np.stack([self.tangent_coordinate(t, 0), self.tangent_coordinate(t, 1)], axis=-1)
 
     def coordinate(self, t, axis: int):
         t = np.asarray(t, dtype=float)
@@ -210,12 +198,6 @@ class VerticalLine(InterfaceCurve):
         self.period = y_hi - y_lo
         self.curvature_bound = 0.0
         self.length_scale = y_hi - y_lo
-
-    def point(self, t):
-        return np.stack([self.coordinate(t, 0), self.coordinate(t, 1)], axis=-1)
-
-    def tangent(self, t):
-        return np.stack([self.tangent_coordinate(t, 0), self.tangent_coordinate(t, 1)], axis=-1)
 
     def coordinate(self, t, axis: int):
         t = np.asarray(t, dtype=float)
@@ -578,11 +560,10 @@ def classify_elements(mesh: Mesh, curve: InterfaceCurve, cut_threshold: float = 
     bracketed, and UnresolvedTopology for interior loops (also one touching
     its element's boundary), curves leaving the domain, or an open curve that
     does not end on the domain boundary; all but the last indicate the mesh
-    is too coarse for the curve.  A curve whose ``coordinate`` disagrees with
-    its ``point`` at the samples raises GeometryError before any of these.
-    The per-interval tests (an edge-aligned interval running along the
-    domain boundary, an interval leaving its element) come first, and where
-    several intervals fail them the first in t raises.  The whole-curve checks follow in this order: part of the curve
+    is too coarse for the curve.  The per-interval tests (an edge-aligned
+    interval running along the domain boundary, an interval leaving its
+    element) come first, and where several intervals fail them the first in
+    t raises.  The whole-curve checks follow in this order: part of the curve
     outside the domain, a closed curve crossing no mesh line, a closed curve
     left with one host, a host met twice, a host with every corner on the
     curve, and the ends of an open curve.
@@ -597,11 +578,6 @@ def classify_elements(mesh: Mesh, curve: InterfaceCurve, cut_threshold: float = 
     n_samp = int(min(max(1024, 16 * arclen / min_side), 2**18))
     ts = np.linspace(0.0, curve.period, n_samp, endpoint=not curve.closed)
     pts = curve.point(ts)
-    # the crossings are bracketed on point() and refined on coordinate()
-    for axis in (0, 1):
-        gap = float(np.max(np.abs(curve.coordinate(ts, axis) - pts[:, axis])))
-        if not gap <= 1e-12 * max(1.0, curve.length_scale):
-            raise GeometryError(f"curve {curve.name}: coordinate(t, {axis}) differs from point(t) by {gap:.3g}")
 
     xtol = max(1e-14 * mesh.h / smin, 8 * np.finfo(float).eps * curve.period)
     tol_edge = 1e-10 * mesh.h

@@ -27,7 +27,7 @@ from ipfem.assembly import (
 from ipfem.cases import DOMAIN, catalog
 from ipfem.errors import _squared_parts, compute_errors, energy_norm_squared
 from ipfem.fe_space import build_dof_map, build_doubled_space
-from ipfem.geometry import Circle, Ellipse, GeometryError, InterfaceCurve, InterfaceSegment, VerticalLine, classify_elements
+from ipfem.geometry import Circle, Ellipse, InterfaceCurve, InterfaceSegment, VerticalLine, classify_elements
 from ipfem.mesh import Rectangle, build_mesh, element_map
 from ipfem.quadrature import cut_cell_rule, cut_order, pass_order, segment_npoints, segment_rule, tensor_gauss
 
@@ -770,13 +770,13 @@ class _HorizontalLine(InterfaceCurve):
     def __init__(self, y0):
         self.y0 = y0
 
-    def point(self, t):
+    def coordinate(self, t, axis):
         t = np.asarray(t, dtype=float)
-        return np.stack([-1.0 + t, np.full_like(t, self.y0)], axis=-1)
+        return -1.0 + t if axis == 0 else np.full_like(t, self.y0)
 
-    def tangent(self, t):
+    def tangent_coordinate(self, t, axis):
         t = np.asarray(t, dtype=float)
-        return np.stack([np.ones_like(t), np.zeros_like(t)], axis=-1)
+        return np.ones_like(t) if axis == 0 else np.zeros_like(t)
 
     def signed_distance(self, x, y):
         return self.y0 - np.asarray(y, dtype=float) + 0.0 * np.asarray(x)
@@ -826,19 +826,13 @@ class _NonAffineLine(VerticalLine):
     def __init__(self):
         super().__init__(0.0, -1.0, 1.0)
 
-    def point(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.stack([np.zeros_like(t), (2.0 / 3.0) * (2.0**t - 1.0) - 1.0], axis=-1)
-
-    def tangent(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.stack([np.zeros_like(t), (2.0 / 3.0) * np.log(2.0) * 2.0**t], axis=-1)
-
     def coordinate(self, t, axis):
-        return self.point(t)[..., axis]
+        t = np.asarray(t, dtype=float)
+        return np.zeros_like(t) if axis == 0 else (2.0 / 3.0) * (2.0**t - 1.0) - 1.0
 
     def tangent_coordinate(self, t, axis):
-        return self.tangent(t)[..., axis]
+        t = np.asarray(t, dtype=float)
+        return np.zeros_like(t) if axis == 0 else (2.0 / 3.0) * np.log(2.0) * 2.0**t
 
 
 class _LeavingLine(InterfaceCurve):
@@ -849,24 +843,16 @@ class _LeavingLine(InterfaceCurve):
 
     closed, period, length_scale, name = False, 2.0, 2.0, "leaving"
 
-    def point(self, t):
+    def coordinate(self, t, axis):
         y = -1.0 + np.asarray(t, dtype=float)
-        return np.stack([-1e-17 + 0.5 * np.maximum(y - 0.1, 0.0) ** 3, y], axis=-1)
+        return -1e-17 + 0.5 * np.maximum(y - 0.1, 0.0) ** 3 if axis == 0 else y
 
-    def tangent(self, t):
+    def tangent_coordinate(self, t, axis):
         y = -1.0 + np.asarray(t, dtype=float)
-        return np.stack([1.5 * np.maximum(y - 0.1, 0.0) ** 2, np.ones_like(y)], axis=-1)
+        return 1.5 * np.maximum(y - 0.1, 0.0) ** 2 if axis == 0 else np.ones_like(y)
 
     def signed_distance(self, x, y):
         return np.asarray(x, dtype=float) + 1e-17 - 0.5 * np.maximum(np.asarray(y, dtype=float) - 0.1, 0.0) ** 3
-
-
-class _AffineCoordinateLine(_NonAffineLine):
-    """``_NonAffineLine`` with ``VerticalLine``'s affine coordinates: its
-    coordinate(t, 1) is not point(t)[..., 1]."""
-
-    coordinate = VerticalLine.coordinate
-    tangent_coordinate = VerticalLine.tangent_coordinate
 
 
 @pytest.mark.parametrize("curve", [Circle(0.05, -0.1, 0.6), Ellipse(0.1, -0.05, 0.55, 0.35),
@@ -879,11 +865,6 @@ def test_curve_coordinates_are_those_of_point_and_tangent(curve):
     for axis in (0, 1):
         assert curve.coordinate(t, axis).tobytes() == np.ascontiguousarray(curve.point(t)[..., axis]).tobytes()
         assert curve.tangent_coordinate(t, axis).tobytes() == np.ascontiguousarray(curve.tangent(t)[..., axis]).tobytes()
-
-
-def test_classify_rejects_coordinates_that_disagree_with_point():
-    with pytest.raises(GeometryError, match=r"curve vline\(0.0\): coordinate\(t, 1\) differs from point"):
-        classify_elements(build_mesh(DOMAIN, 8, 8), _AffineCoordinateLine())
 
 
 @pytest.mark.parametrize("name", ["non-affine", "partial-edge"])
