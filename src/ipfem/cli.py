@@ -2,7 +2,9 @@
 machine-readable outputs.
 
 The run subcommand sweeps (p, nx) for one case and method, writes one CSV row
-per run plus a per-p rate summary, and exits nonzero if any run failed.  All
+per run plus a per-p rate summary, and exits nonzero if any run failed.  With
+``--max-delta X`` a run whose pivot-order spread delta exceeds X (see
+``_spread``) is a failure too; its row is still written.  All
 outputs are plain text with fixed formatting, so identical configurations
 produce byte-identical files.
 """
@@ -46,6 +48,7 @@ class StudyConfig:
     dump_matrix: bool = False
     dump_quadrature: bool = False
     cut_threshold: float = 1e-12
+    max_delta: float | None = None  # the largest spread a row may have; implies check_spread
 
     def __post_init__(self):
         if self.method not in ("sip", "nip"):
@@ -54,6 +57,11 @@ class StudyConfig:
             raise InsufficientData("empty p list")
         if not self.nx_list:
             raise InsufficientData("empty nx list")
+        if self.max_delta is not None:
+            self.max_delta = float(self.max_delta)
+            if not 0.0 <= self.max_delta < float("inf"):
+                raise ValueError(f"max_delta must be finite and nonnegative, got {self.max_delta!r}")
+            self.check_spread = True
 
 
 def default_penalties(method: str, case: ManufacturedCase):
@@ -103,10 +111,11 @@ def _spread(space, topology, problem, system, solution, quad_extra: int) -> floa
     ill-conditioned system's solution depends on the pivot order; delta does,
     also for a run whose error is small.  Both norms are sums of squares at
     the error pass's nodes: d^T E d, E = volume + j0 + j1, is round-off where
-    x1 and x2 are large and close (negative at p = 6 on circle-jump)."""
+    x1 and x2 are large and close (negative at p = 6 on circle-jump).  Both
+    are measured over one plan of the error pass."""
     order = pass_order(system.params.p, errors=True) + quad_extra
-    diff_sq, norm_sq = (energy_norm_squared(space, topology, problem, system.params, x, quad_order=order)
-                        for x in (solution - colamd_solve(system).solution, solution))
+    diff_sq, norm_sq = energy_norm_squared(space, topology, problem, system.params,
+                                           [solution - colamd_solve(system).solution, solution], quad_order=order)
     return float(np.sqrt(diff_sq / norm_sq))
 
 
@@ -172,6 +181,11 @@ def run_study(config: StudyConfig) -> StudyResult:
             except Exception as exc:  # noqa: BLE001 - annotate and keep sweeping
                 result.failures.append((config.case, p, nx, f"{type(exc).__name__}: {exc}"))
                 continue
+            if config.max_delta is not None and not spread <= config.max_delta:
+                # the row is still written, as every figure of it was
+                # computed, but its solution depends on the pivot order
+                result.failures.append((config.case, p, nx, f"Undetermined: delta {_fmt(spread)} "
+                                                             f"exceeds max_delta {_fmt(config.max_delta)}"))
             row = ",".join(
                 [
                     config.case,
@@ -255,6 +269,7 @@ def _write_summary(path: Path, config: StudyConfig, gamma0, gamma1, result: Stud
             "quad_extra": config.quad_extra,
             "seed": config.seed,
             "cut_threshold": config.cut_threshold,
+            **({} if config.max_delta is None else {"max_delta": config.max_delta}),
         },
         "rows": result.rows,
         "condition_estimate": result.condition_estimates,
@@ -359,6 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out")
     run.add_argument("--estimate-cond", action="store_true", default=None)
     run.add_argument("--check-spread", action="store_true", default=None)
+    run.add_argument("--max-delta", type=float, help="fail a row whose pivot-order spread exceeds this; "
+                                                     "implies --check-spread")
     run.add_argument("--dump-matrix", action="store_true", default=None)
     run.add_argument("--dump-quadrature", action="store_true", default=None)
     run.add_argument("--cut-threshold", type=float)
@@ -409,6 +426,7 @@ def _config_from_args(args) -> StudyConfig:
         out_dir=pick(args.out, "out", "study-out"),
         estimate_cond=bool(pick(args.estimate_cond, "estimate_cond", False)),
         check_spread=bool(pick(args.check_spread, "check_spread", False)),
+        max_delta=pick(args.max_delta, "max_delta", None),
         dump_matrix=bool(pick(args.dump_matrix, "dump_matrix", False)),
         dump_quadrature=bool(pick(args.dump_quadrature, "dump_quadrature", False)),
         cut_threshold=float(pick(args.cut_threshold, "cut_threshold", 1e-12)),

@@ -188,14 +188,21 @@ def energy_norm_squared(
     params: PenaltyParams,
     coeffs: np.ndarray,
     quad_order: int | None = None,
-) -> float:
+):
     """Energy norm squared of a discrete function, measured like the error of
     ``compute_errors`` against a zero exact pair: broken weighted gradient
-    energy plus both penalty terms."""
+    energy plus both penalty terms.  ``coeffs`` is one coefficient vector,
+    which gives one float, or a sequence of them (a 2-D array), which gives
+    a list of floats, one per vector, all measured over one plan."""
     if quad_order is None:
         quad_order = pass_order(params.p, errors=True)
-    parts = _squared_parts(build_plan(space, topology, quad_order, params.p), problem, params, coeffs, exact=False)
-    return parts["h1"] + parts["j0"] + parts["j1"]
+    plan = build_plan(space, topology, quad_order, params.p)
+    many = np.ndim(coeffs) == 2
+    values = []
+    for c in coeffs if many else [coeffs]:
+        parts = _squared_parts(plan, problem, params, c, exact=False)
+        values.append(parts["h1"] + parts["j0"] + parts["j1"])
+    return values if many else values[0]
 
 
 @dataclass

@@ -15,12 +15,15 @@ its cubic fields by one product with the monomial tables of the nodes; each
 inverse-trace constant comes from a batched QR factor of the region's
 weighted basis table, one triangular solve and the largest singular value
 (see ``probe_inverse_trace``).  A Rayleigh quotient is reduced exactly to
-the unknowns of the segment hosts: one LU per topology for the volume Schur
-complement, then one RFP Cholesky (a Cholesky factor in rectangular full
-packed storage) and one standard-mode Lanczos run per penalty point (see
-``_point_quotient``).  The Schur complement's correction V_IR V_RR^(-1) V_RI
-is formed one block of b = ``BLOCK_ENTRIES // |R|`` columns at a time, so
-its dense work arrays take O(|R| b) memory, not O(|R| |I|) (see
+the unknowns I of the segment hosts: one LU per topology for the volume
+Schur correction X, dense but only on the unknowns T of I that the volume
+couples to the rest R, then one Cholesky factor and one standard-mode
+Lanczos run per penalty point (see ``_point_quotient``).  The reduced Gram
+matrix is sparse off T x T, so it is factored in arrowhead order: a band
+Cholesky of the other unknowns U in reverse Cuthill-McKee order, then a
+dense Cholesky of the T corner (``_arrow_cholesky``).  X = V_TR V_RR^(-1)
+V_RT is formed one block of b = ``BLOCK_ENTRIES // |R|`` columns at a time,
+so its dense work arrays take O(|R| b) memory, not O(|R| |T|) (see
 ``_volume_schur``).
 """
 
@@ -211,11 +214,12 @@ def probe_coercivity(system_builder, gamma0_values, gamma1_values, seed: int = 0
 
     Returns {(gamma0, gamma1): quotient}; nonpositive quotients are reported,
     not raised, and -inf where the penalties leave the Gram matrix singular
-    (``_point_quotient``).  Each point costs one RFP Cholesky and one standard-mode
+    (``_point_quotient``).  Each point costs one arrowhead Cholesky factor (a
+    band and a dense corner, ``_arrow_cholesky``) and one standard-mode
     Lanczos run (at most ``LANCZOS_MAXITER`` restarts, tolerance
     ``LANCZOS_TOL``, start vector from ``seed``) on the interface unknowns;
-    the volume Schur complement is kept while the volume block and those
-    unknowns stay the same.
+    the volume Schur correction and the factor's layout are kept while the
+    volume block, those unknowns and the jumps' pattern stay the same.
     """
     out = {}
     kept = None
@@ -228,23 +232,28 @@ def probe_coercivity(system_builder, gamma0_values, gamma1_values, seed: int = 0
 
 def _point_quotient(system, kept=None, seed=0):
     """Leftmost eigenvalue of the pencil (A + s, G + s), G = volume + j0 + j1,
-    s = REGULARIZATION * diag(G), and the lower triangle of S_V in RFP
-    positions (``_rfp_lower``) with its key (I and the volume block's CSR
-    arrays) to pass as ``kept`` to the next point.
+    s = REGULARIZATION * diag(G), and what to pass as ``kept`` to the next
+    point: the key (I, the volume block's CSR arrays and the pattern of
+    (j0 + j1)_II) with the arrowhead layout of S and the penalty-free part of
+    S in it (``_arrow_parts``).
 
     A sliver or a zero penalty weight leaves G singular to round-off; a shift
     of G alone would make its near-null vectors spurious large negative
     quotients, shifting both maps them near 1.  C = A - G, free of the shift,
-    is stored (with j0 + j1) only on the unknowns I of the segment hosts, so
-    the quotient is 1 if I is empty, else min(1, 1 + mu) for the leftmost mu
-    of C_II y = mu S y, with S the Schur complement of G + s onto I:
-    S_V (``_volume_schur``) + (j0 + j1)_II + s_I.  One RFP Cholesky
-    S = L L^T (``_packed_cholesky``) turns the pencil into the standard
-    problem for L^(-1) C_II L^(-T), so one standard-mode Lanczos run, with no
-    M and no shift, finds mu (Lehoucq, Sorensen and Yang, ARPACK Users'
-    Guide, SIAM 1998, section 3.2).  When mu < 0 and the shift holds more
-    than ``SINGULAR_SHARE`` of v^T S v at its Ritz vector v, G itself is
-    singular on v, as with gamma0 = 0, and the quotient is -inf.
+    is taken from the assembled matrix, not from its interface block, so the
+    probe measures the matrix that is solved.  It is stored (with j0 + j1)
+    only on the unknowns I of the segment hosts, so the quotient is 1 if I is
+    empty, else min(1, 1 + mu) for the leftmost mu of C_II y = mu S y, with
+    S the Schur complement of G + s onto I: S_V + (j0 + j1)_II + s_I,
+    S_V = V_II - X on the unknowns T of I that the volume couples to the
+    rest (``_volume_schur``).  One Cholesky factor P S P^T = L L^T in the
+    arrowhead order P (``_arrow_cholesky``) turns the pencil into the
+    standard problem for L^(-1) P C_II P^T L^(-T), so one standard-mode
+    Lanczos run, with no M and no shift, finds mu (Lehoucq, Sorensen and
+    Yang, ARPACK Users' Guide, SIAM 1998, section 3.2).  When mu < 0 and the
+    shift holds more than ``SINGULAR_SHARE`` of v^T S v at its Ritz vector
+    v, G itself is singular on v, as with gamma0 = 0, and the quotient is
+    -inf.
     """
     volume = system.blocks["volume"]
     jumps = system.blocks["j0"] + system.blocks["j1"]
@@ -257,13 +266,17 @@ def _point_quotient(system, kept=None, seed=0):
     iface = np.flatnonzero(on_interface)
     if iface.size == 0:
         return 1.0, None
-    key = (iface, volume.indptr, volume.indices, volume.data)
-    if kept is None or not all(np.array_equal(a, b) for a, b in zip(kept[0], key)):
-        kept = (key, _rfp_lower(_volume_schur(volume, on_interface)))
     c_ii, jumps = (_restricted(block, iface) for block in (consistency, jumps))
+    key = (iface, volume.indptr, volume.indices, volume.data, jumps.indptr, jumps.indices)
+    if kept is None or not all(np.array_equal(a, b) for a, b in zip(kept[0], key)):
+        kept = (key, *_arrow_parts(volume, on_interface, jumps))
+    _, arrow, base, (sel, at), diagonal = kept
     shift = REGULARIZATION * (volume.diagonal()[iface] + jumps.diagonal())
+    entries = base.copy()
+    entries[at] += jumps.data[sel]
+    entries[diagonal] += shift
+    forward, backward = _arrow_cholesky(arrow, entries)
     m = iface.size
-    forward, backward = _packed_cholesky(m, kept[1], _rfp_lower(jumps), _rfp_lower(sp.diags(shift)))
     try:
         mu, y = spla.eigsh(
             spla.LinearOperator((m, m), matvec=lambda x: forward(c_ii @ backward(x)), dtype=float),
@@ -292,96 +305,194 @@ def _restricted(block, iface) -> sp.csr_matrix:
                          shape=(iface.size,) * 2)
 
 
-def _rfp_lower(matrix) -> tuple:
-    """Positions in the RFP array of ``_packed_cholesky`` and values of the
-    lower-triangle entries of the square sparse ``matrix``."""
-    lower = sp.tril(matrix).tocoo()
-    k = (lower.shape[0] + 1) // 2
-    i, j = lower.row.astype(np.int64), lower.col.astype(np.int64)
-    return np.where(j < k, j + (i + 1) * k, (i - k) + (j - k) * k), lower.data
+@dataclass(frozen=True)
+class _Arrow:
+    """Arrowhead layout of a symmetric matrix on m unknowns (George and Liu,
+    Computer Solution of Large Sparse Positive Definite Systems, 1981): the
+    unknowns U of a sparse block first, in reverse Cuthill-McKee order with
+    lower bandwidth ``kd``, then the unknowns T of a dense corner; ``order``
+    maps each position to its unknown.  The lower triangle in that order is
+    one flat array of entries: the U block in LAPACK lower band storage,
+    (kd + 1) x |U|, then the T x U block as its transpose |U| x |T|, then
+    the T block |T| x |T|, each in Fortran order."""
+    order: np.ndarray
+    nu: int
+    kd: int
+
+    @property
+    def nt(self) -> int:
+        return self.order.size - self.nu
+
+    @property
+    def sizes(self) -> tuple:
+        return (self.kd + 1) * self.nu, self.nu * self.nt, self.nt * self.nt
+
+    def views(self, entries) -> tuple:
+        """The band, U x T and T x T blocks of the flat ``entries``, as
+        Fortran-ordered views."""
+        nb, nut, _ = self.sizes
+        return (entries[:nb].reshape((self.kd + 1, self.nu), order="F"),
+                entries[nb:nb + nut].reshape((self.nu, self.nt), order="F"),
+                entries[nb + nut:].reshape((self.nt, self.nt), order="F"))
+
+    def positions(self, block) -> tuple:
+        """The stored entries of the square CSR ``block`` that lie in the
+        lower triangle of the arrowhead order, as a mask, and their positions
+        in the flat entries."""
+        a, b = _ranks(self.order, block)
+        sel = a >= b
+        a, b = a[sel], b[sel]
+        nb, nut, _ = self.sizes
+        nu, nt = self.nu, self.nt
+        pos = np.where(a < nu, (a - b) + b * (self.kd + 1),
+                       np.where(b < nu, nb + b + (a - nu) * nu, nb + nut + (a - nu) + (b - nu) * nt))
+        return sel, pos
 
 
-def _packed_cholesky(m, *parts):
-    """The half-solves x -> L^(-1) x and x -> L^(-T) x of the symmetric
-    positive definite S = L L^T of order m, the sum of the ``_rfp_lower``
-    parts, factored by LAPACK's ``dpftrf`` in rectangular full packed storage
-    (Gustavson, Wasniewski, Dongarra and Langou, ACM TOMS 37(2), 2010):
-    n (n + 1) / 2 doubles, n the order rounded up to even by one decoupled
-    unit unknown.  With transr = "T", uplo = "L" and k = n / 2, the array
-    read as k x (n + 1) in Fortran order holds L22 (lower) in columns
-    [0, k), L11^T (upper) in [1, k + 1) and L21^T in [k + 1, n + 1), and
-    the lower-triangle entry (i, j) of S at j + (i + 1) k if j < k, else at
-    (i - k) + (j - k) k; each half-solve is two ``dtrsv`` and one ``dgemv``
-    on views of it, with no copy.  The parts are added in their order, each
-    without repeated positions.  An S that does not factor raises
-    ``ProbeError``."""
-    n = m + m % 2
-    k = n // 2
-    packed = np.zeros(n * (n + 1) // 2)
-    for at, values in parts:
-        packed[at] += values
-    if n > m:
-        packed[(m - k) * (k + 1)] = 1.0  # the pad's diagonal entry (m, m)
-    packed, info = lapack.dpftrf(n, packed, transr="T", uplo="L", overwrite_a=1)
-    if info > 0:
-        raise ProbeError(f"the Gram matrix on the interface unknowns is not positive definite "
-                         f"(leading minor {info})")
-    packed = packed.reshape((k, n + 1), order="F")
-    l22, l11t, l21t = packed[:, :k], packed[:, 1:k + 1], packed[:, k + 1:]
-    work = np.zeros(n)
-    head, tail = work[:k], work[k:]
+def _arrow_layout(blocks, corner) -> _Arrow:
+    """The arrowhead layout of the union of the patterns of the square CSR
+    ``blocks``, with the sorted unknowns ``corner`` last."""
+    m = blocks[0].shape[0]
+    pattern = sum(sp.csr_matrix((np.ones(b.indices.size), b.indices, b.indptr), shape=(m, m)) for b in blocks)
+    band = np.setdiff1d(np.arange(m), corner)
+    order = np.concatenate([band[_reverse_cuthill_mckee(pattern[band][:, band].tocsr())], corner])
+    a, b = _ranks(order, pattern)
+    inside = (a < band.size) & (b < band.size)
+    return _Arrow(order=order, nu=band.size, kd=int(np.abs(a - b)[inside].max(initial=0)))
 
-    def forward(x):  # L y = x
-        work[:m] = x
-        blas.dtrsv(l11t, head, trans=1, overwrite_x=1)
-        blas.dgemv(-1.0, l21t, head, beta=1.0, y=tail, trans=1, overwrite_y=1)
-        blas.dtrsv(l22, tail, lower=1, overwrite_x=1)
-        return work[:m].copy()
 
-    def backward(x):  # L^T y = x
-        work[:m] = x
-        blas.dtrsv(l22, tail, lower=1, trans=1, overwrite_x=1)
-        blas.dgemv(-1.0, l21t, tail, beta=1.0, y=head, overwrite_y=1)
-        blas.dtrsv(l11t, head, overwrite_x=1)
-        return work[:m].copy()
+def _reverse_cuthill_mckee(pattern) -> np.ndarray:
+    """Reverse Cuthill-McKee order of the symmetric CSR ``pattern``: a
+    breadth-first search from an unvisited vertex of least degree, each
+    vertex's new neighbours by increasing degree, reversed (George and Liu,
+    1981, section 4.3).  A Python loop over the vertices, as it runs once per
+    topology on a few hundred of them; scipy.sparse.csgraph's version costs
+    0.8 MiB of resident memory to import."""
+    degree = np.diff(pattern.indptr)
+    seen = np.zeros(degree.size, dtype=bool)
+    order = []
+    for start in np.argsort(degree, kind="stable"):
+        if seen[start]:
+            continue
+        seen[start] = True
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            vertex = order[head]
+            head += 1
+            new = pattern.indices[pattern.indptr[vertex]:pattern.indptr[vertex + 1]]
+            new = new[~seen[new]]
+            seen[new] = True
+            order.extend(new[np.argsort(degree[new], kind="stable")].tolist())
+    return np.array(order[::-1], dtype=np.int64)
+
+
+def _ranks(order, block) -> tuple:
+    """The positions in ``order`` of the row and of the column of each stored
+    entry of the square CSR ``block``."""
+    at = np.empty(order.size, dtype=np.int64)
+    at[order] = np.arange(order.size)
+    return at[np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))], at[block.indices]
+
+
+def _arrow_parts(volume, on_interface, jumps) -> tuple:
+    """The arrowhead layout of S on I with T last (``_volume_schur``), the
+    flat entries of its penalty-free part V_II - X, the positions of the
+    restricted ``jumps`` (``_Arrow.positions``) and those of the diagonal
+    in the order of I."""
+    iface = np.flatnonzero(on_interface)
+    touched, x = _volume_schur(volume, on_interface)
+    v_ii = volume[iface][:, iface]
+    arrow = _arrow_layout((v_ii, jumps), touched)
+    base = np.zeros(sum(arrow.sizes))
+    sel, at = arrow.positions(v_ii)
+    base[at] = v_ii.data[sel]
+    arrow.views(base)[2][...] -= x  # the lower triangle holds S_V's T block; the rest is not read
+    diagonal = arrow.positions(sp.identity(iface.size, format="csr"))[1]
+    return arrow, base, arrow.positions(jumps), diagonal
+
+
+def _arrow_cholesky(arrow: _Arrow, entries):
+    """The half-solves x -> L^(-1) P x and y -> P^T L^(-T) y of the
+    symmetric positive definite matrix whose lower triangle in the ``arrow``
+    order P are the flat ``entries``, with P S P^T = L L^T, factored in
+    place: LAPACK's band Cholesky ``dpbtrf`` of the U block, Y = L_UU^(-1)
+    S_UT by ``dtbtrs``, and ``dpotrf`` of the dense corner S_TT - Y^T Y
+    (``dsyrk``).  L is [[L_UU, 0], [Y^T, L_TT]], so each half-solve is one
+    ``dtbsv``, one ``dgemv`` and one ``dtrsv`` on views of the entries, with
+    no copy.  A matrix that does not factor raises ``ProbeError``."""
+    band, ut, tt = arrow.views(entries)
+    nu, nt, kd = arrow.nu, arrow.nt, arrow.kd
+
+    def definite(info, offset):
+        if info > 0:
+            raise ProbeError(f"the Gram matrix on the interface unknowns is not positive definite "
+                             f"(leading minor {offset + info})")
+
+    if nu:
+        band, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+        definite(info, 0)
+    if nt:
+        if nu:
+            ut, _ = lapack.dtbtrs(band, ut, uplo="L", overwrite_b=1)
+            tt = blas.dsyrk(-1.0, ut, beta=1.0, c=tt, trans=1, lower=1, overwrite_c=1)
+        tt, info = lapack.dpotrf(tt, lower=1, overwrite_a=1, clean=0)
+        definite(info, nu)
+    order = arrow.order
+    work = np.zeros(order.size)
+    head, tail = work[:nu], work[nu:]
+
+    def forward(x):  # L y = P x
+        np.take(x, order, out=work)
+        if nu:
+            blas.dtbsv(kd, band, head, lower=1, overwrite_x=1)
+        if nt:
+            if nu:
+                blas.dgemv(-1.0, ut, head, beta=1.0, y=tail, trans=1, overwrite_y=1)
+            blas.dtrsv(tt, tail, lower=1, overwrite_x=1)
+        return work.copy()
+
+    def backward(y):  # L^T P x = y
+        work[:] = y
+        if nt:
+            blas.dtrsv(tt, tail, lower=1, trans=1, overwrite_x=1)
+            if nu:
+                blas.dgemv(-1.0, ut, tail, beta=1.0, y=head, overwrite_y=1)
+        if nu:
+            blas.dtbsv(kd, band, head, lower=1, trans=1, overwrite_x=1)
+        x = np.empty_like(work)
+        x[order] = work
+        return x
 
     return forward, backward
 
 
-def _volume_schur(volume, on_interface):
-    """S_V = V_II - V_IR V_RR^(-1) V_RI from one LU of V_RR, shifted as G is
-    and Jacobi-scaled; V_RR is definite, as no nonzero constant vanishes on
-    every segment host.  Only the columns of I that V_RI touches are solved
-    for, one block of b = ``BLOCK_ENTRIES // |R|`` columns (at least
-    one) at a time, so the dense work arrays take O(|R| b) memory, and b
-    shrinks as the mesh grows; each block keeps only the nonzero entries of
-    its correction columns, and the CSR is built once from all of them.
-    V never couples the two copies, so the solves keep exact zeros across
-    them and the correction is block-diagonal."""
+def _volume_schur(volume, on_interface) -> tuple:
+    """The positions T in I of the interface unknowns that V_RI touches, and
+    the dense correction X = V_TR V_RR^(-1) V_RT, so that the volume Schur
+    complement is S_V = V_II - X on T x T and V_II elsewhere.  One LU of
+    V_RR, shifted as G is and Jacobi-scaled; V_RR is definite, as no nonzero
+    constant vanishes on every segment host.  X is solved for one block of
+    b = ``BLOCK_ENTRIES // |R|`` columns (at least one) at a time, so the
+    dense work arrays take O(|R| b) memory, and b shrinks as the mesh grows.
+    V never couples the two copies, so X is block-diagonal by copy."""
     iface, rest = np.flatnonzero(on_interface), np.flatnonzero(~on_interface)
-    v_i, v_r = volume[iface], volume[rest]  # the rows of I and of R
+    v_r = volume[rest]  # the rows of R
     v_rr = v_r[:, rest]
     v_ri = v_r[:, iface].tocsc()
     touched = np.flatnonzero(np.diff(v_ri.indptr))
     v_rr = v_rr + sp.diags(REGULARIZATION * v_rr.diagonal())
     d = 1.0 / np.sqrt(v_rr.diagonal())
     lu = factor(diagonal_scale(v_rr, d).tocsc())
-    v_ir = v_i[touched][:, rest]
-    rows, cols, vals = [], [], []
+    v_tr = volume[iface[touched]][:, rest]
+    x = np.empty((touched.size,) * 2)
     for at in _blocks(touched.size, rest.size):
-        block = touched[at]
-        x = v_ri[:, block].toarray()
-        x *= d[:, None]
-        x = lu.solve(x)  # V_RR^(-1) V_RI, scaled in place on both sides
-        x *= d[:, None]
-        corr = v_ir @ x
-        r, c = np.nonzero(corr)
-        rows.append(touched[r])
-        cols.append(block[c])
-        vals.append(corr[r, c])
-    corr = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(iface.size,) * 2)
-    return v_i[:, iface] - corr
+        cols = v_ri[:, touched[at]].toarray()
+        cols *= d[:, None]
+        cols = lu.solve(cols)  # V_RR^(-1) V_RT, scaled in place on both sides
+        cols *= d[:, None]
+        x[:, at] = v_tr @ cols
+    return touched, x
 
 
 def probe_G(topology: CutTopology, samples_per_segment: int = 64) -> ProbeReport:

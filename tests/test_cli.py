@@ -180,6 +180,29 @@ def test_spread_is_the_energy_norm_of_the_pivot_order_difference(tmp_path):
         assert delta[p] == pytest.approx(want, rel=1e-12)
 
 
+def test_max_delta_fails_the_undetermined_rows(tmp_path):
+    # circle-jump, SIP, nx = 8 at X = 1e-8: p = 1-3 pass, while p = 4 and
+    # p = 6 fail (delta 4.9e-7 and 2.4e-6); the gate adds failures and the
+    # exit code, and every row is still written
+    plain, gated = tmp_path / "plain", tmp_path / "gated"
+    argv = ["run", "--case", "circle-jump", "--p", "1,2,3,4,6", "--nx", "8"]
+    assert main(argv + ["--out", str(plain)]) == 0
+    assert main(argv + ["--max-delta", "1e-8", "--out", str(gated)]) == 1
+    summary = json.loads((gated / "summary.json").read_text())
+    delta = {int(row.split(",")[2]): stats["spread"] for row, stats in zip(summary["rows"], summary["stats"])}
+    assert all(delta[p] <= 1e-8 for p in (1, 2, 3)) and all(delta[p] > 1e-8 for p in (4, 6)), delta
+    assert [(case, p, nx) for case, p, nx, _ in summary["failures"]] == [("circle-jump", 4, 8), ("circle-jump", 6, 8)]
+    for _, p, _, message in summary["failures"]:
+        assert message.startswith("Undetermined: delta ") and message.endswith(" exceeds max_delta 1e-08")
+        assert float(message.split()[2]) == delta[p]
+    assert summary["config"]["max_delta"] == 1e-8
+    assert "max_delta" not in json.loads((plain / "summary.json").read_text())["config"]
+    assert (gated / "results.csv").read_bytes() == (plain / "results.csv").read_bytes()
+    for bad in ("nan", "inf", "-1"):
+        assert main(argv + ["--max-delta", bad, "--out", str(tmp_path / "bad")]) == 2
+    assert StudyConfig(case="circle-jump", method="sip", p_list=[1], nx_list=[8], max_delta=0).check_spread
+
+
 def test_byte_reproducibility(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

@@ -159,6 +159,28 @@ def test_energy_norm_matches_block_quadratic_form():
     assert direct == pytest.approx(indep, rel=1e-9)
 
 
+def test_energy_norm_of_several_vectors_builds_one_plan(monkeypatch):
+    # the pivot-order spread measures two vectors; each value must be that of
+    # the vector alone, bitwise, from one plan build
+    import ipfem.errors as errors
+    from ipfem.assembly import build_plan
+
+    case = catalog()["circle-jump"]
+    _, top, space, params, system = build_pipeline(case, 2, 8)
+    vectors = np.random.default_rng(5).standard_normal((3, space.n_unknowns))
+    alone = [energy_norm_squared(space, top, case.problem, params, v) for v in vectors]
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return build_plan(*args)
+
+    monkeypatch.setattr(errors, "build_plan", counted)
+    together = energy_norm_squared(space, top, case.problem, params, vectors)
+    assert len(builds) == 1
+    assert [v.hex() for v in together] == [v.hex() for v in alone]
+
+
 def _block_cases():
     """(space, topology, problem, params, coefficients): circle-jump solutions at
     p = 1..3 on nx = 8, and random coefficients on a cut ellipse at nx = 16."""

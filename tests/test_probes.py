@@ -357,10 +357,10 @@ def _scan_ellipse_system():
 @pytest.mark.parametrize("which", ["scan-ellipse", "circle-jump-16"])
 def test_volume_schur_does_not_depend_on_the_column_block_width(which, monkeypatch):
     # one column per block against one block for every touched column: the
-    # same CSR pattern and, on these two inputs, the same bits.  Bitwise
-    # equality is not general: SuperLU's solve with several right-hand sides
-    # rounds differently as their number changes, and on circle-jump at
-    # nx = 48, p = 2 the two widths differ by 3e-19 of S_V's largest entry.
+    # same T and, on these two inputs, the same bits of X.  Bitwise equality
+    # is not general: SuperLU's solve with several right-hand sides rounds
+    # differently as their number changes, and on circle-jump at nx = 48,
+    # p = 2 the two widths differ by 1.1e-18 of X's largest entry.
     import ipfem.probes as probes
 
     system = _scan_ellipse_system() if which == "scan-ellipse" else _coercivity_builder(2, nx=16)(1000.0, 1.0)
@@ -369,17 +369,18 @@ def test_volume_schur_does_not_depend_on_the_column_block_width(which, monkeypat
     for entries in (1, volume.shape[0] ** 2):
         monkeypatch.setattr(probes, "BLOCK_ENTRIES", entries)
         out.append(probes._volume_schur(volume, on_interface))
-    one, whole = out
-    assert one.indptr.tobytes() == whole.indptr.tobytes()
-    assert one.indices.tobytes() == whole.indices.tobytes()
-    assert one.data.tobytes() == whole.data.tobytes()
+    (t_one, x_one), (t_whole, x_whole) = out
+    assert 0 < t_one.size < on_interface.sum()
+    assert t_one.tobytes() == t_whole.tobytes()
+    assert x_one.shape == (t_one.size,) * 2
+    assert x_one.tobytes() == x_whole.tobytes()
 
 
 def test_volume_schur_memory_does_not_grow_with_the_touched_columns(monkeypatch):
-    # circle-jump at nx = 48, p = 2 (|R| = 8,329, 1,392 interface unknowns):
-    # the tracemalloc peak inside _volume_schur was 63.4 MiB while
-    # V_RR^(-1) V_RI was one dense |R| x |touched| array, and is 10.8 MiB with
-    # column blocks of BLOCK_ENTRIES entries.
+    # circle-jump at nx = 48, p = 2 (|R| = 8,329, 1,392 interface unknowns,
+    # 464 of them touched): the tracemalloc peak inside _volume_schur was
+    # 63.4 MiB while V_RR^(-1) V_RT was one dense |R| x |T| array, and is
+    # 6.1 MiB with column blocks of BLOCK_ENTRIES entries and a dense X.
     import ipfem.probes as probes
 
     volume, on_interface = _volume_schur_inputs(_coercivity_builder(2, nx=48)(1000.0, 1.0), monkeypatch)
@@ -387,32 +388,88 @@ def test_volume_schur_memory_does_not_grow_with_the_touched_columns(monkeypatch)
     assert peak < 32 * 2**20, peak / 2**20
 
 
+def _arrow_matrix(rng, m, nt):
+    """A random symmetric positive definite matrix of order m whose unknowns
+    off a random sorted corner of nt couple only along a scrambled chain with
+    a few chords, and its corner."""
+    labels = rng.permutation(m)
+    corner = np.sort(labels[m - nt:])
+    band = labels[:m - nt]
+    matrix = np.zeros((m, m))
+    for k in range(band.size):
+        for step in (1, 3):
+            if k + step < band.size:
+                matrix[band[k], band[k + step]] = rng.standard_normal()
+    if nt:
+        matrix[np.ix_(corner, corner)] = np.triu(rng.standard_normal((nt, nt)), 1)
+        hit = band[rng.random(band.size) < 0.3]
+        matrix[np.ix_(hit, corner)] = rng.standard_normal((hit.size, nt))
+    matrix = matrix + matrix.T
+    matrix += np.diag(np.abs(matrix).sum(axis=1) + 1.0)
+    return matrix, corner
+
+
+def _arrow_factor(matrix, corner):
+    import scipy.sparse as sp
+
+    from ipfem.probes import _arrow_cholesky, _arrow_layout
+
+    block = sp.csr_matrix(matrix)
+    arrow = _arrow_layout((block,), corner)
+    entries = np.zeros(sum(arrow.sizes))
+    sel, at = arrow.positions(block)
+    entries[at] = block.data[sel]
+    return arrow, _arrow_cholesky(arrow, entries)
+
+
 @pytest.mark.parametrize("m", [1, 2, 7, 8, 81])
-def test_packed_cholesky_half_solves_match_a_dense_factor(m):
-    # odd orders take the decoupled pad unknown, which no probe test reaches
-    import scipy.linalg as la
-    import scipy.sparse as sp
-
-    from ipfem.probes import _packed_cholesky, _rfp_lower
-
+def test_arrow_cholesky_half_solves_match_a_dense_factor(m):
+    # every order with no corner (|T| = 0), a corner of half the unknowns,
+    # and all of them in the corner (|U| = 0)
     rng = np.random.default_rng(m)
-    b = rng.standard_normal((m, m))
-    matrix = b @ b.T + m * np.eye(m)
-    forward, backward = _packed_cholesky(m, _rfp_lower(sp.csr_matrix(matrix)))
-    lower = la.cholesky(matrix, lower=True)
-    x = rng.standard_normal(m)
-    for got, want in ((forward(x), la.solve_triangular(lower, x, lower=True)),
-                      (backward(x), la.solve_triangular(lower.T, x))):
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    for nt in sorted({0, m // 2, m}):
+        matrix, corner = _arrow_matrix(rng, m, nt)
+        arrow, (forward, backward) = _arrow_factor(matrix, corner)
+        assert arrow.nt == nt and arrow.order[arrow.nu:].tolist() == corner.tolist()
+        order = arrow.order
+        band = matrix[np.ix_(order[:arrow.nu], order[:arrow.nu])]
+        assert not np.tril(band, -arrow.kd - 1).any()
+        lower = la.cholesky(matrix[np.ix_(order, order)], lower=True)
+        x = rng.standard_normal(m)
+        want = np.empty(m)
+        want[order] = la.solve_triangular(lower.T, x)
+        for got, want in ((forward(x), la.solve_triangular(lower, x[order], lower=True)), (backward(x), want)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), nt
 
 
-def test_packed_cholesky_raises_on_an_indefinite_matrix():
+def test_reverse_cuthill_mckee_orders_a_scrambled_path_and_ring():
+    # a path in random labels comes out as a path (band width 1), and a ring
+    # with two components as two runs of band width 2
     import scipy.sparse as sp
 
-    from ipfem.probes import ProbeError, _packed_cholesky, _rfp_lower
+    from ipfem.probes import _reverse_cuthill_mckee
 
-    with pytest.raises(ProbeError, match="not positive definite"):
-        _packed_cholesky(5, _rfp_lower(sp.diags([2.0, 1.0, -1.0, 3.0, 1.0])))
+    labels = np.random.default_rng(3).permutation(40)
+    path = [(labels[k], labels[k + 1]) for k in range(19)]
+    ring = [(labels[20 + k], labels[20 + (k + 1) % 20]) for k in range(20)]
+    i, j = np.array(path + ring).T
+    pattern = sp.csr_matrix((np.ones(2 * i.size), (np.r_[i, j], np.r_[j, i])), shape=(40, 40))
+    order = _reverse_cuthill_mckee(pattern)
+    assert sorted(order.tolist()) == list(range(40))
+    at = np.empty(40, dtype=int)
+    at[order] = np.arange(40)
+    width = np.abs(at[i] - at[j])
+    assert width[:19].max() == 1 and width[19:].max() == 2
+
+
+def test_arrow_cholesky_raises_on_an_indefinite_matrix():
+    # the negative pivot in the band, then in the dense corner
+    from ipfem.probes import ProbeError
+
+    matrix = np.diag([2.0, 1.0, -1.0, 3.0, 1.0])
+    for corner in ([3, 4], [1, 2]):
+        with pytest.raises(ProbeError, match="not positive definite"):
+            _arrow_factor(matrix, np.array(corner))
 
 
 def test_restricted_blocks_are_the_sliced_blocks():
@@ -432,9 +489,10 @@ def test_restricted_blocks_are_the_sliced_blocks():
 
 
 def test_kept_path_point_memory_stays_below_a_dense_factor():
-    # tracemalloc peak of one point with the volume Schur complement kept
-    # (672 interface unknowns): 2.0 MiB with the LU of the Schur complement,
-    # 2.8 MiB with its RFP Cholesky (1.7 MiB); a dense factor alone is 3.4 MiB
+    # tracemalloc peak of one point with the volume Schur correction kept
+    # (672 interface unknowns, 224 of them in the dense corner): 2.0 MiB with
+    # its arrowhead Cholesky (1.3 MiB), 2.8 MiB with the RFP Cholesky before
+    # it; a dense factor alone is 3.4 MiB
     import ipfem.probes as probes
 
     system = _scan_ellipse_system()
@@ -452,7 +510,7 @@ def test_coercivity_is_one_without_an_interface(monkeypatch):
         raise AssertionError("the probe factored or iterated without an interface")
 
     monkeypatch.setattr(probes, "factor", forbidden)
-    monkeypatch.setattr(probes, "_packed_cholesky", forbidden)
+    monkeypatch.setattr(probes, "_arrow_cholesky", forbidden)
     monkeypatch.setattr(probes.spla, "eigsh", forbidden)
     case = catalog()["circle-jump"]
     mesh, top = _topology(Circle(3.0, 3.0, 0.5), 8)
