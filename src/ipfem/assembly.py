@@ -33,18 +33,19 @@ gamma1 h / p^2 of J1 and j_n.  The block functions know no penalty: they
 return J0, J1, j_d and j_n of unit weight, and ``assemble`` alone scales
 them and sums.  ``assemble`` keeps the parts of its last call that no
 penalty enters in one slot on the space (``DoubledSpace.penalty_free``),
-read-only: the volume and interface blocks, J0 and J1 of unit weight, and
-the five load terms with j_d and j_n of unit weight.  The key is the
-quadrature order, the identity of the ``Problem`` object (frozen, so a
-coefficient cannot change under the same object) and beta; a call with that
-key calls no block function and costs two CSR scalings, three block sums,
-two vector scalings and four vector adds, so the first point of a
-coercivity scan serves all of them.  Filling the slot on the first call
-costs a run that assembles once per space little memory: it holds no plan
-table (keeping the first request's plan once cost p-sweep 11 MB of peak
-memory), only the volume and interface blocks, which the returned system
-shares, and two blocks and five vectors the size of the system's own.  A
-system built from the slot is byte-identical to one from a fresh space.
+read-only: the volume and interface blocks, J0 and J1 of unit weight, the
+sum of the three penalty-free load terms, and j_d and j_n of unit weight.
+The key is the quadrature order, the identity of the ``Problem`` object
+(frozen, so a coefficient cannot change under the same object) and beta; a
+call with that key calls no block function and costs two CSR scalings,
+three block sums, two vector scalings and two vector adds, so the first
+point of a coercivity scan serves all of them.  Filling the slot on the
+first call costs a run that assembles once per space little memory: it
+holds no plan table (keeping the first request's plan once cost p-sweep
+11 MB of peak memory), only the volume and interface blocks, which the
+returned system shares, and two blocks and three vectors the size of the
+system's own.  A system built from the slot is byte-identical to one from a
+fresh space.
 
 On an uncut element with a constant coefficient a the local stiffness is
 a (S (x) M + M (x) S), scaled per axis, where S and M are the 1-D stiffness
@@ -145,8 +146,9 @@ class Problem:
     All fields are vectorized callables; ``a``, ``f``, ``exact`` and
     ``exact_grad`` are (side-1, side-2) pairs taking (x, y) arrays, with
     ``exact_grad[i]`` returning the tuple (du/dx, du/dy).  ``g_d`` and ``g_n``
-    take the curve parameter.  Frozen, because ``assemble`` keys its kept
-    parts on the object's identity: a changed field is a new object.
+    take the curve parameter; a manufactured problem takes them from
+    ``jumps``.  Frozen, because ``assemble`` keys its kept parts on the
+    object's identity: a changed field is a new object.
     """
 
     a: tuple
@@ -156,6 +158,18 @@ class Problem:
     exact: tuple | None = None
     exact_grad: tuple | None = None
 
+    def jumps(self, curve, t):
+        """The exact pair's jumps ([u], [a grad u . n]) at r(t), copy 1 minus
+        copy 2, with n = ``curve.normal(t)`` pointing into side 2."""
+        pts, nrm = curve.point(t), curve.normal(t)
+        x, y = pts[..., 0], pts[..., 1]
+
+        def flux(side):
+            gx, gy = self.exact_grad[side](x, y)
+            return self.a[side](x, y) * (gx * nrm[..., 0] + gy * nrm[..., 1])
+
+        return self.exact[0](x, y) - self.exact[1](x, y), flux(0) - flux(1)
+
     def validate(self, curve, n: int = 50, seed: int = 0, tol: float = 1e-10):
         """Consistency self-test: interface data must match the jumps of the
         exact pair, and the coefficient must be positive."""
@@ -163,19 +177,11 @@ class Problem:
         t = rng.uniform(0.0, curve.period, n)
         pts = curve.point(t)
         x, y = pts[:, 0], pts[:, 1]
-        a1 = np.asarray(self.a[0](x, y), dtype=float)
-        a2 = np.asarray(self.a[1](x, y), dtype=float)
-        if np.any(a1 <= 0) or np.any(a2 <= 0):
+        if any(np.any(np.asarray(a(x, y)) <= 0) for a in self.a):
             raise ValueError("coefficient a(x) must be positive on both sides")
         if self.exact is None:
             return
-        nrm = curve.normal(t)
-        ju = self.exact[0](x, y) - self.exact[1](x, y)
-        g1x, g1y = self.exact_grad[0](x, y)
-        g2x, g2y = self.exact_grad[1](x, y)
-        jf = a1 * (g1x * nrm[:, 0] + g1y * nrm[:, 1]) - a2 * (
-            g2x * nrm[:, 0] + g2y * nrm[:, 1]
-        )
+        ju, jf = self.jumps(curve, t)
         scale = max(1.0, float(np.max(np.abs(ju))), float(np.max(np.abs(jf))))
         gd = np.zeros(n) if self.g_d is None else np.asarray(self.g_d(t), dtype=float)
         gn = np.zeros(n) if self.g_n is None else np.asarray(self.g_n(t), dtype=float)
@@ -716,13 +722,8 @@ def assemble_load(plan: IntegrationPlan, problem: Problem, beta: int) -> dict:
     }
 
 
-def _total(terms: dict) -> np.ndarray:
-    """The load: the sum of its five terms, in one fixed order."""
-    return terms["volume"] + terms["gn_avg"] + terms["gd_flux"] + terms["j_d"] + terms["j_n"]
-
-
 def _penalty_free(space: DoubledSpace, topology: CutTopology, problem: Problem, beta: int, quad_order: int) -> tuple:
-    """The blocks and load terms that no penalty enters, read-only, from the
+    """The blocks and load parts that no penalty enters, read-only, from the
     space's slot when its key (quad_order, the ``problem`` object, beta) is
     this call's, else built and put in the slot."""
     kept = space.penalty_free
@@ -735,7 +736,10 @@ def _penalty_free(space: DoubledSpace, topology: CutTopology, problem: Problem, 
         "j0": assemble_J0(plan),
         "j1": assemble_J1(plan, problem),
     }
-    terms = assemble_load(plan, problem, beta)
+    load = assemble_load(plan, problem, beta)
+    # the five load terms add left to right: the three penalty-free ones here,
+    # the two penalty terms in ``assemble``
+    terms = {"base": load["volume"] + load["gn_avg"] + load["gd_flux"], "j_d": load["j_d"], "j_n": load["j_n"]}
     for array in [a for b in blocks.values() for a in (b.data, b.indices, b.indptr)] + list(terms.values()):
         array.setflags(write=False)
     space.penalty_free = (quad_order, problem, beta, blocks, terms)
@@ -761,7 +765,7 @@ def assemble(
     matrix = blocks["volume"] + blocks["interface"] + blocks["j0"] + blocks["j1"]
     return AssembledSystem(
         matrix=matrix,
-        load=_total({**terms, "j_d": w0 * terms["j_d"], "j_n": w1 * terms["j_n"]}),
+        load=terms["base"] + w0 * terms["j_d"] + w1 * terms["j_n"],
         symmetric=(params.beta == 1),
         params=params,
         blocks=blocks,

@@ -1,15 +1,16 @@
 """Catalog of manufactured interface problems on the square (-1, 1)^2.
 
-Each case fixes a curve, a side-wise coefficient and an exact solution pair;
-the source and interface data below are the hand-derived closed forms (the
-test suite re-checks them against finite differences and against the jumps of
-the exact pair).  Solutions are entire, so the observed h-rates are limited
-by the space degree and not by regularity.
+Each case fixes a curve, a side-wise coefficient and an exact solution pair.
+The sources below are hand-derived closed forms (the test suite re-checks
+them against finite differences); the interface data g_D and g_N are the
+jumps of the exact pair (``with_exact_jumps``), so they cannot disagree with
+it.  Solutions are entire, so the observed h-rates are limited by the space
+degree and not by regularity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +28,11 @@ class ManufacturedCase:
     curve: InterfaceCurve
     problem: Problem
     a_ratio: float  # max(a)/min(a), used by the default penalty choice
+
+
+def with_exact_jumps(problem: Problem, curve: InterfaceCurve) -> Problem:
+    """``problem`` with g_D and g_N the jumps of its exact pair along ``curve``."""
+    return replace(problem, g_d=lambda t: problem.jumps(curve, t)[0], g_n=lambda t: problem.jumps(curve, t)[1])
 
 
 def _circle_jump() -> ManufacturedCase:
@@ -75,28 +81,9 @@ def _circle_jump() -> ManufacturedCase:
         lap = (pxx + pyy - 2 * p) * c - 2 * (px + py) * s
         return -10.0 * lap
 
-    def g_d(t):
-        x = radius * np.cos(t)
-        y = radius * np.sin(t)
-        return np.exp(x) * np.sin(y) + x**2 * y
-
-    def g_n(t):
-        ct, st = np.cos(t), np.sin(t)
-        x = radius * ct
-        y = radius * st
-        du1_n = (np.exp(x) * np.sin(y) + 2 * x * y) * ct + (
-            np.exp(x) * np.cos(y) + x**2
-        ) * st
-        g = 1.0 - x**2
-        k = 1.0 - y**2
-        du2_n = 2.0 * g * k * np.cos(x + y) * radius
-        return du1_n - 10.0 * du2_n
-
     problem = Problem(
         a=(a1, a2),
         f=(f1, f2),
-        g_d=g_d,
-        g_n=g_n,
         exact=(u1, u2),
         exact_grad=(grad_u1, grad_u2),
     )
@@ -104,7 +91,7 @@ def _circle_jump() -> ManufacturedCase:
         name="circle-jump",
         description="circle R=0.6, a=(1,10), nontrivial jumps in value and flux",
         curve=curve,
-        problem=problem,
+        problem=with_exact_jumps(problem, curve),
         a_ratio=10.0,
     )
 
@@ -144,19 +131,9 @@ def _aligned_edge() -> ManufacturedCase:
         uyy = (1.0 - x) * (-2 * (x + cy) + 4 * y * sy - (1.0 - y**2) * cy)
         return -10.0 * (uxx + uyy)
 
-    def g_d(t):
-        y = t - 1.0
-        return (1.0 - y**2) * (np.sin(y + 1.0) - np.cos(y))
-
-    def g_n(t):
-        y = t - 1.0
-        return (1.0 - y**2) * (np.sin(y + 1.0) - 10.0 * (1.0 - np.cos(y)))
-
     problem = Problem(
         a=(a1, a2),
         f=(f1, f2),
-        g_d=g_d,
-        g_n=g_n,
         exact=(u1, u2),
         exact_grad=(grad_u1, grad_u2),
     )
@@ -164,7 +141,7 @@ def _aligned_edge() -> ManufacturedCase:
         name="aligned-edge",
         description="interface on the mesh line x=0 (shared-edge trace branch)",
         curve=curve,
-        problem=problem,
+        problem=with_exact_jumps(problem, curve),
         a_ratio=10.0,
     )
 
@@ -192,12 +169,9 @@ def _smooth_nojump() -> ManufacturedCase:
             + 2.0 * np.pi**2 * a(x, y) * u(x, y)
         )
 
-    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
     problem = Problem(
         a=(a, a),
         f=(f, f),
-        g_d=zero,
-        g_n=zero,
         exact=(u, u),
         exact_grad=(grad_u, grad_u),
     )
@@ -205,7 +179,7 @@ def _smooth_nojump() -> ManufacturedCase:
         name="smooth-nojump",
         description="globally smooth solution, continuous coefficient (sanity)",
         curve=curve,
-        problem=problem,
+        problem=with_exact_jumps(problem, curve),
         a_ratio=3.0,
     )
 

@@ -41,7 +41,6 @@ class StudyConfig:
     gamma0: float | None = None
     gamma1: float | None = None
     quad_extra: int = 0
-    seed: int = 0
     out_dir: str = "study-out"
     estimate_cond: bool = False
     check_spread: bool = False
@@ -267,7 +266,6 @@ def _write_summary(path: Path, config: StudyConfig, gamma0, gamma1, result: Stud
             "gamma0": gamma0,
             "gamma1": gamma1,
             "quad_extra": config.quad_extra,
-            "seed": config.seed,
             "cut_threshold": config.cut_threshold,
             **({} if config.max_delta is None else {"max_delta": config.max_delta}),
         },
@@ -370,7 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--gamma0", type=float)
     run.add_argument("--gamma1", type=float)
     run.add_argument("--quad-extra", type=int)
-    run.add_argument("--seed", type=int)
     run.add_argument("--out")
     run.add_argument("--estimate-cond", action="store_true", default=None)
     run.add_argument("--check-spread", action="store_true", default=None)
@@ -422,7 +419,6 @@ def _config_from_args(args) -> StudyConfig:
         gamma0=pick(args.gamma0, "gamma0", None),
         gamma1=pick(args.gamma1, "gamma1", None),
         quad_extra=int(pick(args.quad_extra, "quad_extra", 0)),
-        seed=int(pick(args.seed, "seed", 0)),
         out_dir=pick(args.out, "out", "study-out"),
         estimate_cond=bool(pick(args.estimate_cond, "estimate_cond", False)),
         check_spread=bool(pick(args.check_spread, "check_spread", False)),

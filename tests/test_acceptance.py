@@ -266,7 +266,6 @@ def test_criterion_10_reproducibility(tmp_path):
             method="sip",
             p_list=[1, 2],
             nx_list=[8, 16],
-            seed=11,
             out_dir=str(out),
         )
         run_study(cfg)

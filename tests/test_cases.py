@@ -97,6 +97,16 @@ def test_interface_data_consistent(name):
     case.problem.validate(case.curve, n=50, seed=3, tol=1e-10)
 
 
+@pytest.mark.parametrize("name", ["circle-jump", "aligned-edge", "smooth-nojump"])
+def test_interface_data_are_the_jumps_of_the_exact_pair(name):
+    # no case states g_D or g_N by hand: both are the exact pair's jumps
+    case = catalog()[name]
+    t = np.linspace(0.0, case.curve.period, 97)
+    jump_u, jump_flux = case.problem.jumps(case.curve, t)
+    assert np.asarray(case.problem.g_d(t), dtype=float).tobytes() == jump_u.tobytes()
+    assert np.asarray(case.problem.g_n(t), dtype=float).tobytes() == jump_flux.tobytes()
+
+
 def test_homogeneous_dirichlet_data():
     cases = catalog()
     t = np.linspace(-1.0, 1.0, 101)

@@ -212,7 +212,6 @@ def test_byte_reproducibility(tmp_path):
             method="nip",
             p_list=[1],
             nx_list=[4, 8, 16],
-            seed=7,
             out_dir=str(out),
         )
         run_study(cfg)
