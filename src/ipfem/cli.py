@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,15 +27,16 @@ from .geometry import GeometryError, classify_elements, parse_curve
 from .mesh import build_mesh
 from .probes import ProbeError, probe_coercivity, probe_G, probe_inverse_trace, probe_trace
 from .quadrature import cut_cell_rule, cut_order, pass_order
-from .solver import colamd_solve, solve
+from .solver import SolverError, colamd_solve, solve
 
 CSV_HEADER = "case,method,p,nx,h,dofs,gamma0,gamma1,l2,h1_broken,normA,normB,j0,j1,residual"
 
 
-@dataclass
+@dataclass(kw_only=True)
 class StudyConfig:
-    case: str
-    method: str  # "sip" or "nip"
+    """The settings of a run sweep; the one place their defaults are written."""
+    case: str = "circle-jump"
+    method: str = "sip"  # or "nip"
     p_list: list
     nx_list: list
     gamma0: float | None = None
@@ -46,10 +47,10 @@ class StudyConfig:
     check_spread: bool = False
     dump_matrix: bool = False
     dump_quadrature: bool = False
-    cut_threshold: float = 1e-12
     max_delta: float | None = None  # the largest spread a row may have; implies check_spread
 
     def __post_init__(self):
+        self.quad_extra = int(self.quad_extra)
         if self.method not in ("sip", "nip"):
             raise ValueError(f"method must be sip or nip, got {self.method!r}")
         if not self.p_list:
@@ -86,11 +87,10 @@ class StudyResult:
 
 
 def run_single(case: ManufacturedCase, method: str, p: int, nx: int,
-               gamma0: float, gamma1: float, quad_extra: int = 0,
-               cut_threshold: float = 1e-12, estimate_cond: bool = False):
+               gamma0: float, gamma1: float, quad_extra: int = 0, estimate_cond: bool = False):
     """One (p, nx) run: mesh -> geometry -> space -> assemble -> solve -> errors."""
     mesh = build_mesh(DOMAIN, nx, nx)
-    topology = classify_elements(mesh, case.curve, cut_threshold=cut_threshold)
+    topology = classify_elements(mesh, case.curve)
     space = build_doubled_space(build_dof_map(mesh, p), topology)
     params = PenaltyParams(beta=1 if method == "sip" else -1,
                            gamma0=gamma0, gamma1=gamma1, p=p)
@@ -111,10 +111,15 @@ def _spread(space, topology, problem, system, solution, quad_extra: int) -> floa
     also for a run whose error is small.  Both norms are sums of squares at
     the error pass's nodes: d^T E d, E = volume + j0 + j1, is round-off where
     x1 and x2 are large and close (negative at p = 6 on circle-jump).  Both
-    are measured over one plan of the error pass."""
+    are measured over one plan of the error pass.  delta is NaN
+    (undetermined) when the second solve fails."""
+    try:
+        second = colamd_solve(system).solution
+    except SolverError:
+        return float("nan")
     order = pass_order(system.params.p, errors=True) + quad_extra
     diff_sq, norm_sq = energy_norm_squared(space, topology, problem, system.params,
-                                           [solution - colamd_solve(system).solution, solution], quad_order=order)
+                                           [solution - second, solution], quad_order=order)
     return float(np.sqrt(diff_sq / norm_sq))
 
 
@@ -171,7 +176,6 @@ def run_study(config: StudyConfig) -> StudyResult:
                 mesh, topology, space, system, rep, err = run_single(
                     case, config.method, p, nx, gamma0, gamma1,
                     quad_extra=config.quad_extra,
-                    cut_threshold=config.cut_threshold,
                     estimate_cond=config.estimate_cond,
                 )
                 spread = None
@@ -266,7 +270,6 @@ def _write_summary(path: Path, config: StudyConfig, gamma0, gamma1, result: Stud
             "gamma0": gamma0,
             "gamma1": gamma1,
             "quad_extra": config.quad_extra,
-            "cut_threshold": config.cut_threshold,
             **({} if config.max_delta is None else {"max_delta": config.max_delta}),
         },
         "rows": result.rows,
@@ -359,8 +362,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="manufactured-solution convergence sweep")
-    run.add_argument("--config", help="JSON file with defaults for the flags below")
+    # a flag not given is absent from the namespace, so it cannot mask a config entry
+    run = sub.add_parser("run", help="manufactured-solution convergence sweep",
+                         argument_default=argparse.SUPPRESS)
+    run.add_argument("--config", help="JSON object of settings, named as the flags below; a flag given wins")
     run.add_argument("--case")
     run.add_argument("--method", choices=("sip", "nip"))
     run.add_argument("--p", help="comma-separated degrees, e.g. 1,2,3")
@@ -369,13 +374,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--gamma1", type=float)
     run.add_argument("--quad-extra", type=int)
     run.add_argument("--out")
-    run.add_argument("--estimate-cond", action="store_true", default=None)
-    run.add_argument("--check-spread", action="store_true", default=None)
+    run.add_argument("--estimate-cond", action="store_true")
+    run.add_argument("--check-spread", action="store_true")
     run.add_argument("--max-delta", type=float, help="fail a row whose pivot-order spread exceeds this; "
                                                      "implies --check-spread")
-    run.add_argument("--dump-matrix", action="store_true", default=None)
-    run.add_argument("--dump-quadrature", action="store_true", default=None)
-    run.add_argument("--cut-threshold", type=float)
+    run.add_argument("--dump-matrix", action="store_true")
+    run.add_argument("--dump-quadrature", action="store_true")
 
     probes = sub.add_parser("probes", help="inequality and coercivity probes")
     probes.add_argument("--probe", required=True, choices=("trace", "invtrace", "coercivity", "G"))
@@ -397,36 +401,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_ENTRY_FIELDS = {"p": "p_list", "nx": "nx_list", "out": "out_dir"}  # where a flag's name is not its field's
+
+
 def _config_from_args(args) -> StudyConfig:
-    file_cfg = {}
-    if args.config:
-        file_cfg = json.loads(Path(args.config).read_text())
-
-    def pick(flag, key, fallback):
-        if flag is not None:
-            return flag
-        return file_cfg.get(key, fallback)
-
-    p_raw = pick(args.p, "p", None)
-    nx_raw = pick(args.nx, "nx", None)
-    if p_raw is None or nx_raw is None:
+    """The flags given, over the entries of the --config file, over the
+    defaults of StudyConfig."""
+    given = {k: v for k, v in vars(args).items() if k != "command"}
+    settings = {}
+    if "config" in given:
+        path = given.pop("config")
+        try:
+            settings = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot read config file {path}: {exc}") from None
+        if not isinstance(settings, dict):
+            raise ValueError(f"config file {path} holds no JSON object")
+    settings.update(given)
+    known = {f.name for f in fields(StudyConfig)} - set(_ENTRY_FIELDS.values()) | set(_ENTRY_FIELDS)
+    unknown = sorted(settings.keys() - known)
+    if unknown:
+        raise ValueError(f"unknown settings {unknown}")
+    if not {"p", "nx"} <= settings.keys():
         raise InsufficientData("both --p and --nx (or config entries) are required")
-    return StudyConfig(
-        case=pick(args.case, "case", "circle-jump"),
-        method=pick(args.method, "method", "sip"),
-        p_list=_parse_int_list(p_raw) if isinstance(p_raw, str) else list(p_raw),
-        nx_list=_parse_int_list(nx_raw) if isinstance(nx_raw, str) else list(nx_raw),
-        gamma0=pick(args.gamma0, "gamma0", None),
-        gamma1=pick(args.gamma1, "gamma1", None),
-        quad_extra=int(pick(args.quad_extra, "quad_extra", 0)),
-        out_dir=pick(args.out, "out", "study-out"),
-        estimate_cond=bool(pick(args.estimate_cond, "estimate_cond", False)),
-        check_spread=bool(pick(args.check_spread, "check_spread", False)),
-        max_delta=pick(args.max_delta, "max_delta", None),
-        dump_matrix=bool(pick(args.dump_matrix, "dump_matrix", False)),
-        dump_quadrature=bool(pick(args.dump_quadrature, "dump_quadrature", False)),
-        cut_threshold=float(pick(args.cut_threshold, "cut_threshold", 1e-12)),
-    )
+    settings.update({k: _parse_int_list(settings[k]) for k in ("p", "nx") if isinstance(settings[k], str)})
+    return StudyConfig(**{_ENTRY_FIELDS.get(k, k): v for k, v in settings.items()})
 
 
 def _run_probes(args) -> int:

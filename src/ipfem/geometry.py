@@ -43,6 +43,7 @@ class OnInterface(GeometryError):
 
 
 _ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])  # tangent -> outward normal of side 1
+SLIVER_FRACTION = 1e-12  # classify_elements drops, and cut_cell_rule refuses, a cut side below this fraction
 
 
 @cache
@@ -534,7 +535,7 @@ def _label_by_centre(mesh, curve):
     return labels, fractions
 
 
-def classify_elements(mesh: Mesh, curve: InterfaceCurve, cut_threshold: float = 1e-12) -> CutTopology:
+def classify_elements(mesh: Mesh, curve: InterfaceCurve) -> CutTopology:
     """Classify every element against the curve and extract interface segments.
 
     The curve is sampled densely in t; the crossings with all grid lines are
@@ -548,7 +549,7 @@ def classify_elements(mesh: Mesh, curve: InterfaceCurve, cut_threshold: float = 
     one element; consecutive intervals with one host merge (grazing
     touches), across t = period too; hosts are counted; the side-1 area
     fraction of each cut host follows from Green's theorem, and slivers
-    below ``cut_threshold`` are dropped; each segment's analysis side comes
+    below ``SLIVER_FRACTION`` are dropped; each segment's analysis side comes
     from ``far_corners``.  Every other element is pure, labelled by the side
     of its centre from one signed-distance evaluation on all element centres.
 
@@ -672,7 +673,7 @@ def classify_elements(mesh: Mesh, curve: InterfaceCurve, cut_threshold: float = 
     labels, fractions = _label_by_centre(mesh, curve)
     inner = np.flatnonzero(~on_edge)
     f1 = _side1_fractions(mesh, curve, t_lo[inner], t_hi[inner], host[inner])
-    sliver = (f1 < cut_threshold) | ((1.0 - f1) < cut_threshold)
+    sliver = (f1 < SLIVER_FRACTION) | ((1.0 - f1) < SLIVER_FRACTION)
     dropped = 0.0
     for k in inner[sliver]:
         dropped += curve.arclength(t_lo[k], t_hi[k])

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CutTopology, InterfaceSegment, _gauss_legendre, boundary_chains_ccw
+from .geometry import SLIVER_FRACTION, CutTopology, InterfaceSegment, _gauss_legendre, boundary_chains_ccw
 
 
 class QuadratureError(Exception):
@@ -40,7 +40,7 @@ class QuadratureError(Exception):
 
 
 class DegenerateSliver(QuadratureError):
-    """Requested side of a cut element has (near-)zero area."""
+    """Requested side of a cut element covers less than ``SLIVER_FRACTION`` of it."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,7 +354,7 @@ def _invalid_request(topology: CutTopology, element, side, order) -> Exception:
         return ValueError("order must be >= 1")
     if topology.labels[element] != 0:
         return ValueError(f"element {element} is pure, no cut rule to build")
-    if topology.fractions[element, side - 1] < 1e-12:
+    if topology.fractions[element, side - 1] < SLIVER_FRACTION:
         return DegenerateSliver(
             f"element {element} side {side} fraction "
             f"{topology.fractions[element, side - 1]:.3e}"
@@ -384,7 +384,7 @@ def cut_cell_rule(topology: CutTopology, element, side, order: int):
         ~valid_side
         | (order < 1)
         | (topology.labels[elements] != 0)
-        | (topology.fractions[elements, np.where(valid_side, sides, 1) - 1] < 1e-12)
+        | (topology.fractions[elements, np.where(valid_side, sides, 1) - 1] < SLIVER_FRACTION)
         | (topology.element_segment[elements] < 0)
     )
     stop = int(np.argmax(invalid)) if invalid.any() else len(elements)

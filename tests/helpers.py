@@ -9,7 +9,7 @@ import numpy as np
 from ipfem.assembly import PenaltyParams, assemble
 from ipfem.cases import DOMAIN
 from ipfem.fe_space import build_dof_map, build_doubled_space, shape_1d
-from ipfem.geometry import classify_elements
+from ipfem.geometry import Circle, Ellipse, classify_elements
 from ipfem.mesh import build_mesh, element_map
 from ipfem.quadrature import gauss_1d, pass_order, tensor_gauss
 
@@ -30,6 +30,15 @@ def build_pipeline(case, p, nx, beta=1, gamma0=None, gamma1=None, quad_extra=0):
     )
     system = assemble(space, topology, case.problem, params, quad_order=pass_order(p) + quad_extra)
     return mesh, topology, space, params, system
+
+
+def random_conic(rng):
+    """A circle or an axis-aligned ellipse, with semi-axes in [0.08, 0.7] and
+    centre in [-0.45, 0.45]^2: some leave the domain (-1, 1)^2."""
+    a = rng.uniform(0.08, 0.7)
+    b = a if rng.random() < 0.5 else rng.uniform(0.08, 0.7)
+    cx, cy = rng.uniform(-0.45, 0.45, 2)
+    return Circle(cx, cy, a) if a == b else Ellipse(cx, cy, a, b)
 
 
 def traced_peak(fn, *args, **kwargs):

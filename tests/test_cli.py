@@ -22,7 +22,7 @@ from ipfem.errors import InsufficientData, energy_norm_squared
 from ipfem.geometry import classify_elements
 from ipfem.mesh import build_mesh
 from ipfem.quadrature import pass_order
-from ipfem.solver import colamd_solve, solve
+from ipfem.solver import ConvergenceFailure, colamd_solve, solve
 
 from helpers import build_pipeline
 
@@ -203,6 +203,27 @@ def test_max_delta_fails_the_undetermined_rows(tmp_path):
     assert StudyConfig(case="circle-jump", method="sip", p_list=[1], nx_list=[8], max_delta=0).check_spread
 
 
+def test_a_failed_second_solve_leaves_the_spread_undetermined(tmp_path, monkeypatch, capsys):
+    # the run's own solve succeeded, so its row is written; delta is NaN,
+    # which --max-delta fails
+    import ipfem.cli as cli
+
+    def stalled(system, tol=1e-10):
+        raise ConvergenceFailure("direct solve stalled")
+
+    monkeypatch.setattr(cli, "colamd_solve", stalled)
+    argv = ["run", "--case", "circle-jump", "--method", "sip", "--p", "1", "--nx", "8"]
+    for gate, code in (([], 0), (["--max-delta", "1e-8"], 1)):
+        out = tmp_path / str(code)
+        assert main(argv + ["--check-spread", "--out", str(out)] + gate) == code
+        summary = json.loads((out / "summary.json").read_text())
+        assert len(summary["rows"]) == len((out / "results.csv").read_text().splitlines()) - 1 == 1
+        assert np.isnan(summary["stats"][0]["spread"])
+        messages = [message for *_, message in summary["failures"]]
+        assert messages == ([] if code == 0 else ["Undetermined: delta nan exceeds max_delta 1e-08"])
+    assert "FAILED case=circle-jump p=1 nx=8: Undetermined: delta nan" in capsys.readouterr().err
+
+
 def test_byte_reproducibility(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -313,6 +334,39 @@ def test_config_file_roundtrip(tmp_path):
     assert (tmp_path / "fromfile" / "results.csv").read_bytes() == (
         direct / "results.csv"
     ).read_bytes()
+
+
+def test_flags_win_over_config_entries_over_defaults(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"p": "1,2", "nx": [8], "gamma0": 50.0, "check_spread": True,
+                                    "out": str(tmp_path / "fromfile")}))
+    out = tmp_path / "flags"
+    assert main(["run", "--config", str(cfg_path), "--p", "1", "--gamma0", "60", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"] == {"case": "circle-jump", "method": "sip", "p": [1], "nx": [8],
+                                 "gamma0": 60.0, "gamma1": 1.0, "quad_extra": 0}
+    # a store_true flag not given leaves the file's entry in force
+    assert np.isfinite(summary["stats"][0]["spread"])
+    assert not (tmp_path / "fromfile").exists()
+    defaults = StudyConfig(p_list=[1], nx_list=[8])
+    assert (defaults.case, defaults.method, defaults.out_dir) == ("circle-jump", "sip", "study-out")
+
+
+@pytest.mark.parametrize("text,problem", [
+    ('{"p": [1], "nx": [8], "gamma_0": 5}', "unknown settings ['gamma_0']"),
+    ('{"p": [1], "nx": [8], "cut_threshold": 1e-14}', "unknown settings ['cut_threshold']"),
+    ('{"p": [1], "nx": [8],', "cannot read config file"),
+    ('[1, 8]', "holds no JSON object"),
+    (None, "cannot read config file"),
+])
+def test_a_bad_config_file_is_a_usage_error(tmp_path, capsys, text, problem):
+    cfg_path = tmp_path / "config.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert problem in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_emit_plots(tmp_path):

@@ -2,8 +2,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ipfem import geometry
 from ipfem.cases import catalog
@@ -23,7 +21,9 @@ from ipfem.geometry import (
     signed_side,
 )
 from ipfem.mesh import Rectangle, build_mesh
+from ipfem.quadrature import cut_cell_rule, cut_order, pass_order
 
+from helpers import random_conic
 from oracles import brute_force_labels, scalar_boundary_chain
 
 BIUNIT = Rectangle(-1.0, -1.0, 1.0, 1.0)
@@ -57,6 +57,24 @@ def test_arc_partition_of_unity():
         assert top.dropped_arclength == 0.0
         total = sum(s.t_hi - s.t_lo for s in top.segments)
         assert total == pytest.approx(curve.period, rel=1e-12)
+
+
+def test_sliver_fraction_decides_which_cut_sides_are_dropped():
+    # the circle reaches just past the corner (0.5, 0.5) of element 10 of the
+    # nx = 4 mesh: by 3.5e-7 its side-1 part is about 4.9e-13 of the element,
+    # below SLIVER_FRACTION, and by 1e-6 about 4.0e-12, above it
+    mesh = build_mesh(BIUNIT, 4, 4)
+    reach = np.hypot(0.1, 0.1)
+    top = classify_elements(mesh, Circle(0.6, 0.6, reach + 3.5e-7))
+    assert top.labels[10] == 2 and top.fractions[10].tolist() == [0.0, 1.0]
+    assert top.dropped_arclength == pytest.approx(7.0e-7, rel=0.05)
+    assert len(top.cut_elements) == 3
+    top = classify_elements(mesh, Circle(0.6, 0.6, reach + 1e-6))
+    assert top.labels[10] == 0
+    assert top.fractions[10, 0] == pytest.approx(4.0e-12, rel=0.05)
+    assert top.fractions[10, 0] > geometry.SLIVER_FRACTION
+    rule = cut_cell_rule(top, 10, 1, cut_order(pass_order(1), 1))
+    assert len(rule.weights) and np.all(rule.weights > 0.0)
 
 
 def test_interior_loop_rejected():
@@ -369,18 +387,12 @@ def test_batched_crossings_match_scalar_search(monkeypatch, curve, nx):
 # Properties of every accepted classification of random circles and ellipses.
 
 
-@st.composite
-def conic_on_mesh(draw):
-    """A circle or an axis-aligned ellipse and a mesh size; the centre range
-    lets some curves leave the domain, and small axes or coarse meshes give
-    cells that the curve meets more than twice."""
-    a = draw(st.floats(0.08, 0.7))
-    b = a if draw(st.booleans()) else draw(st.floats(0.08, 0.7))
-    cx = draw(st.floats(-0.45, 0.45))
-    cy = draw(st.floats(-0.45, 0.45))
-    nx = draw(st.integers(2, 48))
-    curve = Circle(cx, cy, a) if a == b else Ellipse(cx, cy, a, b)
-    return curve, (a, b), nx
+def _conics_on_meshes(seed=0, count=150):
+    """Random conics (``helpers.random_conic``) and mesh sizes; small axes or
+    coarse meshes give cells that the curve meets more than twice."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield random_conic(rng), int(rng.integers(2, 49))
 
 
 def _perimeter(curve):
@@ -389,10 +401,15 @@ def _perimeter(curve):
     return curve.period * float(np.mean(np.linalg.norm(curve.tangent(ts), axis=-1)))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(conic_on_mesh())
-def test_classification_invariants_on_random_conics(draw):
-    curve, (a, b), nx = draw
+def test_classification_invariants_on_random_conics():
+    for curve, nx in _conics_on_meshes():
+        try:
+            _check_classification(curve, nx)
+        except AssertionError as exc:
+            raise AssertionError(f"{curve.name} at nx = {nx}") from exc
+
+
+def _check_classification(curve, nx):
     mesh = build_mesh(BIUNIT, nx, nx)
     try:
         top = classify_elements(mesh, curve)
@@ -414,6 +431,7 @@ def test_classification_invariants_on_random_conics(draw):
     assert gap_length == pytest.approx(top.dropped_arclength, abs=1e-12)
     # side-1 area is the enclosed area
     area = float(top.fractions[:, 0].sum()) * mesh.dx * mesh.dy
+    a, b = (curve.radius, curve.radius) if isinstance(curve, Circle) else (curve.a, curve.b)
     assert area == pytest.approx(np.pi * a * b, abs=1e-10)
     # segment arclengths and the dropped slivers add up to the perimeter
     length = sum(curve.arclength(s.t_lo, s.t_hi) for s in segments) + top.dropped_arclength
@@ -505,7 +523,7 @@ def _corner_walk_side(seg, mesh, curve):
     raise GeometryError("all host-element corners lie on the interface")
 
 
-def _loop_classify(mesh, curve, cut_threshold=1e-12):
+def _loop_classify(mesh, curve):
     dom = mesh.domain
     smin, smax = curve.speed_range()
     min_side = min(mesh.dx, mesh.dy)
@@ -611,7 +629,7 @@ def _loop_classify(mesh, curve, cut_threshold=1e-12):
     for a, b, host, on_edge, nb in joined:
         if not on_edge:
             f1 = next(f_side1)
-            if f1 < cut_threshold or (1.0 - f1) < cut_threshold:
+            if f1 < geometry.SLIVER_FRACTION or (1.0 - f1) < geometry.SLIVER_FRACTION:
                 dropped += curve.arclength(a, b)
                 continue
             labels[host] = 0

@@ -5,6 +5,7 @@ import pytest
 
 from ipfem.cases import catalog
 from ipfem.geometry import (
+    SLIVER_FRACTION,
     Circle,
     Ellipse,
     VerticalLine,
@@ -319,7 +320,7 @@ def _oracle_rule(topology, element, side, order):
         raise ValueError("order must be >= 1")
     if topology.labels[element] != 0:
         raise ValueError(f"element {element} is pure, no cut rule to build")
-    if topology.fractions[element, side - 1] < 1e-12:
+    if topology.fractions[element, side - 1] < SLIVER_FRACTION:
         raise DegenerateSliver(
             f"element {element} side {side} fraction {topology.fractions[element, side - 1]:.3e}"
         )
