@@ -17,7 +17,7 @@ from .geometry import (
 )
 from .mesh import Mesh, Rectangle, build_mesh
 from .quadrature import CutCellRule, QuadRule, cut_cell_rule, gauss_1d, segment_rule
-from .solver import SolveReport, jacobi_scale, solve
+from .solver import SolveReport, solve
 
 __all__ = [
     "AssembledSystem",
@@ -52,7 +52,6 @@ __all__ = [
     "gauss_1d",
     "segment_rule",
     "SolveReport",
-    "jacobi_scale",
     "solve",
 ]
 

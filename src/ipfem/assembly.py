@@ -200,7 +200,6 @@ class AssembledSystem:
 
     matrix: sp.csr_matrix
     load: np.ndarray
-    symmetric: bool
     params: PenaltyParams
     blocks: dict = field(default_factory=dict)
     order: np.ndarray | None = None  # the space's elimination order (``DoubledSpace.order``)
@@ -208,6 +207,10 @@ class AssembledSystem:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def symmetric(self) -> bool:
+        return self.params.beta == 1
 
 
 def _T(a):
@@ -421,14 +424,12 @@ class IntegrationPlan:
 
 
 def _cut_groups(space: DoubledSpace, topology: CutTopology, order: int) -> list:
-    """One group per (side, node count) of the positive cut sides, in that
-    order, taken by index from the stacked batch of one ``cut_cell_rule`` call
-    at ``order``; each group holds its sides in (element, side) order."""
+    """One group per (side, node count) of the cut sides, in that order,
+    taken by index from the stacked batch of one ``cut_cell_rule`` call at
+    ``order``; each group holds its sides in (element, side) order."""
     cut = topology.cut_elements
     elems = np.repeat(cut, 2)
     sides = np.tile([1, 2], len(cut))
-    positive = topology.fractions[elems, sides - 1] > 0.0
-    elems, sides = elems[positive], sides[positive]
     if not len(elems):
         return []
     batch = cut_cell_rule(topology, elems, sides, order)
@@ -766,7 +767,6 @@ def assemble(
     return AssembledSystem(
         matrix=matrix,
         load=terms["base"] + w0 * terms["j_d"] + w1 * terms["j_n"],
-        symmetric=(params.beta == 1),
         params=params,
         blocks=blocks,
         order=space.order,

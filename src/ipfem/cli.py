@@ -30,6 +30,28 @@ from .quadrature import cut_cell_rule, cut_order, pass_order
 from .solver import SolverError, colamd_solve, solve
 
 CSV_HEADER = "case,method,p,nx,h,dofs,gamma0,gamma1,l2,h1_broken,normA,normB,j0,j1,residual"
+_ENTRY_FIELDS = {"p": "p_list", "nx": "nx_list", "out": "out_dir"}  # where a flag's name is not its field's
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # a bool is an int to Python, not here
+
+
+# what a value of each StudyConfig annotation must be, and its test
+_TYPE_CHECKS = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "list": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "float | None": ("a number or null", lambda v: v is None or _is_int(v) or isinstance(v, float)),
+    "int": ("an integer", _is_int),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+}
+
+
+def _beta(method: str) -> int:
+    """beta of the symmetric ("sip", +1) or non-symmetric ("nip", -1) method."""
+    if method not in ("sip", "nip"):
+        raise ValueError(f"method must be sip or nip, got {method!r}")
+    return 1 if method == "sip" else -1
 
 
 @dataclass(kw_only=True)
@@ -50,9 +72,13 @@ class StudyConfig:
     max_delta: float | None = None  # the largest spread a row may have; implies check_spread
 
     def __post_init__(self):
-        self.quad_extra = int(self.quad_extra)
-        if self.method not in ("sip", "nip"):
-            raise ValueError(f"method must be sip or nip, got {self.method!r}")
+        entries = {field: entry for entry, field in _ENTRY_FIELDS.items()}
+        for f in fields(self):
+            kind, ok = _TYPE_CHECKS[f.type]
+            value = getattr(self, f.name)
+            if not ok(value):
+                raise ValueError(f"setting {entries.get(f.name, f.name)!r} must be {kind}, got {value!r}")
+        _beta(self.method)
         if not self.p_list:
             raise InsufficientData("empty p list")
         if not self.nx_list:
@@ -68,7 +94,7 @@ def default_penalties(method: str, case: ManufacturedCase):
     """gamma0 = 20 (1 + max a / min a), gamma1 = 1 for the symmetric method;
     (1, 1) for the non-symmetric one, whose coercivity needs only a positive
     product."""
-    if method == "sip":
+    if _beta(method) == 1:
         return 20.0 * (1.0 + case.a_ratio), 1.0
     return 1.0, 1.0
 
@@ -92,8 +118,7 @@ def run_single(case: ManufacturedCase, method: str, p: int, nx: int,
     mesh = build_mesh(DOMAIN, nx, nx)
     topology = classify_elements(mesh, case.curve)
     space = build_doubled_space(build_dof_map(mesh, p), topology)
-    params = PenaltyParams(beta=1 if method == "sip" else -1,
-                           gamma0=gamma0, gamma1=gamma1, p=p)
+    params = PenaltyParams(beta=_beta(method), gamma0=gamma0, gamma1=gamma1, p=p)
     system = assemble(space, topology, case.problem, params,
                       quad_order=pass_order(p) + quad_extra)
     report = solve(system, estimate_cond=estimate_cond)
@@ -387,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     probes.add_argument("--curve", help="override curve, e.g. circle:0,0,0.6")
     probes.add_argument("--nx", default="8")
     probes.add_argument("--p", type=int, default=2)
-    probes.add_argument("--samples", type=int, default=20)
+    probes.add_argument("--samples", type=int, help="per segment: trace's cubics (20), G's points (64)")
     probes.add_argument("--seed", type=int, default=0)
     probes.add_argument("--gamma0", default="100")
     probes.add_argument("--gamma1", default="1")
@@ -399,9 +424,6 @@ def _build_parser() -> argparse.ArgumentParser:
     plots.add_argument("csvs", nargs="+")
     plots.add_argument("--out", default="plots.py")
     return parser
-
-
-_ENTRY_FIELDS = {"p": "p_list", "nx": "nx_list", "out": "out_dir"}  # where a flag's name is not its field's
 
 
 def _config_from_args(args) -> StudyConfig:
@@ -457,12 +479,13 @@ def _run_probes(args) -> int:
                     f"coercivity,{nx},{args.p},{_fmt(g0)},{_fmt(g1)},{_fmt(rho)}"
                 )
             continue
+        samples = {} if args.samples is None else {"samples": args.samples}  # else the probe's default
         if args.probe == "invtrace":
             report = probe_inverse_trace(topology, args.p)
         elif args.probe == "trace":
-            report = probe_trace(topology, args.samples, args.seed)
+            report = probe_trace(topology, seed=args.seed, **samples)
         else:
-            report = probe_G(topology, samples_per_segment=args.samples)
+            report = probe_G(topology, **samples)
         if not lines:
             lines.append("probe,nx,p,element,value")
         for elem in sorted(report.per_element):

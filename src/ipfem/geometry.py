@@ -44,6 +44,8 @@ class OnInterface(GeometryError):
 
 _ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])  # tangent -> outward normal of side 1
 SLIVER_FRACTION = 1e-12  # classify_elements drops, and cut_cell_rule refuses, a cut side below this fraction
+SPEED_SAMPLES = 512  # parameter samples of ``InterfaceCurve.speed_range``
+FRACTION_NODES = 32  # Gauss nodes per segment of the curve part of ``_side1_fractions``
 
 
 @cache
@@ -110,8 +112,9 @@ class InterfaceCurve:
         speed = np.linalg.norm(self.tangent(tm), axis=-1)
         return float(np.dot(half, speed @ wg))
 
-    def speed_range(self, nsamples: int = 512):
-        ts = np.linspace(0.0, self.period, nsamples, endpoint=not self.closed)
+    def speed_range(self):
+        """Smallest and largest |r'| over SPEED_SAMPLES equispaced parameters."""
+        ts = np.linspace(0.0, self.period, SPEED_SAMPLES, endpoint=not self.closed)
         s = np.linalg.norm(self.tangent(ts), axis=-1)
         return float(s.min()), float(s.max())
 
@@ -125,7 +128,6 @@ class Circle(InterfaceCurve):
         self.name = f"circle({cx},{cy},{radius})"
         self.closed = True
         self.period = 2.0 * np.pi
-        self.length_scale = radius
 
     def coordinate(self, t, axis: int):
         t = np.asarray(t, dtype=float)
@@ -156,7 +158,6 @@ class Ellipse(InterfaceCurve):
         self.closed = True
         self.period = 2.0 * np.pi
         self.curvature_bound = max(a / b**2, b / a**2)  # perfbench's regime test reads it
-        self.length_scale = min(a, b)
 
     def coordinate(self, t, axis: int):
         t = np.asarray(t, dtype=float)
@@ -195,7 +196,6 @@ class VerticalLine(InterfaceCurve):
         self.name = f"vline({x0})"
         self.closed = False
         self.period = y_hi - y_lo
-        self.length_scale = y_hi - y_lo
 
     def coordinate(self, t, axis: int):
         t = np.asarray(t, dtype=float)
@@ -227,13 +227,11 @@ def parse_curve(text: str) -> InterfaceCurve:
     raise ValueError(f"unknown curve descriptor {text!r}")
 
 
-def signed_side(point, curve: InterfaceCurve, tol: float | None = None) -> int:
+def signed_side(point, curve: InterfaceCurve, tol: float) -> int:
     """Side of the interface containing ``point``: 1 or 2.
 
     Raises OnInterface when the point is within ``tol`` of the curve.
     """
-    if tol is None:
-        tol = 1e-12 * max(1.0, curve.length_scale)
     d = float(curve.signed_distance(point[0], point[1]))
     if abs(d) <= tol:
         raise OnInterface(f"point {tuple(point)} lies on the interface (d={d:.3e})")
@@ -469,13 +467,13 @@ def boundary_chains_ccw(boxes, p_from, p_to, tol):
     return np.take_along_axis(corners, walk[:, :, None], axis=1), passed.sum(axis=1)
 
 
-def _side1_fractions(mesh, curve, t_lo, t_hi, hosts, npts: int = 32) -> np.ndarray:
+def _side1_fractions(mesh, curve, t_lo, t_hi, hosts) -> np.ndarray:
     """Area fraction of the side-1 part of each host element, cut by the
-    curve over [t_lo, t_hi], via Green's theorem: the curve part by an
-    ``npts``-point Gauss rule, the boundary walk back as a polygon."""
+    curve over [t_lo, t_hi], via Green's theorem: the curve part by a
+    FRACTION_NODES-point Gauss rule, the boundary walk back as a polygon."""
     boxes = np.stack(mesh.element_box(hosts), axis=-1)
     tol = 1e-9 * mesh.h
-    xg, wg = _gauss_legendre(npts)
+    xg, wg = _gauss_legendre(FRACTION_NODES)
     tq = (0.5 * (t_lo + t_hi))[:, None] + (0.5 * (t_hi - t_lo))[:, None] * xg
     r = curve.point(tq)
     dr = curve.tangent(tq)

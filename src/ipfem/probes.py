@@ -495,15 +495,16 @@ def _volume_schur(volume, on_interface) -> tuple:
     return touched, x
 
 
-def probe_G(topology: CutTopology, samples_per_segment: int = 64) -> ProbeReport:
-    """min over segments and parameters of G(t)/h_K, where G is the distance
-    function |(r-P) x r'|/|r'| with origin at the far corner P."""
+def probe_G(topology: CutTopology, samples: int = 64) -> ProbeReport:
+    """min over segments and ``samples`` equispaced parameters per segment of
+    G(t)/h_K, where G is the distance function |(r-P) x r'|/|r'| with origin
+    at the far corner P."""
     mesh, curve = topology.mesh, topology.curve
     elements = np.array([seg.element for seg in topology.segments], dtype=np.int64)
     t_lo = np.array([seg.t_lo for seg in topology.segments])
     t_hi = np.array([seg.t_hi for seg in topology.segments])
     p_far = far_corners(mesh, curve, elements, 0.5 * (t_lo + t_hi))[:, 0]
-    ts = np.linspace(t_lo, t_hi, samples_per_segment, axis=1)
+    ts = np.linspace(t_lo, t_hi, samples, axis=1)
     r = curve.point(ts) - p_far[:, None, :]
     dr = curve.tangent(ts)
     g = np.abs(r[..., 0] * dr[..., 1] - r[..., 1] * dr[..., 0]) / np.linalg.norm(dr, axis=-1)

@@ -29,9 +29,9 @@ that stores 1.13 M L + U entries against 1.30 M for minimum degree, and the
 scaling and LU take about a third less time: 63 against 93 ms and 58 against
 84 ms in two runs (best of 5, one BLAS thread, on a shared two-core x86-64
 VM).  At nx = 256 it is 5.34 M against 6.79 M entries and 239-299 against
-490-546 ms.  Every other LU (the solve at p >= 2 or of a
-bare (matrix, load) pair, the probes') orders the columns by minimum degree
-on the pattern of A + A^T (Liu, ACM TOMS 11, 1985).  At p >= 2 a dissection
+490-546 ms.  Every other LU (the solve at p >= 2, the probes') orders the
+columns by minimum degree on the pattern of A + A^T (Liu, ACM TOMS 11,
+1985).  At p >= 2 a dissection
 of all DOF positions down to one element per leaf loses to it: on the
 p-sweep system of seed 1 (NIP, nx = 16) it stores 69,900 against 38,962
 L + U entries at p = 2 and 3.63 M against 1.12 M at p = 8 (1.73 M with the
@@ -51,6 +51,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import AssembledSystem
+
+RESIDUAL_TOL = 1e-10  # relative residual every solve must reach
+COND_ITERS = 50  # power and inverse-power steps of ``condition_estimate``
+COND_SEED = 0  # seed of its two random start vectors
 
 
 class SolverError(Exception):
@@ -76,20 +80,6 @@ class SolveReport:
     iterations: int = 0  # refinement steps taken after the first LU solve
     condition_estimate: float | None = None
     factor_nnz: int = 0  # L + U entries SuperLU stored (``SuperLU.nnz``); 0 without an LU
-
-
-@dataclass(eq=False)
-class ScaledSystem:
-    matrix: sp.csr_matrix
-    load: np.ndarray
-    scale: np.ndarray  # x = scale * y recovers the unscaled solution
-
-
-def jacobi_scale(system) -> ScaledSystem:
-    """Symmetric diagonal scaling to unit absolute diagonal."""
-    matrix, load = _unpack(system)
-    s = _jacobi_factors(matrix)
-    return ScaledSystem(matrix=diagonal_scale(matrix, s), load=s * load, scale=s)
 
 
 def _jacobi_factors(matrix) -> np.ndarray:
@@ -128,21 +118,12 @@ def diagonal_scale(matrix, s, order=None) -> sp.csr_matrix:
     return sp.csr_matrix((scaled, position[cols], new_indptr), shape=matrix.shape)
 
 
-def _unpack(system):
-    """(matrix, load) of an AssembledSystem or of a (matrix, load) pair."""
-    if isinstance(system, AssembledSystem):
-        return system.matrix, system.load
-    matrix, load = system
-    return matrix, load
-
-
-def solve(system, tol: float = 1e-10, estimate_cond: bool = False) -> SolveReport:
-    """Solve the assembled system to a relative residual of ``tol``: sparse LU
-    of the Jacobi-scaled matrix, then up to three refinement steps.  The LU
-    takes the system's elimination order when it has one (an
-    ``AssembledSystem`` of a degree-1 space), minimum degree otherwise."""
-    matrix, load = _unpack(system)
-    order = getattr(system, "order", None)  # a (matrix, load) pair has none
+def solve(system: AssembledSystem, estimate_cond: bool = False) -> SolveReport:
+    """Solve the assembled system to a relative residual of RESIDUAL_TOL:
+    sparse LU of the Jacobi-scaled matrix, then up to three refinement
+    steps.  The LU takes the system's elimination order when it has one (a
+    degree-1 space), minimum degree otherwise."""
+    matrix, load = system.matrix, system.load
     if matrix.shape[0] == 0:
         raise SolverError("empty system")
     bnorm = float(np.linalg.norm(load))
@@ -152,42 +133,41 @@ def solve(system, tol: float = 1e-10, estimate_cond: bool = False) -> SolveRepor
     s = _jacobi_factors(matrix)
     # the CSR arrays read as CSC are the transpose: factor that, solve with
     # trans="T", and no format conversion is needed
-    lu = factor(diagonal_scale(matrix, s, order).T, order)
-    report = _refined_solve(matrix, load, s, lu, tol)
+    lu = factor(diagonal_scale(matrix, s, system.order).T, system.order)
+    report = _refined_solve(matrix, load, s, lu)
     if estimate_cond:
-        report.condition_estimate = condition_estimate(diagonal_scale(matrix, s), lu_t=lu)
+        report.condition_estimate = condition_estimate(diagonal_scale(matrix, s), lu)
     return report
 
 
-def colamd_solve(system, tol: float = 1e-10) -> SolveReport:
+def colamd_solve(system: AssembledSystem) -> SolveReport:
     """``solve`` through SuperLU's default LU (COLAMD column ordering, partial
     pivoting) of the same Jacobi-scaled matrix, with the same refinement: a
     second pivot order, for measuring how much the solution depends on it."""
-    matrix, load = _unpack(system)
-    s = _jacobi_factors(matrix)
+    s = _jacobi_factors(system.matrix)
     try:
-        lu = spla.splu(diagonal_scale(matrix, s).T)
+        lu = spla.splu(diagonal_scale(system.matrix, s).T)
     except RuntimeError as exc:
         raise SingularMatrix(str(exc)) from exc
-    return _refined_solve(matrix, load, s, lu, tol)
+    return _refined_solve(system.matrix, system.load, s, lu)
 
 
-def _refined_solve(matrix, load, s, lu, tol: float) -> SolveReport:
+def _refined_solve(matrix, load, s, lu) -> SolveReport:
     """x from ``lu``, the LU of (diag(s) A diag(s))^T, with up to three
     refinement steps on the unscaled residual."""
     bnorm = float(np.linalg.norm(load))
     x = s * lu.solve(s * load, trans="T")
     iterations = 0
     r = load - matrix @ x
-    while iterations < 3 and np.linalg.norm(r) > tol * bnorm:
+    while iterations < 3 and np.linalg.norm(r) > RESIDUAL_TOL * bnorm:
         x = x + s * lu.solve(s * r, trans="T")
         iterations += 1
         r = load - matrix @ x
 
     rel = float(np.linalg.norm(r) / bnorm)
-    if rel > tol:
+    if rel > RESIDUAL_TOL:
         raise ConvergenceFailure(
-            f"direct solve stalled at relative residual {rel:.3e} (target {tol:.1e})"
+            f"direct solve stalled at relative residual {rel:.3e} (target {RESIDUAL_TOL:.1e})"
         )
     return SolveReport(solution=x, rel_residual=rel, iterations=iterations, factor_nnz=int(lu.nnz))
 
@@ -227,18 +207,16 @@ class PermutedLU:
         return x
 
 
-def condition_estimate(matrix: sp.spmatrix, iters: int = 50, seed: int = 0, lu_t=None) -> float:
-    """2-norm condition estimate by power and inverse-power iteration.
-
-    ``lu_t`` is an LU of ``matrix.T`` when the caller already has it, as
-    ``solve`` does (in its elimination order, if any: the LU ``factor``
-    returns solves in the original numbering); otherwise it is
-    ``factor(matrix.T)``."""
+def condition_estimate(matrix: sp.spmatrix, lu_t) -> float:
+    """2-norm condition estimate by COND_ITERS steps each of power and
+    inverse-power iteration.  ``lu_t`` is an LU of ``matrix.T``, as ``solve``
+    has it (in its elimination order, if any: the LU ``factor`` returns
+    solves in the original numbering)."""
     n = matrix.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(COND_SEED)
     x = rng.standard_normal(n)
     mt = matrix.T.tocsr()
-    for _ in range(iters):
+    for _ in range(COND_ITERS):
         x = matrix @ x
         x = mt @ x
         nx = np.linalg.norm(x)
@@ -246,17 +224,12 @@ def condition_estimate(matrix: sp.spmatrix, iters: int = 50, seed: int = 0, lu_t
             return np.inf
         x /= nx
     smax = np.sqrt(np.linalg.norm(mt @ (matrix @ x)))
-    if lu_t is None:
-        try:
-            lu_t = factor(matrix.T.tocsc())
-        except SingularMatrix:
-            return np.inf
 
     def inv_normal(v):  # (A A^T)^-1 v = A^-T (A^-1 v), with A^T = LU
         return lu_t.solve(lu_t.solve(v, trans="T"), trans="N")
 
     y = rng.standard_normal(n)
-    for _ in range(iters):
+    for _ in range(COND_ITERS):
         y = inv_normal(y)
         ny = np.linalg.norm(y)
         if ny == 0.0:

@@ -14,6 +14,7 @@ from ipfem.cli import (
     emit_plots,
     list_cases,
     main,
+    run_single,
     run_study,
 )
 from ipfem.assembly import build_plan
@@ -21,6 +22,7 @@ from ipfem.cases import DOMAIN, catalog
 from ipfem.errors import InsufficientData, energy_norm_squared
 from ipfem.geometry import classify_elements
 from ipfem.mesh import build_mesh
+from ipfem.probes import probe_G, probe_trace
 from ipfem.quadrature import pass_order
 from ipfem.solver import ConvergenceFailure, colamd_solve, solve
 
@@ -41,6 +43,14 @@ def test_default_penalties():
     assert g0 == pytest.approx(20.0 * (1.0 + 10.0))
     assert g1 == 1.0
     assert default_penalties("nip", cases["circle-jump"]) == (1.0, 1.0)
+
+
+def test_an_unknown_method_is_rejected_not_run_as_nip():
+    case = catalog()["circle-jump"]
+    with pytest.raises(ValueError, match="method must be sip or nip, got 'SIP'"):
+        default_penalties("SIP", case)
+    with pytest.raises(ValueError, match="method must be sip or nip, got 'SIP'"):
+        run_single(case, "SIP", 1, 8, 220.0, 1.0)
 
 
 def test_config_validation():
@@ -208,7 +218,7 @@ def test_a_failed_second_solve_leaves_the_spread_undetermined(tmp_path, monkeypa
     # which --max-delta fails
     import ipfem.cli as cli
 
-    def stalled(system, tol=1e-10):
+    def stalled(system):
         raise ConvergenceFailure("direct solve stalled")
 
     monkeypatch.setattr(cli, "colamd_solve", stalled)
@@ -358,6 +368,13 @@ def test_flags_win_over_config_entries_over_defaults(tmp_path):
     ('{"p": [1], "nx": [8],', "cannot read config file"),
     ('[1, 8]', "holds no JSON object"),
     (None, "cannot read config file"),
+    ('{"p": 1, "nx": [8]}', "setting 'p' must be a list of integers, got 1"),
+    ('{"p": [1], "nx": [8], "gamma0": "abc"}', "setting 'gamma0' must be a number or null, got 'abc'"),
+    ('{"p": [1.5], "nx": [8]}', "setting 'p' must be a list of integers, got [1.5]"),
+    ('{"p": [1], "nx": [8], "quad_extra": 1.7}', "setting 'quad_extra' must be an integer, got 1.7"),
+    ('{"p": [1], "nx": [8], "max_delta": true}', "setting 'max_delta' must be a number or null, got True"),
+    ('{"p": [1], "nx": [8], "check_spread": 1}', "setting 'check_spread' must be true or false, got 1"),
+    ('{"p": [1], "nx": [8], "case": 3}', "setting 'case' must be a string, got 3"),
 ])
 def test_a_bad_config_file_is_a_usage_error(tmp_path, capsys, text, problem):
     cfg_path = tmp_path / "config.json"
@@ -492,6 +509,17 @@ def test_probes_subcommand_trace_and_g(tmp_path, probe, name):
     assert [row[3] for row in rows] == [str(e) for e in hosts] + ["max", "median"]
     values = [float(row[4]) for row in rows]
     assert values[-2] == max(values[:-2]) and min(values[:-2]) <= values[-1] <= values[-2]
+
+
+def test_probes_without_samples_take_each_probe_default(tmp_path):
+    # 64 points per segment for G, 20 cubics per segment for the trace probe
+    top = classify_elements(build_mesh(DOMAIN, 8, 8), catalog()["circle-jump"].curve)
+    for probe, report in (("G", probe_G(top)), ("trace", probe_trace(top))):
+        assert main(["probes", "--probe", probe, "--nx", "8", "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in (tmp_path / f"probe_{probe}.csv").read_text().splitlines()[1:]]
+        values = {row[3]: float(row[4]) for row in rows}
+        assert values == {**{str(e): v for e, v in report.per_element.items()},
+                          "max": report.global_max, "median": report.global_median}
 
 
 def test_probes_subcommand_invtrace_measures_every_host_at_p_8(tmp_path):

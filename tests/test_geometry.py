@@ -106,12 +106,12 @@ def test_multi_intersection_detected():
 
 def test_signed_side_basics():
     curve = Circle(0.0, 0.0, 0.5)
-    assert signed_side((0.0, 0.0), curve) == 1
-    assert signed_side((0.9, 0.9), curve) == 2
+    assert signed_side((0.0, 0.0), curve, tol=1e-12) == 1
+    assert signed_side((0.9, 0.9), curve, tol=1e-12) == 2
     p = curve.point(0.0) + 1e-6 * curve.normal(0.0)
-    assert signed_side(p, curve) == 2
+    assert signed_side(p, curve, tol=1e-12) == 2
     q = curve.point(1.3) - 1e-6 * curve.normal(1.3)
-    assert signed_side(q, curve) == 1
+    assert signed_side(q, curve, tol=1e-12) == 1
     with pytest.raises(OnInterface):
         signed_side((0.5, 0.0), curve, tol=1e-9)
 

@@ -7,26 +7,45 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import ipfem.solver as solver
+from ipfem.assembly import AssembledSystem, PenaltyParams
 from ipfem.cases import catalog
 from ipfem.geometry import Ellipse
 from ipfem.solver import (
     ConvergenceFailure,
     SolverError,
     ZeroDiagonal,
+    _jacobi_factors,
     condition_estimate,
+    diagonal_scale,
     factor,
-    jacobi_scale,
     solve,
 )
 
 from helpers import build_pipeline
 
 
+def _system(matrix, load) -> AssembledSystem:
+    """A bare matrix and load as a system with no elimination order."""
+    return AssembledSystem(matrix=sp.csr_matrix(matrix), load=load,
+                           params=PenaltyParams(beta=1, gamma0=0.0, gamma1=0.0, p=1))
+
+
+def _scaled(matrix):
+    """The Jacobi factors s and diag(s) A diag(s), as ``solve`` scales."""
+    s = _jacobi_factors(matrix)
+    return s, diagonal_scale(matrix, s)
+
+
+def _condition(matrix) -> float:
+    """``condition_estimate`` with a minimum-degree LU of its own."""
+    return condition_estimate(matrix, factor(matrix.T.tocsc()))
+
+
 def test_identity_solve():
     n = 5
     b = np.zeros(n)
     b[0] = 1.0
-    rep = solve((sp.identity(n, format="csr"), b))
+    rep = solve(_system(sp.identity(n), b))
     assert np.allclose(rep.solution, b)
     assert rep.rel_residual <= 1e-10
 
@@ -54,33 +73,31 @@ def test_direct_solve_matches_dense_solve(beta, gamma0, gamma1):
     rep = solve(system)
     dense = np.linalg.solve(system.matrix.toarray(), system.load)
     assert np.linalg.norm(rep.solution - dense) <= 1e-10 * np.linalg.norm(dense)
-    # a (matrix, load) pair carries no elimination order: it takes the same
-    # path as a system without one, and the degree-1 grid order of ``system``
-    # moves the solution only at round-off
-    pair = solve((system.matrix, system.load))
-    assert np.array_equal(pair.solution, solve(replace(system, order=None)).solution)
-    assert np.linalg.norm(pair.solution - rep.solution) <= 1e-12 * np.linalg.norm(rep.solution)
+    # the degree-1 grid order of ``system`` moves the solution only at
+    # round-off against the minimum-degree LU of a system without one
+    mmd = solve(replace(system, order=None))
+    assert np.linalg.norm(mmd.solution - rep.solution) <= 1e-12 * np.linalg.norm(rep.solution)
 
 
-def test_refinement_stall_raises():
+def test_refinement_stall_raises(monkeypatch):
     # round-off keeps the residual near 1e-16, far above this target
     case = catalog()["circle-jump"]
     _, _, _, _, system = build_pipeline(case, 1, 8, beta=1)
+    monkeypatch.setattr(solver, "RESIDUAL_TOL", 1e-30)
     with pytest.raises(ConvergenceFailure):
-        solve(system, tol=1e-30)
+        solve(system)
 
 
 def test_jacobi_scale_basics():
     a = sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 1.0]]))
-    scaled = jacobi_scale((a, np.array([1.0, 1.0])))
-    assert np.allclose(scaled.scale, [0.5, 1.0])
-    assert np.allclose(scaled.matrix.toarray().diagonal(), [1.0, 1.0])
-    eye = sp.identity(3, format="csr")
-    scaled_eye = jacobi_scale((eye, np.ones(3)))
-    assert np.allclose(scaled_eye.matrix.toarray(), np.eye(3))
+    s, scaled = _scaled(a)
+    assert np.allclose(s, [0.5, 1.0])
+    assert np.allclose(scaled.toarray().diagonal(), [1.0, 1.0])
+    _, scaled_eye = _scaled(sp.identity(3, format="csr"))
+    assert np.allclose(scaled_eye.toarray(), np.eye(3))
     bad = sp.csr_matrix(np.array([[1.0, 0.5], [0.5, 0.0]]))
     with pytest.raises(ZeroDiagonal):
-        jacobi_scale((bad, np.ones(2)))
+        solve(_system(bad, np.ones(2)))
 
 
 def test_jacobi_scaling_improves_conditioning():
@@ -90,18 +107,18 @@ def test_jacobi_scaling_improves_conditioning():
         g0 = float(rng.uniform(5.0, 500.0))
         g1 = float(rng.uniform(0.1, 10.0))
         _, _, _, _, system = build_pipeline(case, 1, 8, beta=1, gamma0=g0, gamma1=g1)
-        before = condition_estimate(system.matrix, iters=30)
-        after = condition_estimate(jacobi_scale(system).matrix, iters=30)
+        before = _condition(system.matrix)
+        after = _condition(_scaled(system.matrix)[1])
         assert after <= before * (1.0 + 1e-9)
 
 
 def test_empty_system_rejected():
     with pytest.raises(SolverError):
-        solve((sp.csr_matrix((0, 0)), np.zeros(0)))
+        solve(_system(sp.csr_matrix((0, 0)), np.zeros(0)))
 
 
 def test_zero_load_short_circuit():
-    rep = solve((sp.identity(4, format="csr"), np.zeros(4)))
+    rep = solve(_system(sp.identity(4), np.zeros(4)))
     assert np.all(rep.solution == 0.0)
     assert rep.rel_residual == 0.0
 
@@ -126,7 +143,7 @@ def test_solve_factors_once_with_condition_estimate(monkeypatch):
     monkeypatch.setattr(solver, "factor", counted)
     rep = solve(system, estimate_cond=True)
     assert len(calls) == 1
-    alone = condition_estimate(jacobi_scale(system).matrix)
+    alone = _condition(_scaled(system.matrix)[1])
     assert rep.condition_estimate == pytest.approx(alone, rel=1e-12)
 
 
@@ -135,7 +152,7 @@ def test_factor_uses_a_symmetric_fill_reducing_ordering():
     # COLAMD ordering of the same matrix
     case = catalog()["aligned-edge"]
     _, _, _, _, system = build_pipeline(case, 6, 16, beta=-1)
-    scaled = jacobi_scale(system).matrix.tocsc()
+    scaled = _scaled(system.matrix)[1].tocsc()
     lu = factor(scaled)
     colamd = spla.splu(scaled)
     assert lu.L.nnz + lu.U.nnz <= 0.6 * (colamd.L.nnz + colamd.U.nnz)
@@ -166,7 +183,7 @@ def test_grid_order_fills_less_than_minimum_degree_at_degree_one():
     case = replace(catalog()["circle-jump"], curve=ellipse)
     _, _, _, _, system = build_pipeline(case, 1, 128)
     rep = solve(system)
-    mmd = factor(jacobi_scale(system).matrix.T)
+    mmd = factor(_scaled(system.matrix)[1].T)
     assert rep.iterations == 0
     assert rep.factor_nnz <= 0.9 * mmd.nnz
 
@@ -178,9 +195,9 @@ def test_higher_degrees_keep_the_minimum_degree_lu(p):
     assert system.order is None
     rep = solve(system)
     assert rep.iterations == 0
-    scaled = jacobi_scale(system)
+    s, scaled = _scaled(system.matrix)
     lu = spla.splu(
-        scaled.matrix.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True}
+        scaled.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True}
     )
-    assert np.array_equal(rep.solution, scaled.scale * lu.solve(scaled.load, trans="T"))
+    assert np.array_equal(rep.solution, s * lu.solve(s * system.load, trans="T"))
     assert rep.factor_nnz == lu.nnz
