@@ -4,7 +4,8 @@ machine-readable outputs.
 The run subcommand sweeps (p, nx) for one case and method, writes one CSV row
 per run plus a per-p rate summary, and exits nonzero if any run failed.  With
 ``--max-delta X`` a run whose pivot-order spread delta exceeds X (see
-``_spread``) is a failure too; its row is still written.  All
+``_spread``) is a failure too; its row is still written.  ``--check-spread``
+also records the local figure of the run's matrix (``_local_figure``).  All
 outputs are plain text with fixed formatting, so identical configurations
 produce byte-identical files.
 """
@@ -27,10 +28,9 @@ from .geometry import GeometryError, classify_elements, parse_curve
 from .mesh import build_mesh
 from .probes import ProbeError, probe_coercivity, probe_G, probe_inverse_trace, probe_trace
 from .quadrature import cut_cell_rule, cut_order, pass_order
-from .solver import SolverError, colamd_solve, solve
+from .solver import SolverError, _jacobi_factors, colamd_solve, solve
 
 CSV_HEADER = "case,method,p,nx,h,dofs,gamma0,gamma1,l2,h1_broken,normA,normB,j0,j1,residual"
-_ENTRY_FIELDS = {"p": "p_list", "nx": "nx_list", "out": "out_dir"}  # where a flag's name is not its field's
 
 
 def _is_int(value) -> bool:
@@ -59,30 +59,33 @@ class StudyConfig:
     """The settings of a run sweep; the one place their defaults are written."""
     case: str = "circle-jump"
     method: str = "sip"  # or "nip"
-    p_list: list
-    nx_list: list
+    p: list
+    nx: list
     gamma0: float | None = None
     gamma1: float | None = None
     quad_extra: int = 0
-    out_dir: str = "study-out"
-    estimate_cond: bool = False
+    out: str = "study-out"
     check_spread: bool = False
     dump_matrix: bool = False
     dump_quadrature: bool = False
     max_delta: float | None = None  # the largest spread a row may have; implies check_spread
 
     def __post_init__(self):
-        entries = {field: entry for entry, field in _ENTRY_FIELDS.items()}
         for f in fields(self):
             kind, ok = _TYPE_CHECKS[f.type]
             value = getattr(self, f.name)
             if not ok(value):
-                raise ValueError(f"setting {entries.get(f.name, f.name)!r} must be {kind}, got {value!r}")
+                raise ValueError(f"setting {f.name!r} must be {kind}, got {value!r}")
         _beta(self.method)
-        if not self.p_list:
+        if not self.p:
             raise InsufficientData("empty p list")
-        if not self.nx_list:
+        if not self.nx:
             raise InsufficientData("empty nx list")
+        # refused before any run, as each degree's rates need h to fall
+        if any(b <= a for a, b in zip(self.nx, self.nx[1:])):
+            raise ValueError(f"setting 'nx' must be strictly increasing, got {self.nx}")
+        if len(set(self.p)) < len(self.p):
+            raise ValueError(f"setting 'p' must not repeat a degree, got {self.p}")
         if self.max_delta is not None:
             self.max_delta = float(self.max_delta)
             if not 0.0 <= self.max_delta < float("inf"):
@@ -106,14 +109,13 @@ def _fmt(x) -> str:
 @dataclass
 class StudyResult:
     rows: list = field(default_factory=list)
-    condition_estimates: list = field(default_factory=list)  # per row; None unless estimate_cond
-    stats: list = field(default_factory=list)  # per row, see _run_stats and _spread
+    stats: list = field(default_factory=list)  # per row, see _run_stats, _spread and _local_figure
     rates: dict = field(default_factory=dict)  # p -> RateSummary
     failures: list = field(default_factory=list)
 
 
 def run_single(case: ManufacturedCase, method: str, p: int, nx: int,
-               gamma0: float, gamma1: float, quad_extra: int = 0, estimate_cond: bool = False):
+               gamma0: float, gamma1: float, quad_extra: int = 0):
     """One (p, nx) run: mesh -> geometry -> space -> assemble -> solve -> errors."""
     mesh = build_mesh(DOMAIN, nx, nx)
     topology = classify_elements(mesh, case.curve)
@@ -121,7 +123,7 @@ def run_single(case: ManufacturedCase, method: str, p: int, nx: int,
     params = PenaltyParams(beta=_beta(method), gamma0=gamma0, gamma1=gamma1, p=p)
     system = assemble(space, topology, case.problem, params,
                       quad_order=pass_order(p) + quad_extra)
-    report = solve(system, estimate_cond=estimate_cond)
+    report = solve(system)
     err = compute_errors(space, topology, case.problem, report.solution, params,
                          quad_order=pass_order(p, errors=True) + quad_extra)
     return mesh, topology, space, system, report, err
@@ -146,6 +148,37 @@ def _spread(space, topology, problem, system, solution, quad_extra: int) -> floa
     diff_sq, norm_sq = energy_norm_squared(space, topology, problem, system.params,
                                            [solution - second, solution], quad_order=order)
     return float(np.sqrt(diff_sq / norm_sq))
+
+
+def _local_figure(space, topology, system) -> dict:
+    """Smallest lambda_min / lambda_max, over the cut (element, side) copies,
+    of (B + B^T) / 2, B the Jacobi-scaled matrix on the copy's unknowns on
+    the element (NIP's B is skew in its consistency part); with the element
+    and side where it occurs, all None when nothing is cut.  The smallest
+    cuts set the conditioning: on circle-jump (SIP, nx = 8) the figure is
+    7.7e-7 at p = 2, 2.1e-12 at p = 3 and round-off (<= 0) at p = 4.  The
+    mirror images of one cut tie up to round-off, which then picks the
+    element named."""
+    cut = topology.cut_elements
+    if not len(cut):
+        return {"local_ratio": None, "local_element": None, "local_side": None}
+    s = _jacobi_factors(system.matrix)
+    found = []
+    for side in (1, 2):
+        idx = space.element_unknowns(cut, side)
+        kept = (idx >= 0).sum(axis=1)  # constrained boundary DOFs drop out
+        for k in np.unique(kept):
+            rows = np.flatnonzero(kept == k)
+            ids = idx[rows][idx[rows] >= 0].reshape(len(rows), k)
+            r, c = np.broadcast_arrays(ids[:, :, None], ids[:, None, :])
+            block = np.asarray(system.matrix[r.ravel(), c.ravel()]).reshape(r.shape)
+            block *= s[r]  # (a_ij s_i) s_j, rounded as the solver scales
+            block *= s[c]
+            lam = np.linalg.eigvalsh(0.5 * (block + block.transpose(0, 2, 1)))
+            found.append((lam[:, 0] / lam[:, -1], cut[rows], np.full(len(rows), side)))
+    ratio, element, sides = map(np.concatenate, zip(*found))
+    i = np.lexsort((sides, element, ratio))[0]
+    return {"local_ratio": float(ratio[i]), "local_element": int(element[i]), "local_side": int(sides[i])}
 
 
 def _run_stats(topology, space, system, report, spread=None) -> dict:
@@ -179,7 +212,7 @@ def run_study(config: StudyConfig) -> StudyResult:
     """Execute the configured sweep and write results.csv / rates.csv /
     summary.json under the output directory."""
     case = _case(config.case)
-    if case.curve.closed and any(nx < 4 for nx in config.nx_list):
+    if case.curve.closed and any(nx < 4 for nx in config.nx):
         raise ValueError("cut cases need nx >= 4 to keep one segment per element")
     case.problem.validate(case.curve)
 
@@ -187,25 +220,24 @@ def run_study(config: StudyConfig) -> StudyResult:
     gamma0 = g0_default if config.gamma0 is None else config.gamma0
     gamma1 = g1_default if config.gamma1 is None else config.gamma1
     # a negative or non-finite penalty is a usage error, not a failure of every row
-    PenaltyParams(beta=1, gamma0=gamma0, gamma1=gamma1, p=config.p_list[0])
+    PenaltyParams(beta=1, gamma0=gamma0, gamma1=gamma1, p=config.p[0])
 
-    out = Path(config.out_dir)
+    out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     result = StudyResult()
     reports_by_p = {}
 
-    for p in config.p_list:
+    for p in config.p:
         reports_by_p[p] = []
-        for nx in config.nx_list:
+        for nx in config.nx:
             try:
                 mesh, topology, space, system, rep, err = run_single(
-                    case, config.method, p, nx, gamma0, gamma1,
-                    quad_extra=config.quad_extra,
-                    estimate_cond=config.estimate_cond,
+                    case, config.method, p, nx, gamma0, gamma1, quad_extra=config.quad_extra,
                 )
-                spread = None
+                spread, local = None, {}  # the local keys are absent without the check
                 if config.check_spread:
                     spread = _spread(space, topology, case.problem, system, rep.solution, config.quad_extra)
+                    local = _local_figure(space, topology, system)
             except Exception as exc:  # noqa: BLE001 - annotate and keep sweeping
                 result.failures.append((config.case, p, nx, f"{type(exc).__name__}: {exc}"))
                 continue
@@ -234,8 +266,7 @@ def run_study(config: StudyConfig) -> StudyResult:
                 ]
             )
             result.rows.append(row)
-            result.condition_estimates.append(rep.condition_estimate)
-            result.stats.append(_run_stats(topology, space, system, rep, spread))
+            result.stats.append({**_run_stats(topology, space, system, rep, spread), **local})
             reports_by_p[p].append(err)
             if config.dump_matrix:
                 _dump_matrix(out, config, p, nx, system)
@@ -290,15 +321,14 @@ def _write_summary(path: Path, config: StudyConfig, gamma0, gamma1, result: Stud
         "config": {
             "case": config.case,
             "method": config.method,
-            "p": list(config.p_list),
-            "nx": list(config.nx_list),
+            "p": list(config.p),
+            "nx": list(config.nx),
             "gamma0": gamma0,
             "gamma1": gamma1,
             "quad_extra": config.quad_extra,
             **({} if config.max_delta is None else {"max_delta": config.max_delta}),
         },
         "rows": result.rows,
-        "condition_estimate": result.condition_estimates,
         "stats": result.stats,
         "rates": {
             str(p): {
@@ -380,6 +410,12 @@ def _parse_float_list(text: str):
     return [float(v) for v in str(text).split(",") if v != ""]
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ipfem-study",
@@ -394,12 +430,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--case")
     run.add_argument("--method", choices=("sip", "nip"))
     run.add_argument("--p", help="comma-separated degrees, e.g. 1,2,3")
-    run.add_argument("--nx", help="comma-separated element counts, e.g. 8,16,32,64")
+    run.add_argument("--nx", help="comma-separated, strictly increasing element counts, e.g. 8,16,32,64")
     run.add_argument("--gamma0", type=float)
     run.add_argument("--gamma1", type=float)
     run.add_argument("--quad-extra", type=int)
     run.add_argument("--out")
-    run.add_argument("--estimate-cond", action="store_true")
     run.add_argument("--check-spread", action="store_true")
     run.add_argument("--max-delta", type=float, help="fail a row whose pivot-order spread exceeds this; "
                                                      "implies --check-spread")
@@ -412,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     probes.add_argument("--curve", help="override curve, e.g. circle:0,0,0.6")
     probes.add_argument("--nx", default="8")
     probes.add_argument("--p", type=int, default=2)
-    probes.add_argument("--samples", type=int, help="per segment: trace's cubics (20), G's points (64)")
+    probes.add_argument("--samples", type=_positive_int, help="per segment: trace's cubics (20), G's points (64)")
     probes.add_argument("--seed", type=int, default=0)
     probes.add_argument("--gamma0", default="100")
     probes.add_argument("--gamma1", default="1")
@@ -440,14 +475,13 @@ def _config_from_args(args) -> StudyConfig:
         if not isinstance(settings, dict):
             raise ValueError(f"config file {path} holds no JSON object")
     settings.update(given)
-    known = {f.name for f in fields(StudyConfig)} - set(_ENTRY_FIELDS.values()) | set(_ENTRY_FIELDS)
-    unknown = sorted(settings.keys() - known)
+    unknown = sorted(settings.keys() - {f.name for f in fields(StudyConfig)})
     if unknown:
         raise ValueError(f"unknown settings {unknown}")
     if not {"p", "nx"} <= settings.keys():
         raise InsufficientData("both --p and --nx (or config entries) are required")
     settings.update({k: _parse_int_list(settings[k]) for k in ("p", "nx") if isinstance(settings[k], str)})
-    return StudyConfig(**{_ENTRY_FIELDS.get(k, k): v for k, v in settings.items()})
+    return StudyConfig(**settings)
 
 
 def _run_probes(args) -> int:

@@ -59,14 +59,13 @@ def _gauss_legendre(n: int):
 
 
 class InterfaceCurve:
-    """Base class; subclasses provide coordinate/tangent_coordinate and
-    signed_distance.  point/tangent stack the two coordinates, so both
-    parametrisations give the same floats."""
+    """Base class; subclasses provide coordinate/tangent_coordinate,
+    signed_distance and distance_gradient.  point/tangent stack the two
+    coordinates, so both parametrisations give the same floats."""
 
     name = "curve"
     closed = True
     period = 0.0
-    length_scale = 1.0
 
     def coordinate(self, t, axis: int):
         """Coordinate ``axis`` (0: x, 1: y) of r(t)."""
@@ -88,11 +87,7 @@ class InterfaceCurve:
 
     def distance_gradient(self, x, y):
         """Unit ascent direction of the signed distance (side 1 -> side 2)."""
-        h = 1e-7 * max(1.0, self.length_scale)
-        gx = (self.signed_distance(x + h, y) - self.signed_distance(x - h, y)) / (2 * h)
-        gy = (self.signed_distance(x, y + h) - self.signed_distance(x, y - h)) / (2 * h)
-        n = np.hypot(gx, gy)
-        return gx / n, gy / n
+        raise NotImplementedError
 
     def normal(self, t):
         """Unit normal pointing from side 1 into side 2 (fixed rotation of r')."""

@@ -1,11 +1,13 @@
-"""Sparse solves and conditioning diagnostics.
+"""Sparse solves.
 
 Every system is solved by a sparse LU factorization of the Jacobi-scaled
 matrix followed by up to three steps of iterative refinement; this is robust
 under the ill-conditioning that small cut fractions induce (the method has no
 stabilization for those by design, so the solver measures the consequences
-instead of patching them).  ``condition_estimate`` reports how ill-conditioned
-the scaled matrix is.
+instead of patching them).  Where that ill-conditioning sits is read off the
+diagonal blocks of the cut (element, side) copies, scaled by the same
+``_jacobi_factors``: the local figure of ``ipfem-study run --check-spread``
+(``cli._local_figure``).
 
 Every LU in the package comes from ``factor``, apart from the deliberate
 second one of ``colamd_solve``.  The matrices here (the interface-penalty
@@ -53,8 +55,6 @@ import scipy.sparse.linalg as spla
 from .assembly import AssembledSystem
 
 RESIDUAL_TOL = 1e-10  # relative residual every solve must reach
-COND_ITERS = 50  # power and inverse-power steps of ``condition_estimate``
-COND_SEED = 0  # seed of its two random start vectors
 
 
 class SolverError(Exception):
@@ -78,7 +78,6 @@ class SolveReport:
     solution: np.ndarray
     rel_residual: float
     iterations: int = 0  # refinement steps taken after the first LU solve
-    condition_estimate: float | None = None
     factor_nnz: int = 0  # L + U entries SuperLU stored (``SuperLU.nnz``); 0 without an LU
 
 
@@ -118,7 +117,7 @@ def diagonal_scale(matrix, s, order=None) -> sp.csr_matrix:
     return sp.csr_matrix((scaled, position[cols], new_indptr), shape=matrix.shape)
 
 
-def solve(system: AssembledSystem, estimate_cond: bool = False) -> SolveReport:
+def solve(system: AssembledSystem) -> SolveReport:
     """Solve the assembled system to a relative residual of RESIDUAL_TOL:
     sparse LU of the Jacobi-scaled matrix, then up to three refinement
     steps.  The LU takes the system's elimination order when it has one (a
@@ -134,10 +133,7 @@ def solve(system: AssembledSystem, estimate_cond: bool = False) -> SolveReport:
     # the CSR arrays read as CSC are the transpose: factor that, solve with
     # trans="T", and no format conversion is needed
     lu = factor(diagonal_scale(matrix, s, system.order).T, system.order)
-    report = _refined_solve(matrix, load, s, lu)
-    if estimate_cond:
-        report.condition_estimate = condition_estimate(diagonal_scale(matrix, s), lu)
-    return report
+    return _refined_solve(matrix, load, s, lu)
 
 
 def colamd_solve(system: AssembledSystem) -> SolveReport:
@@ -206,34 +202,3 @@ class PermutedLU:
         x[self.order] = self.lu.solve(np.asarray(b)[self.order], trans=trans)
         return x
 
-
-def condition_estimate(matrix: sp.spmatrix, lu_t) -> float:
-    """2-norm condition estimate by COND_ITERS steps each of power and
-    inverse-power iteration.  ``lu_t`` is an LU of ``matrix.T``, as ``solve``
-    has it (in its elimination order, if any: the LU ``factor`` returns
-    solves in the original numbering)."""
-    n = matrix.shape[0]
-    rng = np.random.default_rng(COND_SEED)
-    x = rng.standard_normal(n)
-    mt = matrix.T.tocsr()
-    for _ in range(COND_ITERS):
-        x = matrix @ x
-        x = mt @ x
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            return np.inf
-        x /= nx
-    smax = np.sqrt(np.linalg.norm(mt @ (matrix @ x)))
-
-    def inv_normal(v):  # (A A^T)^-1 v = A^-T (A^-1 v), with A^T = LU
-        return lu_t.solve(lu_t.solve(v, trans="T"), trans="N")
-
-    y = rng.standard_normal(n)
-    for _ in range(COND_ITERS):
-        y = inv_normal(y)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return np.inf
-        y /= ny
-    smin = 1.0 / np.sqrt(np.linalg.norm(inv_normal(y)))
-    return float(smax / smin)

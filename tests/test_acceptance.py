@@ -24,15 +24,15 @@ from oracles import monomial_pairs, oracle_side_monomials
 RADIUS = 0.6
 
 
-def _sweep(case_name, method, p, nx_list, out_dir, gamma0=None, gamma1=None):
+def _sweep(case_name, method, p, nx, out, gamma0=None, gamma1=None):
     cfg = StudyConfig(
         case=case_name,
         method=method,
-        p_list=[p],
-        nx_list=list(nx_list),
+        p=[p],
+        nx=list(nx),
         gamma0=gamma0,
         gamma1=gamma1,
-        out_dir=str(out_dir),
+        out=str(out),
     )
     result = run_study(cfg)
     assert not result.failures, result.failures
@@ -264,9 +264,9 @@ def test_criterion_10_reproducibility(tmp_path):
         cfg = StudyConfig(
             case="circle-jump",
             method="sip",
-            p_list=[1, 2],
-            nx_list=[8, 16],
-            out_dir=str(out),
+            p=[1, 2],
+            nx=[8, 16],
+            out=str(out),
         )
         run_study(cfg)
         digests.append(

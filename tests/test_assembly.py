@@ -425,9 +425,7 @@ def test_each_rule_is_built_once_per_pass(name, monkeypatch):
     case = catalog()[name]
     p = 2
     mesh, top, space, params, system = build_pipeline(case, p, 8)
-    sides = sorted(
-        (int(e), side) for e in top.cut_elements for side in (1, 2) if top.fractions[e, side - 1] > 0.0
-    )
+    sides = sorted((int(e), side) for e in top.cut_elements for side in (1, 2))
     segments = sorted(id(seg) for seg in top.segments)
     order = cut_order(pass_order(p), p)
     assert sorted(cut_calls) == [(e, side, order) for e, side in sides]
@@ -458,8 +456,6 @@ def _one_group_per_side(plan, space, top, quad_order):
     for e in top.cut_elements:
         center, half = element_map(space.mesh, e)
         for side in (1, 2):
-            if top.fractions[e, side - 1] <= 0.0:
-                continue
             crule = cut_cell_rule(top, int(e), side, cut_order(quad_order, basis.p))
             xi, eta = ((crule.points - center) / half).T
             groups.append(
@@ -525,7 +521,6 @@ def test_plan_cut_groups_are_the_scalar_rules_stacked(which):
             cut_cell_rule(top, int(e), side, cut_order(quad_order, 1))
             for e in top.cut_elements
             for side in (1, 2)
-            if top.fractions[e, side - 1] > 0.0
         ]
         keys = sorted({(r.side, len(r.weights)) for r in rules})
         groups = build_plan(space, top, quad_order, 1).groups[2:]
@@ -568,8 +563,6 @@ def test_plan_cut_rules_integrate_the_cut_side_mass_and_stiffness_to_round_off(w
     top = classify_elements(mesh, curve)
     cut = top.cut_elements
     elems, sides = np.repeat(cut, 2), np.tile([1, 2], len(cut))
-    positive = top.fractions[elems, sides - 1] > 0.0
-    elems, sides = elems[positive], sides[positive]
     centers, half = element_map(mesh, elems)
     for p in range(1, 9):
         space = build_doubled_space(build_dof_map(mesh, p), top)
@@ -765,7 +758,7 @@ class _HorizontalLine(InterfaceCurve):
     """Open straight interface y = y0 across the domain, run left to right;
     side 1 is y > y0, so the copy-1 host sits above each edge."""
 
-    closed, period, length_scale, name = False, 2.0, 2.0, "hline"
+    closed, period, name = False, 2.0, "hline"
 
     def __init__(self, y0):
         self.y0 = y0
@@ -780,6 +773,10 @@ class _HorizontalLine(InterfaceCurve):
 
     def signed_distance(self, x, y):
         return self.y0 - np.asarray(y, dtype=float) + 0.0 * np.asarray(x)
+
+    def distance_gradient(self, x, y):
+        z = 0.0 * (np.asarray(x) + np.asarray(y))
+        return z, z - 1.0
 
 
 @pytest.mark.parametrize("beta", [1, -1])
@@ -841,7 +838,7 @@ class _LeavingLine(InterfaceCurve):
     bends into the elements on the right, so the last on-edge segment covers
     only [0, 0.1] of its edge."""
 
-    closed, period, length_scale, name = False, 2.0, 2.0, "leaving"
+    closed, period, name = False, 2.0, "leaving"
 
     def coordinate(self, t, axis):
         y = -1.0 + np.asarray(t, dtype=float)
@@ -853,6 +850,11 @@ class _LeavingLine(InterfaceCurve):
 
     def signed_distance(self, x, y):
         return np.asarray(x, dtype=float) + 1e-17 - 0.5 * np.maximum(np.asarray(y, dtype=float) - 0.1, 0.0) ** 3
+
+    def distance_gradient(self, x, y):
+        gx, gy = 1.0 + 0.0 * np.asarray(x), -1.5 * np.maximum(np.asarray(y, dtype=float) - 0.1, 0.0) ** 2
+        n = np.hypot(gx, gy)
+        return gx / n, gy / n
 
 
 @pytest.mark.parametrize("curve", [Circle(0.05, -0.1, 0.6), Ellipse(0.1, -0.05, 0.55, 0.35),

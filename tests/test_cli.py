@@ -10,6 +10,7 @@ import pytest
 from ipfem.cli import (
     CSV_HEADER,
     StudyConfig,
+    _local_figure,
     default_penalties,
     emit_plots,
     list_cases,
@@ -24,7 +25,7 @@ from ipfem.geometry import classify_elements
 from ipfem.mesh import build_mesh
 from ipfem.probes import probe_G, probe_trace
 from ipfem.quadrature import pass_order
-from ipfem.solver import ConvergenceFailure, colamd_solve, solve
+from ipfem.solver import ConvergenceFailure, _jacobi_factors, colamd_solve, diagonal_scale, solve
 
 from helpers import build_pipeline
 
@@ -55,19 +56,36 @@ def test_an_unknown_method_is_rejected_not_run_as_nip():
 
 def test_config_validation():
     with pytest.raises(InsufficientData):
-        StudyConfig(case="circle-jump", method="sip", p_list=[1], nx_list=[])
+        StudyConfig(case="circle-jump", method="sip", p=[1], nx=[])
     with pytest.raises(InsufficientData):
-        StudyConfig(case="circle-jump", method="sip", p_list=[], nx_list=[8])
+        StudyConfig(case="circle-jump", method="sip", p=[], nx=[8])
     with pytest.raises(ValueError):
-        StudyConfig(case="circle-jump", method="fem", p_list=[1], nx_list=[8])
-    cfg = StudyConfig(case="circle-jump", method="sip", p_list=[1], nx_list=[2, 8])
+        StudyConfig(case="circle-jump", method="fem", p=[1], nx=[8])
+    cfg = StudyConfig(case="circle-jump", method="sip", p=[1], nx=[2, 8])
     with pytest.raises(ValueError):
         run_study(cfg)
 
 
+@pytest.mark.parametrize("argv, problem", [
+    (["--p", "1", "--nx", "32,16,8"], "setting 'nx' must be strictly increasing, got [32, 16, 8]"),
+    (["--p", "1", "--nx", "8,8,16"], "setting 'nx' must be strictly increasing, got [8, 8, 16]"),
+    (["--p", "2,1,2", "--nx", "8"], "setting 'p' must not repeat a degree, got [2, 1, 2]"),
+])
+def test_an_unordered_sweep_is_a_usage_error_before_any_run(tmp_path, capsys, monkeypatch, argv, problem):
+    # each degree's rates need h to fall; the sweep used to run every row and
+    # then stop in estimate_rates, writing no output file
+    import ipfem.cli as cli
+
+    monkeypatch.setattr(cli, "run_single", lambda *args, **kwargs: pytest.fail("a run started"))
+    out = tmp_path / "out"
+    assert main(["run", *argv, "--out", str(out)]) == 2
+    assert problem in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_case_rejected(tmp_path):
     cfg = StudyConfig(
-        case="moebius", method="sip", p_list=[1], nx_list=[8], out_dir=str(tmp_path)
+        case="moebius", method="sip", p=[1], nx=[8], out=str(tmp_path)
     )
     with pytest.raises(ValueError):
         run_study(cfg)
@@ -77,9 +95,9 @@ def test_run_study_writes_artifacts(tmp_path):
     cfg = StudyConfig(
         case="circle-jump",
         method="sip",
-        p_list=[1],
-        nx_list=[8, 16, 32],
-        out_dir=str(tmp_path),
+        p=[1],
+        nx=[8, 16, 32],
+        out=str(tmp_path),
     )
     result = run_study(cfg)
     assert not result.failures
@@ -98,33 +116,66 @@ def test_run_study_writes_artifacts(tmp_path):
     )
 
 
-def test_summary_records_condition_estimates(tmp_path):
-    for flag in (False, True):
-        out = tmp_path / str(flag)
-        cfg = StudyConfig(
-            case="circle-jump",
-            method="sip",
-            p_list=[1],
-            nx_list=[8, 12],
-            out_dir=str(out),
-            estimate_cond=flag,
-        )
-        run_study(cfg)
-        summary = json.loads((out / "summary.json").read_text())
-        conds = summary["condition_estimate"]
-        assert len(conds) == len(summary["rows"]) == 2
-        if flag:
-            assert all(c > 1.0 for c in conds)
-        else:
-            assert conds == [None, None]
-        assert (out / "results.csv").read_text().split("\n")[0] == CSV_HEADER
+LOCAL_KEYS = ("local_ratio", "local_element", "local_side")
+
+
+def test_summary_has_no_condition_estimate_and_no_local_figure_without_the_check(tmp_path):
+    run_study(StudyConfig(case="circle-jump", method="sip", p=[1], nx=[8, 12], out=str(tmp_path)))
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert "condition_estimate" not in summary
+    assert len(summary["stats"]) == len(summary["rows"]) == 2
+    assert all(not set(LOCAL_KEYS) & row.keys() for row in summary["stats"])
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--p", "1", "--nx", "8", "--estimate-cond", "--out", str(tmp_path / "flag")])
+    assert exit_info.value.code == 2 and not (tmp_path / "flag").exists()
+
+
+@pytest.mark.parametrize("method, p, ratio", [("sip", 2, 7.7e-7), ("sip", 3, 2.1e-12), ("nip", 3, 1.57e-11)])
+def test_local_figure_names_the_smallest_cut_block(tmp_path, method, p, ratio):
+    # circle-jump, nx = 8: the smallest lambda_min / lambda_max over the
+    # Jacobi-scaled cut (element, side) blocks falls by five orders from
+    # p = 2 to p = 3; its block is side 1 of element 41, a fraction of 3.15e-2
+    assert main(["run", "--method", method, "--p", str(p), "--nx", "8", "--check-spread",
+                 "--out", str(tmp_path)]) == 0
+    (row,) = json.loads((tmp_path / "summary.json").read_text())["stats"]
+    assert row["local_ratio"] == pytest.approx(ratio, rel=0.05)
+    assert (row["local_element"], row["local_side"]) == (41, 1)
+
+
+def test_local_figure_reaches_round_off_at_p_4_and_is_null_without_a_cut(tmp_path):
+    run_study(StudyConfig(p=[4], nx=[8], check_spread=True, out=str(tmp_path / "cut")))
+    (row,) = json.loads((tmp_path / "cut" / "summary.json").read_text())["stats"]
+    assert row["local_ratio"] < 1e-14
+    run_study(StudyConfig(case="aligned-edge", p=[2], nx=[8], check_spread=True, out=str(tmp_path / "uncut")))
+    (row,) = json.loads((tmp_path / "uncut" / "summary.json").read_text())["stats"]
+    assert row["cut_elements"] == 0
+    assert [row[key] for key in LOCAL_KEYS] == [None, None, None]
+
+
+def test_local_figure_is_that_of_each_block_alone():
+    # the batched blocks against one sparse slice and one eigvalsh per block
+    # of the solver's scaled matrix; at nx = 4 cut elements touch the
+    # boundary, so their blocks lose the constrained unknowns
+    _, top, space, _, system = build_pipeline(catalog()["circle-jump"], 2, 4, beta=-1)
+    scaled = diagonal_scale(system.matrix, _jacobi_factors(system.matrix))
+    figures, dropped = [], 0
+    for e in top.cut_elements:
+        for side in (1, 2):
+            idx = space.element_unknowns(e, side)
+            dropped += int((idx < 0).sum())
+            block = scaled[idx[idx >= 0]][:, idx[idx >= 0]].toarray()
+            lam = np.linalg.eigvalsh(0.5 * (block + block.T))
+            figures.append((lam[0] / lam[-1], int(e), side))
+    assert dropped > 0
+    ratio, element, side = min(figures)
+    assert _local_figure(space, top, system) == {"local_ratio": ratio, "local_element": element, "local_side": side}
 
 
 def test_summary_records_run_stats(tmp_path):
     summaries = []
     for k in range(2):
         out = tmp_path / str(k)
-        run_study(StudyConfig(case="circle-jump", method="sip", p_list=[1, 2], nx_list=[8], out_dir=str(out)))
+        run_study(StudyConfig(case="circle-jump", method="sip", p=[1, 2], nx=[8], out=str(out)))
         summaries.append((out / "summary.json").read_bytes())
     assert summaries[0] == summaries[1]
     stats = json.loads(summaries[0])["stats"]
@@ -138,7 +189,7 @@ def test_summary_records_run_stats(tmp_path):
          "min_cut_fraction": pytest.approx(0.031499995393823255, rel=1e-12)},
     ]
     out = tmp_path / "uncut"
-    run_study(StudyConfig(case="aligned-edge", method="nip", p_list=[1], nx_list=[4], out_dir=str(out)))
+    run_study(StudyConfig(case="aligned-edge", method="nip", p=[1], nx=[4], out=str(out)))
     (uncut,) = json.loads((out / "summary.json").read_text())["stats"]
     assert uncut["cut_elements"] == 0 and uncut["min_cut_fraction"] is None
     assert uncut["segments"] == 4
@@ -149,8 +200,8 @@ def test_pivot_order_spread_is_small_where_the_system_is_well_conditioned(tmp_pa
     files = {}
     for flag in (False, True):
         out = tmp_path / str(flag)
-        run_study(StudyConfig(case="circle-jump", method="sip", p_list=[1, 2], nx_list=[8, 16],
-                              out_dir=str(out), check_spread=flag))
+        run_study(StudyConfig(case="circle-jump", method="sip", p=[1, 2], nx=[8, 16],
+                              out=str(out), check_spread=flag))
         files[flag] = {name: (out / name).read_bytes() for name in ("results.csv", "rates.csv", "summary.json")}
     spreads = [row["spread"] for row in json.loads(files[True]["summary.json"])["stats"]]
     assert len(spreads) == 4
@@ -161,11 +212,14 @@ def test_pivot_order_spread_is_small_where_the_system_is_well_conditioned(tmp_pa
     summary = json.loads(files[True]["summary.json"])
     for row in summary["stats"]:
         row["spread"] = None
+        for key in LOCAL_KEYS:
+            del row[key]
     assert (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode() == files[False]["summary.json"]
     out = tmp_path / "cli"
     assert main(["run", "--case", "circle-jump", "--p", "1", "--nx", "8", "--check-spread", "--out", str(out)]) == 0
     (row,) = json.loads((out / "summary.json").read_text())["stats"]
     assert row["spread"] == spreads[0]
+    assert row["local_ratio"] == pytest.approx(5.2e-2, rel=0.05)
 
 
 def test_spread_is_the_energy_norm_of_the_pivot_order_difference(tmp_path):
@@ -173,8 +227,8 @@ def test_spread_is_the_energy_norm_of_the_pivot_order_difference(tmp_path):
     # system is determined to round-off through p = 3, and not from p = 4
     # (4.9e-7 at p = 4, 2.4e-6 at p = 6, where d^T E d is negative)
     degrees = [1, 2, 3, 4, 6]
-    run_study(StudyConfig(case="circle-jump", method="sip", p_list=degrees, nx_list=[8],
-                          out_dir=str(tmp_path), check_spread=True))
+    run_study(StudyConfig(case="circle-jump", method="sip", p=degrees, nx=[8],
+                          out=str(tmp_path), check_spread=True))
     stats = json.loads((tmp_path / "summary.json").read_text())["stats"]
     delta = dict(zip(degrees, (row["spread"] for row in stats)))
     assert all(0.0 <= delta[p] <= 1e-8 for p in (1, 2, 3)), delta
@@ -210,7 +264,7 @@ def test_max_delta_fails_the_undetermined_rows(tmp_path):
     assert (gated / "results.csv").read_bytes() == (plain / "results.csv").read_bytes()
     for bad in ("nan", "inf", "-1"):
         assert main(argv + ["--max-delta", bad, "--out", str(tmp_path / "bad")]) == 2
-    assert StudyConfig(case="circle-jump", method="sip", p_list=[1], nx_list=[8], max_delta=0).check_spread
+    assert StudyConfig(case="circle-jump", method="sip", p=[1], nx=[8], max_delta=0).check_spread
 
 
 def test_a_failed_second_solve_leaves_the_spread_undetermined(tmp_path, monkeypatch, capsys):
@@ -241,9 +295,9 @@ def test_byte_reproducibility(tmp_path):
         cfg = StudyConfig(
             case="aligned-edge",
             method="nip",
-            p_list=[1],
-            nx_list=[4, 8, 16],
-            out_dir=str(out),
+            p=[1],
+            nx=[4, 8, 16],
+            out=str(out),
         )
         run_study(cfg)
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
@@ -254,9 +308,9 @@ def test_dump_flags(tmp_path):
     cfg = StudyConfig(
         case="circle-jump",
         method="sip",
-        p_list=[1],
-        nx_list=[8],
-        out_dir=str(tmp_path),
+        p=[1],
+        nx=[8],
+        out=str(tmp_path),
         dump_matrix=True,
         dump_quadrature=True,
     )
@@ -358,8 +412,8 @@ def test_flags_win_over_config_entries_over_defaults(tmp_path):
     # a store_true flag not given leaves the file's entry in force
     assert np.isfinite(summary["stats"][0]["spread"])
     assert not (tmp_path / "fromfile").exists()
-    defaults = StudyConfig(p_list=[1], nx_list=[8])
-    assert (defaults.case, defaults.method, defaults.out_dir) == ("circle-jump", "sip", "study-out")
+    defaults = StudyConfig(p=[1], nx=[8])
+    assert (defaults.case, defaults.method, defaults.out) == ("circle-jump", "sip", "study-out")
 
 
 @pytest.mark.parametrize("text,problem", [
@@ -390,9 +444,9 @@ def test_emit_plots(tmp_path):
     cfg = StudyConfig(
         case="circle-jump",
         method="sip",
-        p_list=[1],
-        nx_list=[8, 16, 32],
-        out_dir=str(tmp_path),
+        p=[1],
+        nx=[8, 16, 32],
+        out=str(tmp_path),
     )
     run_study(cfg)
     csv_path = tmp_path / "results.csv"
@@ -511,6 +565,17 @@ def test_probes_subcommand_trace_and_g(tmp_path, probe, name):
     assert values[-2] == max(values[:-2]) and min(values[:-2]) <= values[-1] <= values[-2]
 
 
+@pytest.mark.parametrize("probe", ["trace", "G"])
+@pytest.mark.parametrize("samples", ["0", "-1", "2.5", "x"])
+def test_probe_samples_must_be_a_positive_integer(tmp_path, capsys, probe, samples):
+    # --samples 0 made the trace probe measure only its oscillatory field
+    with pytest.raises(SystemExit) as exit_info:
+        main(["probes", "--probe", probe, "--samples", samples, "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert f"argument --samples: must be a positive integer, got '{samples}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_probes_without_samples_take_each_probe_default(tmp_path):
     # 64 points per segment for G, 20 cubics per segment for the trace probe
     top = classify_elements(build_mesh(DOMAIN, 8, 8), catalog()["circle-jump"].curve)
@@ -556,9 +621,9 @@ def test_aligned_edge_hosts_side1(tmp_path):
     cfg = StudyConfig(
         case="aligned-edge",
         method="sip",
-        p_list=[1],
-        nx_list=[8],
-        out_dir=str(tmp_path),
+        p=[1],
+        nx=[8],
+        out=str(tmp_path),
     )
     result = run_study(cfg)
     assert not result.failures
@@ -598,10 +663,10 @@ def test_rates_stable_under_extra_quadrature(tmp_path):
         cfg = StudyConfig(
             case="circle-jump",
             method="sip",
-            p_list=[1],
-            nx_list=[8, 16, 32],
+            p=[1],
+            nx=[8, 16, 32],
             quad_extra=extra,
-            out_dir=str(tmp_path / f"extra{extra}"),
+            out=str(tmp_path / f"extra{extra}"),
         )
         result = run_study(cfg)
         slopes[extra] = result.rates[1].slopes
@@ -619,9 +684,9 @@ def test_run_failures_annotated(tmp_path, monkeypatch):
     cfg = StudyConfig(
         case="circle-jump",
         method="sip",
-        p_list=[1],
-        nx_list=[8, 16],
-        out_dir=str(tmp_path),
+        p=[1],
+        nx=[8, 16],
+        out=str(tmp_path),
     )
     result = run_study(cfg)
     assert len(result.failures) == 2

@@ -353,9 +353,9 @@ def _oracle_rule(topology, element, side, order):
     )
 
 
-def _positive_sides(top):
-    pairs = [(int(e), s) for e in top.cut_elements for s in (1, 2) if top.fractions[e, s - 1] > 0.0]
-    return np.array([e for e, _ in pairs], dtype=np.int64), np.array([s for _, s in pairs], dtype=np.int64)
+def _cut_sides(top):
+    cut = top.cut_elements.astype(np.int64)
+    return np.repeat(cut, 2), np.tile(np.array([1, 2], dtype=np.int64), len(cut))
 
 
 def _first_oracle_error(top, elements, sides, order):
@@ -388,7 +388,7 @@ ORACLE_CASES = (
 @pytest.mark.parametrize("curve,nx", [(c, nx) for _, c, nx in ORACLE_CASES], ids=[n for n, _, _ in ORACLE_CASES])
 def test_batched_rules_match_per_rule_oracle(curve, nx):
     top = classify_elements(build_mesh(BIUNIT, nx, nx), curve)
-    elements, sides = _positive_sides(top)
+    elements, sides = _cut_sides(top)
     strips = {(e, s) for c, n, pairs in STRIP_CASES if c is curve and n == nx for e, s in pairs}
     used_strip = set()
     for order in (3, 4, 5, 6):
@@ -466,7 +466,7 @@ FAILING_CASES = [
 @pytest.mark.parametrize("curve,nx,order", [c[1:] for c in FAILING_CASES], ids=[c[0] for c in FAILING_CASES])
 def test_failing_batch_raises_the_first_oracle_error(curve, nx, order):
     top = classify_elements(build_mesh(BIUNIT, nx, nx), curve)
-    elements, sides = _positive_sides(top)
+    elements, sides = _cut_sides(top)
     want = _first_oracle_error(top, elements, sides, order)
     assert want is not None and want[0] is QuadratureError
     with pytest.raises(QuadratureError) as info:
@@ -496,7 +496,7 @@ def test_one_edge_cut_side_integrates():
 def test_doctored_sliver_in_a_batch_raises_like_the_oracle():
     mesh = build_mesh(BIUNIT, 8, 8)
     top = classify_elements(mesh, Circle(0.0, 0.0, 0.6))
-    elements, sides = _positive_sides(top)
+    elements, sides = _cut_sides(top)
     fr = top.fractions.copy()
     fr[elements[5]] = (1e-15, 1.0 - 1e-15)
     doctored = dataclasses.replace(top, fractions=fr)
@@ -507,7 +507,7 @@ def test_doctored_sliver_in_a_batch_raises_like_the_oracle():
     assert str(info.value) == want[1]
     # a sliver requested after a pinched rule: the pinched rule's error wins
     pinched = classify_elements(build_mesh(BIUNIT, 8, 8), FAILING_CASES[0][1])
-    e_p, s_p = (a[::-1] for a in _positive_sides(pinched))
+    e_p, s_p = (a[::-1] for a in _cut_sides(pinched))
     fr = pinched.fractions.copy()
     fr[e_p[-1]] = (1e-15, 1.0 - 1e-15)
     both = dataclasses.replace(pinched, fractions=fr)
